@@ -45,15 +45,14 @@ from .errors import (
     UnboundCoefficient,
     ValidityCollapsed,
 )
-from .gridfn import Grid, GridFn, Interval, algebra, exp_primitive, primitive, zero_free_interval
-from .lower import LowerContext, lower, lower_expr
-from .multex import SeriesDiagnostics, SignTable, TrigSpec, multex_e, simplicial, trig_equiv_check, trig_family, trig_t
-from .oracle import DysonResult, MatrixFn, companion, dyson, rk4, truncation_bound
+from .gridfn import Grid, GridFn, Interval, exp_primitive, primitive, zero_free_interval
+from .lower import LowerContext, lower
+from .multex import SeriesDiagnostics, SignTable, multex_e, simplicial, trig_equiv_check, trig_family, truncation_bound
+from .oracle import DysonResult, MatrixFn, companion, dyson, rk4
 from .parser import parse
 from .solver import (
     BasisSet,
     IVProblem,
-    Permutation,
     basis,
     initial_condition_matrix,
     ode_residual,

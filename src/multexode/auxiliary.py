@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from . import coeffexpr as ce
 from .coeffexpr import AuxFn, Const, Expr, TrigNode, ZERO, as_expr
 from .errors import DegenerateLeading
-from .gridfn import Grid, GridFn, Interval
-from .lower import VALIDITY_FLOOR, LowerContext, lower
+from .gridfn import DIV_FLOOR, Grid, GridFn, Interval
+from .lower import LowerContext, lower
 from .multex import DEFAULT_MAX_TERMS, DEFAULT_TOL, SeriesDiagnostics
 
 
@@ -154,9 +154,9 @@ def extract_aux_ode(a: CoeffVector, beta, ctx: LowerContext | None = None, numer
     lead = g[order]
     if ctx is not None:
         lead_val = abs(lower(lead, ctx).at_zero())
-        if lead_val <= VALIDITY_FLOOR:
+        if lead_val <= DIV_FLOOR:
             raise DegenerateLeading(
-                f"leading coefficient magnitude {lead_val:.3e} at 0 is below {VALIDITY_FLOOR:.1e}"
+                f"leading coefficient magnitude {lead_val:.3e} at 0 is below {DIV_FLOOR:.1e}"
             )
     elif lead == ZERO:
         raise DegenerateLeading("leading coefficient is identically zero")

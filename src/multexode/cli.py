@@ -32,21 +32,9 @@ import numpy as np
 
 from .auxiliary import CoeffVector
 from .coeffexpr import Expr, Sampled
-from .errors import (
-    ConfigError,
-    CoverageGap,
-    DegenerateLeading,
-    DivisorTooSmall,
-    ExpressionSyntaxError,
-    MultexodeError,
-    NonDifferentiable,
-    NonMonotoneAbscissae,
-    NotConverged,
-    Overflow,
-    UnboundCoefficient,
-    ValidityCollapsed,
-)
-from .gridfn import Grid, GridFn
+from .errors import ConfigError, ExpressionSyntaxError, MultexodeError, NonMonotoneAbscissae, NotConverged, ValidityCollapsed
+from .gridfn import Grid, GridFn, linear_combination
+from .multex import DEFAULT_MAX_TERMS, DEFAULT_TOL
 from .oracle import companion, dyson, rk4
 from .parser import parse
 from .solver import IVProblem, basis, preset_orr_sommerfeld, preset_schrodinger, solve_ivp
@@ -99,8 +87,8 @@ class ProblemConfig:
     lo: float = -1.0
     hi: float = 1.0
     grid_n: int = 2000
-    tol: float = 1e-12
-    max_terms: int = 200
+    tol: float = DEFAULT_TOL
+    max_terms: int = DEFAULT_MAX_TERMS
     initial_values: tuple = ()
     compare_tol: float = 1e-6
     numeric_diff: bool = False
@@ -311,7 +299,7 @@ def _run_problem(cfg: ProblemConfig, outdir: Path, fmt: str) -> int:
         )
         functions = [("c", bs.psi[0]), ("s", bs.psi[1])]
         if len(cfg.initial_values) == 2:
-            y = bs.psi[0] * cfg.initial_values[0] + bs.psi[1] * cfg.initial_values[1]
+            y = linear_combination(grid, cfg.initial_values, [m.values for m in bs.psi])
             functions.insert(0, ("solution", y))
         _write_outputs(outdir, functions, bs.validity, fmt)
         return 0
@@ -322,10 +310,8 @@ def _run_problem(cfg: ProblemConfig, outdir: Path, fmt: str) -> int:
         )
         functions = [(f"psi_{k}", bs.psi[k - 1]) for k in range(1, 5)]
         if len(cfg.initial_values) == 4:
-            vals = np.zeros(grid.n + 1, dtype=complex)
-            for c, member in zip(cfg.initial_values, bs.psi):
-                vals += c * member.values
-            functions.insert(0, ("solution", GridFn(grid, vals)))
+            y = linear_combination(grid, cfg.initial_values, [m.values for m in bs.psi])
+            functions.insert(0, ("solution", y))
         _write_outputs(outdir, functions, bs.validity, fmt)
         return 0
 
@@ -349,11 +335,7 @@ def _run_problem(cfg: ProblemConfig, outdir: Path, fmt: str) -> int:
     m = companion(bs.a, grid)
     dy = dyson(m, tol=cfg.tol)
     oracle_series = dy.first_row_solution(cfg.initial_values)
-    mk = rk4(m, grid.n)
-    vals = np.zeros(grid.n + 1, dtype=complex)
-    for k, c in enumerate(cfg.initial_values):
-        vals += complex(c) * mk[0, k]
-    oracle_steps = GridFn(grid, vals)
+    oracle_steps = linear_combination(grid, cfg.initial_values, rk4(m, grid.n)[0])
 
     keep = grid.mask(bs.validity)
     xs = grid.nodes[keep]
@@ -427,21 +409,7 @@ def run(argv) -> int:
     except (NotConverged, ValidityCollapsed) as exc:
         print(f"multexode: {exc}", file=sys.stderr)
         return 2
-    except (
-        ConfigError,
-        ExpressionSyntaxError,
-        UnboundCoefficient,
-        NonMonotoneAbscissae,
-        CoverageGap,
-        NonDifferentiable,
-        DegenerateLeading,
-        DivisorTooSmall,
-        Overflow,
-        ValueError,
-    ) as exc:
-        print(f"multexode: {exc}", file=sys.stderr)
-        return 1
-    except MultexodeError as exc:
+    except (MultexodeError, ValueError) as exc:
         print(f"multexode: {exc}", file=sys.stderr)
         return 1
 

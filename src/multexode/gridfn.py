@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import DivisorTooSmall, GridMismatch, Overflow, ValidityCollapsed
 
-DIV_FLOOR = 1e-12
+# the one division floor, shared by both lowering policies, GridFn division and
+# the leading-coefficient check of the auxiliary chain
+DIV_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -33,9 +35,6 @@ class Interval:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
 
     def intersect(self, other: "Interval") -> "Interval":
         lo = max(self.lo, other.lo)
@@ -234,7 +233,9 @@ class GridFn:
 
     def __truediv__(self, other):
         if isinstance(other, GridFn):
-            return algebra(self, other, "div")
+            self._check(other)
+            check_divisor(other)
+            return GridFn(self.grid, self.values / other.values)
         return GridFn(self.grid, self.values / complex(other))
 
     def __neg__(self):
@@ -275,31 +276,23 @@ def primitive(f: GridFn) -> GridFn:
     return GridFn(f.grid, primitive_values(f.values, f.grid))
 
 
-_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-}
+def check_divisor(g: GridFn) -> None:
+    """Raise :class:`DivisorTooSmall` at the first node where |g| < DIV_FLOOR;
+    vanishing divisors are an error to surface, never a value to clamp."""
+    mags = np.abs(g.values)
+    bad = np.flatnonzero(mags < DIV_FLOOR)
+    if bad.size:
+        i = int(bad[0])
+        raise DivisorTooSmall(float(g.grid.nodes[i]), float(mags[i]), DIV_FLOOR)
 
 
-def algebra(f: GridFn, g: GridFn, op: str, div_floor: float = DIV_FLOOR) -> GridFn:
-    """Pointwise arithmetic on a shared grid.
-
-    Division checks |g| >= div_floor at every node and raises
-    :class:`DivisorTooSmall` naming the first offending node; vanishing
-    divisors are an error to surface, never a value to clamp.
-    """
-    f._check(g)
-    if op in _OPS:
-        return GridFn(f.grid, _OPS[op](f.values, g.values))
-    if op == "div":
-        mags = np.abs(g.values)
-        bad = np.flatnonzero(mags < div_floor)
-        if bad.size:
-            i = int(bad[0])
-            raise DivisorTooSmall(float(f.grid.nodes[i]), float(mags[i]), div_floor)
-        return GridFn(f.grid, f.values / g.values)
-    raise ValueError(f"unknown op {op!r}")
+def linear_combination(grid: Grid, coeffs, rows, label: str = "") -> GridFn:
+    """sum_k coeffs[k] * rows[k] over sample rows, accumulated in k order;
+    combines basis members (or oracle matrix rows) with initial data."""
+    vals = np.zeros(grid.n + 1, dtype=complex)
+    for c, row in zip(coeffs, rows, strict=True):
+        vals += complex(c) * row
+    return GridFn(grid, vals, label=label)
 
 
 def exp_primitive(f: GridFn, sign: int) -> GridFn:

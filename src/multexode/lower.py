@@ -1,12 +1,13 @@
 """Lower expressions to grid functions.
 
 A LowerContext fixes the grid, the coefficient environment, series tolerances
-and the per-solve memo store.  Two division policies exist: the default
-raises DivisorTooSmall as soon as any node divides by a near-zero value; the
-masked policy (used while building auxiliary chains) instead shrinks the
-running validity interval to the zero-free neighbourhood of 0 and zeroes the
-result outside it.  Because the primitive is anchored at 0, values inside the
-validity interval never depend on the zeroed region, so masking is safe.
+and the per-solve memo store.  Two division policies share the one floor
+DIV_FLOOR: the default raises DivisorTooSmall as soon as any node divides by
+a value below it; the masked policy (used while building auxiliary chains)
+instead shrinks the running validity interval to the zero-free neighbourhood
+of 0 and zeroes the result outside it.  Because the primitive is anchored at
+0, values inside the validity interval never depend on the zeroed region, so
+masking is safe.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ import numpy as np
 
 from . import coeffexpr as ce
 from .errors import CoverageGap, DivisorTooSmall, UnboundCoefficient, ValidityCollapsed
-from .gridfn import DIV_FLOOR, Grid, GridFn, Interval, _lagrange4, exp_primitive, primitive, zero_free_interval
+from .gridfn import DIV_FLOOR, Grid, GridFn, Interval, _lagrange4, check_divisor, exp_primitive, primitive, zero_free_interval
 from .multex import DEFAULT_MAX_TERMS, DEFAULT_TOL, trig_family
 
-VALIDITY_FLOOR = 1e-8
 MIN_VALIDITY_CELLS = 4
 
 
@@ -36,7 +36,6 @@ class LowerContext:
         env=None,
         series_tol: float = DEFAULT_TOL,
         max_terms: int = DEFAULT_MAX_TERMS,
-        div_floor: float = DIV_FLOOR,
         masked: bool = False,
         numeric_diff: bool = False,
     ):
@@ -44,7 +43,6 @@ class LowerContext:
         self.env = dict(env or {})
         self.series_tol = series_tol
         self.max_terms = max_terms
-        self.div_floor = div_floor
         self.masked = masked
         self.numeric_diff = numeric_diff
         self.validity = grid.interval
@@ -82,19 +80,15 @@ class LowerContext:
 
 def _guarded_reciprocal(ctx: LowerContext, den: GridFn, power: int) -> np.ndarray:
     """den**(-power) under the active division policy (power >= 1)."""
-    floor = VALIDITY_FLOOR if ctx.masked else ctx.div_floor
     mags = np.abs(den.values)
     z = ctx.grid.zero_index
-    if mags[z] < floor:
-        raise DivisorTooSmall(0.0, float(mags[z]), floor)
+    if mags[z] < DIV_FLOOR:
+        raise DivisorTooSmall(0.0, float(mags[z]), DIV_FLOOR)
     if not ctx.masked:
-        bad = np.flatnonzero(mags < floor)
-        if bad.size:
-            i = int(bad[0])
-            raise DivisorTooSmall(float(ctx.grid.nodes[i]), float(mags[i]), floor)
+        check_divisor(den)
         return den.values ** (-power)
-    ctx.shrink_validity(zero_free_interval(den, floor))
-    safe = mags > floor
+    ctx.shrink_validity(zero_free_interval(den, DIV_FLOOR))
+    safe = mags > DIV_FLOOR
     out = np.zeros_like(den.values)
     out[safe] = den.values[safe] ** (-power)
     return ctx.mask_outside_validity(out)
@@ -176,7 +170,3 @@ def _trig_family_for(fs, ctx: LowerContext):
     ctx.trig_diagnostics[key] = diag
     return family
 
-
-def lower_expr(e: ce.Expr, env, grid: Grid, series_tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS) -> GridFn:
-    """One-shot lowering with a fresh context and the strict division policy."""
-    return lower(e, LowerContext(grid, env=env, series_tol=series_tol, max_terms=max_terms))

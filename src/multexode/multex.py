@@ -12,6 +12,7 @@ Kronecker delta in j).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,25 +43,6 @@ class SeriesDiagnostics:
             "apriori_bound": self.apriori_bound,
             "converged": self.converged,
         }
-
-
-@dataclass(frozen=True)
-class TrigSpec:
-    """Inputs f1..fn (grid functions on one grid) and a selected index j."""
-
-    fs: tuple
-    j: int
-
-    def __post_init__(self):
-        fs = tuple(self.fs)
-        object.__setattr__(self, "fs", fs)
-        _check_shared_grid(fs)
-        if not 1 <= self.j <= len(fs):
-            raise ValueError(f"index {self.j} out of range 1..{len(fs)}")
-
-    @property
-    def n(self) -> int:
-        return len(self.fs)
 
 
 class SignTable:
@@ -105,20 +87,27 @@ def simplicial(fs, j: int) -> GridFn:
     return s
 
 
-def _tail_bound(g_sup_integral: float, terms: int) -> float:
-    """Scalar factorial tail: sum over j > terms of G^j / j!."""
-    if g_sup_integral == 0.0:
+def truncation_bound(g_integral: float, n: int, terms: int) -> float:
+    """Tail of the factorial domination: sum over j > terms of
+    (1/n) (n g)^j / j!, summed stably with a relative cutoff; inf as soon as
+    a term overflows."""
+    if g_integral < 0:
+        raise ValueError("the integral bound must be nonnegative")
+    if g_integral == 0.0:
         return 0.0
-    term = 1.0
+    ng = n * g_integral
+    term = 1.0 / n
     for j in range(1, terms + 1):
-        term *= g_sup_integral / j
+        term *= ng / j
     total = 0.0
     j = terms
     while True:
         j += 1
-        term *= g_sup_integral / j
+        term *= ng / j
+        if not math.isfinite(term):
+            return math.inf
         total += term
-        if term < 1e-18 * max(total, 1.0) or j > terms + 10_000:
+        if term < 1e-18 * max(total, 1e-300) or j > terms + 100_000:
             return total
 
 
@@ -154,7 +143,7 @@ def multex_e(fs, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
         if last <= tol:
             converged = True
             break
-    diag = SeriesDiagnostics(terms, last, _tail_bound(_g_integral(fs), terms), converged)
+    diag = SeriesDiagnostics(terms, last, truncation_bound(_g_integral(fs), 1, terms), converged)
     if not converged and last > 1e3 * tol:
         raise NotConverged(
             f"multex series still at {last:.3e} after {terms} terms (tol {tol:.1e})", diag
@@ -190,7 +179,7 @@ def trig_family(fs, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS
         if cycle_max <= tol:
             converged = True
             break
-    diag = SeriesDiagnostics(m, last_cycle, _tail_bound(_g_integral(fs), m), converged)
+    diag = SeriesDiagnostics(m, last_cycle, truncation_bound(_g_integral(fs), 1, m), converged)
     if not converged and last_cycle > 1e3 * tol:
         raise NotConverged(
             f"trig series still at {last_cycle:.3e} after {m} terms (tol {tol:.1e})", diag
@@ -198,20 +187,13 @@ def trig_family(fs, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS
     return [GridFn(grid, v) for v in sums], diag
 
 
-def trig_t(spec: TrigSpec, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
-    """One trig operator T at the spec's index, with diagnostics."""
-    family, diag = trig_family(spec.fs, tol, max_terms)
-    return family[spec.j - 1], diag
-
-
-def trig_equiv_check(spec: TrigSpec, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS) -> float:
+def trig_equiv_check(fs, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS) -> float:
     """Max node discrepancy between the two equivalent trig definitions.
 
     Route one sums the simplicial terms by congruence class; route two takes
     half-sums of two multex series with a sign-flipped input list.  The
     discrepancy is a runtime self-test of the sign table.
     """
-    fs = spec.fs
     n = len(fs)
     family, _ = trig_family(fs, tol, max_terms)
     e_plain, _ = multex_e(fs, tol, max_terms)

@@ -1,7 +1,8 @@
 """Independent ground truth for the solver.
 
 Two oracles solve the companion first-order system M' = m M, M(0) = I: the
-iterated-integral (Dyson) series with its explicit factorial tail bound, and
+iterated-integral (Dyson) series, whose omitted terms are bounded by the same
+factorial tail (``multex.truncation_bound``) that bounds the trig series, and
 a classical fixed-step fourth-order marcher.  They share nothing with the
 trig-operator machinery except the anchored quadrature (series) and the local
 interpolator (marcher), so an error in either path shows up as disagreement.
@@ -14,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotConverged
-from .gridfn import Grid, GridFn, _lagrange4, primitive_values
+from .gridfn import Grid, GridFn, _lagrange4, linear_combination, primitive_values
 from .lower import LowerContext, lower
+from .multex import DEFAULT_TOL, truncation_bound
 
-DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 400
 
 
@@ -48,7 +49,7 @@ class MatrixFn:
         return GridFn(self.grid, self.data[i, k])
 
 
-def companion(a, grid: Grid, env=None, series_tol: float = 1e-12) -> MatrixFn:
+def companion(a, grid: Grid, env=None, series_tol: float = DEFAULT_TOL) -> MatrixFn:
     """Companion matrix of the scalar equation: ones on the superdiagonal and
     the reversed coefficients (an, ..., a1) along the bottom row."""
     n = a.n
@@ -80,34 +81,10 @@ class DysonResult:
     term_bounds: list = field(default_factory=list)
 
     def first_row_solution(self, initial_values) -> GridFn:
-        vals = np.zeros(self.grid.n + 1, dtype=complex)
-        for k, c in enumerate(initial_values):
-            vals += complex(c) * self.M[0, k]
-        return GridFn(self.grid, vals, label="oracle")
+        return linear_combination(self.grid, initial_values, self.M[0], label="oracle")
 
     def entry(self, i: int, k: int) -> GridFn:
         return GridFn(self.grid, self.M[i, k])
-
-
-def truncation_bound(g_integral: float, n: int, terms: int) -> float:
-    """Tail of the factorial domination: sum over j > terms of
-    (1/n) (n g)^j / j!, summed stably with a relative cutoff."""
-    if g_integral < 0:
-        raise ValueError("the integral bound must be nonnegative")
-    if g_integral == 0.0:
-        return 0.0
-    ng = n * g_integral
-    term = 1.0 / n
-    for j in range(1, terms + 1):
-        term *= ng / j
-    total = 0.0
-    j = terms
-    while True:
-        j += 1
-        term *= ng / j
-        total += term
-        if term < 1e-18 * max(total, 1e-300) or j > terms + 100_000:
-            return total
 
 
 def dyson(m: MatrixFn, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS) -> DysonResult:

@@ -18,32 +18,10 @@ from . import coeffexpr as ce
 from .auxiliary import AuxChain, CoeffVector, _finalize_validity, build_aux_chain
 from .coeffexpr import Const, TrigNode, as_expr
 from .errors import NonDifferentiable
-from .gridfn import Grid, GridFn, Interval
+from .gridfn import Grid, GridFn, Interval, linear_combination
 from .lower import LowerContext, lower
-from .multex import DEFAULT_MAX_TERMS, DEFAULT_TOL, TrigSpec
+from .multex import DEFAULT_MAX_TERMS, DEFAULT_TOL
 from .parser import parse
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """k-fold right shift on {1..n}: j maps to the representative of j-k."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("arity must be positive")
-
-    def apply(self, j: int) -> int:
-        return (j - 1 - self.k) % self.n + 1
-
-    def inverse(self, j: int) -> int:
-        return (j - 1 + self.k) % self.n + 1
-
-    @property
-    def mapping(self) -> tuple:
-        return tuple(self.apply(j) for j in range(1, self.n + 1))
 
 
 @dataclass(frozen=True)
@@ -73,14 +51,13 @@ class BasisSet:
 
     psi holds the grid realizations (zeroed outside validity for n > 2 when
     guards fired); exprs the symbolic trig forms, which is what derivative
-    checks differentiate; specs the realized operator inputs and indices.
+    checks differentiate.
     """
 
     n: int
     a: CoeffVector
     psi: tuple
     exprs: tuple
-    specs: tuple
     validity: Interval
     diagnostics: tuple
     chain: AuxChain | None
@@ -95,23 +72,18 @@ def _assemble(phi: tuple, a: CoeffVector, chain, ctx: LowerContext, validity: In
     keep = ctx.grid.mask(validity)
     members = []
     exprs = []
-    specs = []
     diags = []
     for k in range(1, n + 1):
-        eta = Permutation(n, k - 1)
-        inputs = tuple(phi[eta.apply(i) - 1] for i in range(1, n + 1))
-        idx = eta.inverse(n)
-        expr = TrigNode(inputs, idx)
+        # rotate k-1 steps right; the rotation sends index (k-2) mod n + 1 to n
+        inputs = phi[-(k - 1):] + phi[:-(k - 1)]
+        expr = TrigNode(inputs, (k - 2) % n + 1)
         fn = lower(expr, ctx)
         vals = fn.values.copy()
         vals[~keep] = 0.0
         members.append(GridFn(ctx.grid, vals, label=f"{label}_{n}_{k}"))
         exprs.append(expr)
-        specs.append(TrigSpec(tuple(lower(f, ctx) for f in inputs), idx))
         diags.append(ctx.trig_diagnostics.get(inputs))
-    return BasisSet(
-        n, a, tuple(members), tuple(exprs), tuple(specs), validity, tuple(diags), chain, ctx
-    )
+    return BasisSet(n, a, tuple(members), tuple(exprs), validity, tuple(diags), chain, ctx)
 
 
 def basis(
@@ -132,9 +104,7 @@ def basis(
         ctx = LowerContext(grid, env=env, series_tol=tol, max_terms=max_terms, masked=True)
         expr = ce.expprim(a.a(1), 1)
         fn = lower(expr, ctx).with_label("psi_1_1")
-        return BasisSet(
-            1, a, (fn,), (expr,), (), grid.interval, (None,), None, ctx
-        )
+        return BasisSet(1, a, (fn,), (expr,), grid.interval, (None,), None, ctx)
     chain = build_aux_chain(a, grid, tol=tol, max_terms=max_terms, env=env, numeric_diff=numeric_diff)
     return _assemble(chain.phi, a, chain, chain.ctx, chain.validity, "psi")
 
@@ -150,10 +120,8 @@ def solve_ivp(
     """Solve the initial-value problem; returns (solution, basis)."""
     a = CoeffVector.from_rhs(problem.coefficients)
     bs = basis(a, grid, tol=tol, max_terms=max_terms, env=env, numeric_diff=numeric_diff)
-    vals = np.zeros(grid.n + 1, dtype=complex)
-    for c, member in zip(problem.initial_values, bs.psi):
-        vals += c * member.values
-    return GridFn(grid, vals, label="y"), bs
+    y = linear_combination(grid, problem.initial_values, [m.values for m in bs.psi], label="y")
+    return y, bs
 
 
 def preset_schrodinger(

@@ -11,7 +11,6 @@ from multexode import (
     Grid,
     GridFn,
     IVProblem,
-    TrigSpec,
     basis,
     closed_form_aux,
     companion,
@@ -259,7 +258,7 @@ class TestAcceptance:
         worst = 0.0
         for n in (2, 3, 4, 5):
             fs = tuple(smooth_gridfn(g, rng, scale=1.2) for _ in range(n))
-            worst = max(worst, trig_equiv_check(TrigSpec(fs, 1), tol=1e-12))
+            worst = max(worst, trig_equiv_check(fs, tol=1e-12))
         report(10, worst <= 1e-9, f"class-sum and half-sum trig definitions agree, worst {worst:.2e} <= 1e-9")
 
     def test_11_cli_determinism(self, tmp_path):

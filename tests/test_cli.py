@@ -149,6 +149,23 @@ class TestRuns:
         xs, p4 = read_csv(out / "psi_4.csv")
         assert np.max(np.abs(p4 - xs**3 / 6)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "body, ic, members",
+        [
+            ("preset = orr\na2 = -1+x\na4 = 1/2\n", "1, 0.5, -0.25, 2j", ("psi_1", "psi_2", "psi_3", "psi_4")),
+            ("preset = schrodinger\nzeta = 2+x\nomega = 1.5\n", "1, -0.5+0.25j", ("c", "s")),
+        ],
+    )
+    def test_preset_solution_combines_members(self, tmp_path, body, ic, members):
+        cfg = write(tmp_path / "p.cfg", f"{body}ic = {ic}\ngrid = 200\n")
+        out = tmp_path / "out"
+        assert run(["preset", "--config", cfg, "--output", str(out)]) == 0
+        _, y = read_csv(out / "solution.csv")
+        expected = 0
+        for c, name in zip(ic.split(","), members, strict=True):
+            expected = expected + complex(c) * read_csv(out / f"{name}.csv")[1]
+        assert np.array_equal(y, expected)
+
     def test_json_format(self, tmp_path):
         cfg = write(tmp_path / "p.cfg", BASIC)
         out = tmp_path / "out"

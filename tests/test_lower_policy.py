@@ -7,6 +7,7 @@ from multexode import (
     Const,
     DivisorTooSmall,
     Grid,
+    GridFn,
     LowerContext,
     Overflow,
     lower,
@@ -20,6 +21,16 @@ class TestStrictPolicy:
         e = div(ONE, parse("x - 0.5"))
         with pytest.raises(DivisorTooSmall) as exc:
             lower(e, LowerContext(grid200))
+        assert abs(exc.value.x - 0.5) < 2 * grid200.h
+
+    def test_floor_is_shared_with_gridfn_division(self, grid200):
+        # |divisor| near 1e-10: below the one division floor of 1e-8
+        with pytest.raises(DivisorTooSmall) as exc:
+            lower(div(ONE, parse("x - 0.5 + 1e-10")), LowerContext(grid200))
+        assert abs(exc.value.x - 0.5) < 2 * grid200.h
+        f = GridFn.from_callable(grid200, lambda x: x - 0.5 + 1e-10)
+        with pytest.raises(DivisorTooSmall) as exc:
+            GridFn.const(grid200, 1.0) / f
         assert abs(exc.value.x - 0.5) < 2 * grid200.h
 
     def test_negative_power_guarded(self, grid200):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -6,13 +7,13 @@ from multexode import (
     GridFn,
     NotConverged,
     SignTable,
-    TrigSpec,
     exp_primitive,
     multex_e,
+    primitive,
     simplicial,
     trig_equiv_check,
     trig_family,
-    trig_t,
+    truncation_bound,
 )
 
 from conftest import smooth_gridfn
@@ -79,7 +80,7 @@ class TestMultexE:
     def test_even_part_solves_second_order(self, grid2000):
         # gamma = even-dimension sums of (alpha, 1); gamma'' = alpha gamma
         alpha = GridFn.from_callable(grid2000, lambda x: 1.0 + x**2)
-        gamma, _ = trig_t(TrigSpec((alpha, GridFn.const(grid2000, 1.0)), 2))
+        gamma = trig_family([alpha, GridFn.const(grid2000, 1.0)])[0][1]
         h = grid2000.h
         v = gamma.values
         d2 = (-v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1] - v[4:]) / (12 * h * h)
@@ -102,6 +103,18 @@ class TestMultexE:
 
 
 class TestTrig:
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_apriori_bound_covers_factorial_tail(self, grid200, c):
+        # G = c on [-1, 1] (up to rounding in the quadrature), so the omitted
+        # tail is e^c minus its partial sum
+        f = GridFn.const(grid200, c)
+        d = trig_family([f, f])[1]
+        with mpmath.workdps(50):
+            partial = mpmath.fsum(mpmath.mpf(c) ** j / mpmath.factorial(j) for j in range(d.terms_used + 1))
+            tail = float(mpmath.exp(c) - partial)
+        assert d.apriori_bound >= tail
+        assert d.apriori_bound == truncation_bound(primitive(f).sup_norm(), 1, d.terms_used)
+
     def test_kronecker_values_at_zero_exact(self, grid200, rng):
         fs = [smooth_gridfn(grid200, rng, complex_part=True) for _ in range(3)]
         fam, _ = trig_family(fs)
@@ -118,7 +131,7 @@ class TestTrig:
         omega = 2.0
         a2 = GridFn.const(grid2000, -(omega**2))
         one = GridFn.const(grid2000, 1.0)
-        c, _ = trig_t(TrigSpec((a2, one), 2))
+        c = trig_family([a2, one])[0][1]
         assert np.max(np.abs(c.values - np.cos(omega * grid2000.nodes))) <= 1e-8
 
     def test_decomposition_sums_to_multex(self, grid200, rng):
@@ -176,12 +189,12 @@ class TestSignTable:
 
     def test_two_definitions_agree_n2(self, grid200):
         one = GridFn.const(grid200, 1.0)
-        assert trig_equiv_check(TrigSpec((one, one), 2)) <= 1e-12
+        assert trig_equiv_check((one, one)) <= 1e-12
 
     def test_two_definitions_agree_n3_random(self, grid200, rng):
         fs = tuple(smooth_gridfn(grid200, rng) for _ in range(3))
-        assert trig_equiv_check(TrigSpec(fs, 1)) <= 1e-9
+        assert trig_equiv_check(fs) <= 1e-9
 
     def test_zero_inputs_no_discrepancy(self, grid200):
         z = GridFn.const(grid200, 0.0)
-        assert trig_equiv_check(TrigSpec((z, z), 2)) == 0.0
+        assert trig_equiv_check((z, z)) == 0.0

@@ -124,6 +124,9 @@ class TestTruncationBound:
         direct = sum((n * g) ** j / (n * factorial(j)) for j in range(J + 1, 60))
         assert abs(truncation_bound(g, n, J) - direct) <= 1e-15
 
+    def test_overflowing_terms_give_inf(self):
+        assert truncation_bound(5000.0, 1, 20) == np.inf
+
 
 class TestRk4:
     def test_zero_matrix_stays_identity(self, grid200):

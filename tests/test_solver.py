@@ -5,7 +5,6 @@ from multexode import (
     Grid,
     IVProblem,
     NonDifferentiable,
-    Permutation,
     Sampled,
     TrigNode,
     basis,
@@ -61,25 +60,6 @@ def phi_series_solution(alpha_fn, beta_fn, xs, blocks=40):
         if np.max(np.abs(block)) < 1e-15:
             break
     return y, gamma
-
-
-class TestPermutation:
-    def test_right_shift(self):
-        p = Permutation(4, 1)
-        assert p.mapping == (4, 1, 2, 3)
-
-    def test_identity_powers(self):
-        for n in (2, 3, 5):
-            assert Permutation(n, 0).mapping == tuple(range(1, n + 1))
-            assert Permutation(n, n).mapping == tuple(range(1, n + 1))
-
-    def test_shift_by_arity_gives_same_specs(self):
-        assert Permutation(3, 2).mapping == Permutation(3, 5).mapping
-
-    def test_inverse(self):
-        p = Permutation(5, 3)
-        for j in range(1, 6):
-            assert p.apply(p.inverse(j)) == j
 
 
 class TestBasisStructure:
