@@ -122,7 +122,11 @@ class Grid:
 def _lagrange4(xs: np.ndarray, ys: np.ndarray, xq: np.ndarray) -> np.ndarray:
     """Local cubic (4-point Lagrange) interpolation of (xs, ys) at xq.
 
-    xs must be strictly increasing; windows clamp at the ends.
+    xs must be strictly increasing; windows clamp at the ends.  ys holds
+    samples along its last axis and may carry leading stack axes, shape
+    (..., len(xs)); the result has shape (..., len(xq)), or (...) for a
+    scalar xq (a NumPy scalar when ys is 1-D).  One weight table serves the
+    whole stack, and every row is bit-identical to interpolating it alone.
     """
     xq = np.asarray(xq, dtype=float)
     scalar = xq.ndim == 0
@@ -131,8 +135,8 @@ def _lagrange4(xs: np.ndarray, ys: np.ndarray, xq: np.ndarray) -> np.ndarray:
     w = np.clip(i - 1, 0, len(xs) - 4)
     idx = w[:, None] + np.arange(4)[None, :]
     xw = xs[idx]                      # (m, 4)
-    yw = ys[idx]
-    out = np.zeros(len(q), dtype=complex)
+    yw = ys[..., idx]                 # (..., m, 4)
+    out = np.zeros(ys.shape[:-1] + (len(q),), dtype=complex)
     for kcol in range(4):
         lk = np.ones(len(q))
         xk = xw[:, kcol]
@@ -140,8 +144,9 @@ def _lagrange4(xs: np.ndarray, ys: np.ndarray, xq: np.ndarray) -> np.ndarray:
             if mcol == kcol:
                 continue
             lk *= (q - xw[:, mcol]) / (xk - xw[:, mcol])
-        out += lk * yw[:, kcol]
-    return out[0] if scalar else out
+        out += lk * yw[..., kcol]
+    # [()] turns the 0-d result of a 1-D ys into a scalar, as indexing did
+    return out[..., 0][()] if scalar else out
 
 
 class GridFn:

@@ -12,6 +12,7 @@ from multexode import (
     primitive,
     zero_free_interval,
 )
+from multexode.gridfn import _lagrange4
 
 from conftest import smooth_gridfn
 
@@ -45,6 +46,20 @@ class TestGrid:
         f = GridFn.from_callable(grid2000, np.cos)
         xq = np.linspace(-0.99, 0.99, 313) + 1e-4
         assert np.max(np.abs(f(xq) - np.cos(xq))) < 1e-10
+
+    def test_stacked_interpolation_matches_rows(self, rng):
+        xs = np.linspace(-1.0, 1.0, 201)
+        ys = rng.normal(size=(3, 3, 201)) + 1j * rng.normal(size=(3, 3, 201))
+        xq = rng.uniform(-1.0, 1.0, 500)
+        stacked = _lagrange4(xs, ys, xq)
+        assert stacked.shape == (3, 3, 500)
+        for i in range(3):
+            for k in range(3):
+                assert np.array_equal(stacked[i, k], _lagrange4(xs, ys[i, k], xq))
+
+    def test_scalar_evaluation_returns_numpy_scalar(self, grid200):
+        f = GridFn.from_callable(grid200, lambda x: np.exp(1j * x))
+        assert type(f(0.3)) is np.complex128
 
 
 class TestPrimitive:

@@ -145,6 +145,21 @@ class TestRk4:
         stepped = rk4(m, g.n)
         assert np.max(np.abs(series.M - stepped)) <= 1e-6
 
+    def test_fourth_order_on_constant_non_normal_flow(self):
+        # exact flow V diag(exp(x lam)) V^-1; a dropped propagator term lowers the order
+        a = np.array([[1.0 + 2.0j, 3.0, 0.0], [0.0, -1.5 + 1.0j, 2.0j], [0.5, 0.0, 2.0 - 3.0j]])
+        lam, v = np.linalg.eig(a)
+        assert np.min(np.abs(lam[:, None] - lam[None, :]) + np.eye(3)) > 0.5
+
+        def node_error(n, steps):
+            g = Grid(-1, 1, n)
+            exact = np.einsum("ij,pj,jk->ikp", v, np.exp(np.outer(g.nodes, lam)), np.linalg.inv(v))
+            return np.max(np.abs(rk4(const_matrix(g, a), steps) - exact))
+
+        coarse, fine = node_error(200, 200), node_error(400, 400)
+        assert 14.0 <= coarse / fine <= 18.0
+        assert node_error(200, 600) < coarse
+
     def test_requires_enough_steps(self, grid200):
         with pytest.raises(ValueError):
             rk4(const_matrix(grid200, np.eye(2)), 10)
