@@ -15,8 +15,8 @@ are CSV (x, re, im per function; full precision, LF endings) or one JSON
 document, restricted to the reported validity interval, and byte-identical
 across repeated runs.
 
-Exit codes: 0 success, 1 input errors, 2 series non-convergence, collapsed
-validity, or a failed comparison.
+Exit codes: 0 success, 1 input errors, 2 series non-convergence, overflow,
+collapsed validity, or a failed comparison.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .auxiliary import CoeffVector
 from .coeffexpr import Expr, Sampled
-from .errors import ConfigError, ExpressionSyntaxError, MultexodeError, NonMonotoneAbscissae, NotConverged, ValidityCollapsed
+from .errors import ConfigError, ExpressionSyntaxError, MultexodeError, NonMonotoneAbscissae, NotConverged, Overflow, ValidityCollapsed
 from .gridfn import Grid, GridFn, linear_combination
 from .multex import DEFAULT_MAX_TERMS, DEFAULT_TOL
 from .oracle import companion, dyson, rk4
@@ -406,7 +406,7 @@ def run(argv) -> int:
                 f"mode: config describes {cfg.mode!r} but the {args.command!r} subcommand was invoked"
             )
         return _run_problem(cfg, Path(args.output), args.format)
-    except (NotConverged, ValidityCollapsed) as exc:
+    except (NotConverged, Overflow, ValidityCollapsed) as exc:
         print(f"multexode: {exc}", file=sys.stderr)
         return 2
     except (MultexodeError, ValueError) as exc:

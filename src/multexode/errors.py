@@ -27,11 +27,11 @@ class DivisorTooSmall(MultexodeError):
 
 
 class Overflow(MultexodeError):
-    """Exponential evaluation overflowed; carries the first offending node."""
+    """An exponential or a series term overflowed; carries the first offending node."""
 
     def __init__(self, x):
         self.x = x
-        super().__init__(f"exponential overflow first occurred at x = {x:.6g}")
+        super().__init__(f"overflow first occurred at x = {x:.6g}")
 
 
 class UnboundCoefficient(MultexodeError):

@@ -161,13 +161,13 @@ class GridFn:
     __slots__ = ("grid", "values", "label")
 
     def __init__(self, grid: Grid, values, label: str = ""):
-        arr = np.asarray(values, dtype=complex)
+        arr = np.array(values, dtype=complex)
         if arr.shape != (grid.n + 1,):
             raise ValueError(f"expected {grid.n + 1} samples, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            bad = int(np.flatnonzero(~(np.isfinite(arr.real) & np.isfinite(arr.imag)))[0])
+        finite = np.isfinite(arr)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite)[0])
             raise ValueError(f"non-finite sample at x = {grid.nodes[bad]:.6g}")
-        arr = arr.copy()
         arr.setflags(write=False)
         self.grid = grid
         self.values = arr
@@ -339,12 +339,12 @@ def zero_free_interval(f: GridFn, floor: float) -> Interval:
     seg_ok = segmin > floor + 1e-13 * (np.abs(a) + np.abs(a + d))
     node_ok = mags > floor
 
-    hi = z
-    while hi < grid.n and node_ok[hi + 1] and seg_ok[hi]:
-        hi += 1
-    lo = z
-    while lo > 0 and node_ok[lo - 1] and seg_ok[lo - 1]:
-        lo -= 1
+    # step k joins nodes k and k+1; the first blocked step above z and the
+    # last one below z bound the interval
+    up = np.flatnonzero(~(node_ok[z + 1 :] & seg_ok[z:]))
+    down = np.flatnonzero(~(node_ok[:z] & seg_ok[:z]))
+    hi = z + int(up[0]) if up.size else grid.n
+    lo = int(down[-1]) + 1 if down.size else 0
     if lo == hi:
         raise ValidityCollapsed("zero-free region around 0 is a single node")
     return Interval(float(grid.nodes[lo]), float(grid.nodes[hi]))

@@ -8,6 +8,10 @@ including the alternating sign on the left.  The multex series E sums all
 dimensions; the trig operator at index j sums the dimensions congruent to j
 mod n (dimension 0 belongs to class n, so the operator family at x = 0 is a
 Kronecker delta in j).
+
+Both sums come from one loop over plain sample rows; a GridFn is
+built only for the values returned.  A term that is not finite raises
+Overflow at its first non-finite node.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotConverged
-from .gridfn import GridFn, primitive
+from .errors import NotConverged, Overflow
+from .gridfn import GridFn, primitive_values
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 200
@@ -65,26 +69,39 @@ class SignTable:
         return self.eps[j - 1]
 
 
-def _check_shared_grid(fs):
+def _input_rows(fs):
+    """The shared grid of the inputs and their sample rows (the arrays
+    themselves, not copies)."""
     if not fs:
         raise ValueError("need at least one input function")
-    g = fs[0].grid
+    grid = fs[0].grid
     for f in fs[1:]:
-        if f.grid != g:
+        if f.grid != grid:
             raise ValueError("all inputs must share one grid")
-    return g
+    return grid, [f.values for f in fs]
+
+
+def _next_term(rows, s, m, grid):
+    """S^m = P(f_nu(m) S^(m-1)) on sample rows, with its sup norm; Overflow at
+    the first node where the term is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = primitive_values(rows[(m - 1) % len(rows)] * s, grid)
+        mags = np.abs(s)
+    norm = float(np.max(mags))
+    if not math.isfinite(norm):
+        raise Overflow(float(grid.nodes[np.flatnonzero(~np.isfinite(mags))[0]]))
+    return s, norm
 
 
 def simplicial(fs, j: int) -> GridFn:
     """The dimension-j simplex integral of the cycling inputs, on both branches."""
     if j < 0:
         raise ValueError("dimension must be >= 0")
-    grid = _check_shared_grid(fs)
-    n = len(fs)
-    s = GridFn.const(grid, 1.0)
+    grid, rows = _input_rows(fs)
+    s = np.ones(grid.n + 1, dtype=complex)
     for m in range(1, j + 1):
-        s = primitive(fs[nu(m, n) - 1] * s)
-    return s
+        s, _ = _next_term(rows, s, m, grid)
+    return GridFn(grid, s)
 
 
 def truncation_bound(g_integral: float, n: int, terms: int) -> float:
@@ -111,80 +128,59 @@ def truncation_bound(g_integral: float, n: int, terms: int) -> float:
             return total
 
 
-def _g_integral(fs) -> float:
-    grid = fs[0].grid
-    g = np.max(np.stack([np.abs(f.values) for f in fs]), axis=0)
-    p = primitive(GridFn(grid, g))
-    return float(np.max(np.abs(p.values)))
+def _series(fs, tol, max_terms, classes):
+    """Class sums of the simplex integrals: dimension m >= 1 goes to class
+    (m-1) mod classes and dimension 0 to the last class.
 
-
-def multex_e(fs, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
-    """Partial sum of the multex series with its convergence diagnostics.
-
-    Terms are added until the sup norm of the newest simplicial term falls to
-    tol.  If the budget runs out with the last term still more than 1e3 * tol,
-    the series is considered divergent at this resolution and NotConverged is
-    raised carrying the diagnostics.
+    Terms are taken one full cycle of classes at a time, so every class
+    receives its next contribution before the stopping test, which compares
+    the largest term of the last cycle against tol.  If the budget runs out
+    with that term still more than 1e3 * tol, the series is considered
+    divergent at this resolution and NotConverged is raised carrying the
+    diagnostics.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    grid = _check_shared_grid(fs)
-    n = len(fs)
-    s = GridFn.const(grid, 1.0)
-    total = GridFn.const(grid, 1.0)
-    terms = 0
-    last = 0.0
+    grid, rows = _input_rows(fs)
+    sums = np.zeros((classes, grid.n + 1), dtype=complex)
+    sums[-1] += 1.0  # dimension 0 belongs to the last class
+    s = np.ones(grid.n + 1, dtype=complex)
+    m = 0
+    last = math.inf
     converged = False
-    while terms < max_terms:
-        terms += 1
-        s = primitive(fs[nu(terms, n) - 1] * s)
-        total = total + s
-        last = s.sup_norm()
-        if last <= tol:
-            converged = True
-            break
-    diag = SeriesDiagnostics(terms, last, truncation_bound(_g_integral(fs), 1, terms), converged)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = float(np.max(np.abs(primitive_values(np.max(np.abs(rows), axis=0), grid))))
+        while m < max_terms:
+            last = 0.0
+            for c in range(classes):
+                m += 1
+                s, norm = _next_term(rows, s, m, grid)
+                sums[c] += s
+                last = max(last, norm)
+            if last <= tol:
+                converged = True
+                break
+    finite = np.isfinite(sums).all(axis=0)  # finite terms can still overflow a sum
+    if not finite.all():
+        raise Overflow(float(grid.nodes[np.flatnonzero(~finite)[0]]))
+    diag = SeriesDiagnostics(m, last, truncation_bound(g, 1, m), converged)
     if not converged and last > 1e3 * tol:
-        raise NotConverged(
-            f"multex series still at {last:.3e} after {terms} terms (tol {tol:.1e})", diag
-        )
+        name = "multex" if classes == 1 else "trig"
+        raise NotConverged(f"{name} series still at {last:.3e} after {m} terms (tol {tol:.1e})", diag)
+    return [GridFn(grid, v) for v in sums], diag
+
+
+def multex_e(fs, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
+    """Partial sum of the multex series (all dimensions) with its diagnostics;
+    stops once the newest term falls to tol."""
+    (total,), diag = _series(fs, tol, max_terms, 1)
     return total, diag
 
 
 def trig_family(fs, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
-    """All n trig operators of one input list, sharing one recurrence pass.
-
-    Terms are taken one full index cycle at a time so every congruence class
-    receives its next contribution before the stopping test, which compares
-    the largest term of the last cycle against tol.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    grid = _check_shared_grid(fs)
-    n = len(fs)
-    sums = [np.zeros(grid.n + 1, dtype=complex) for _ in range(n)]
-    sums[n - 1] += 1.0  # dimension 0 belongs to class n
-    s = GridFn.const(grid, 1.0)
-    m = 0
-    last_cycle = np.inf
-    converged = False
-    while m < max_terms:
-        cycle_max = 0.0
-        for _ in range(n):
-            m += 1
-            s = primitive(fs[nu(m, n) - 1] * s)
-            sums[nu(m, n) - 1] += s.values
-            cycle_max = max(cycle_max, s.sup_norm())
-        last_cycle = cycle_max
-        if cycle_max <= tol:
-            converged = True
-            break
-    diag = SeriesDiagnostics(m, last_cycle, truncation_bound(_g_integral(fs), 1, m), converged)
-    if not converged and last_cycle > 1e3 * tol:
-        raise NotConverged(
-            f"trig series still at {last_cycle:.3e} after {m} terms (tol {tol:.1e})", diag
-        )
-    return [GridFn(grid, v) for v in sums], diag
+    """All n trig operators of one input list (the dimensions congruent to j
+    mod n), sharing one recurrence pass."""
+    return _series(fs, tol, max_terms, len(fs))
 
 
 def trig_equiv_check(fs, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS) -> float:

@@ -182,6 +182,15 @@ class TestRuns:
         )
         assert run(["solve", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
 
+    def test_overflow_exit_code(self, tmp_path):
+        # the trig series of a near-singular divisor overflows at N = 400
+        cfg = write(
+            tmp_path / "p.cfg",
+            "n = 3\na1 = 0\na2 = -40+3*x\na3 = 1\nic = 1, 0.3, -0.2\n"
+            "interval = -0.75:0.75\ngrid = 400\ntol = 1e-13\n",
+        )
+        assert run(["solve", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write(
             tmp_path / "p.cfg",

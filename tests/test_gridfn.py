@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multexode import (
     DivisorTooSmall,
@@ -8,6 +10,7 @@ from multexode import (
     GridMismatch,
     Interval,
     Overflow,
+    ValidityCollapsed,
     exp_primitive,
     primitive,
     zero_free_interval,
@@ -15,6 +18,47 @@ from multexode import (
 from multexode.gridfn import _lagrange4
 
 from conftest import smooth_gridfn
+
+
+def zero_free_by_scan(f, floor):
+    """The node-by-node outward scan zero_free_interval replaced, kept as a
+    plain-Python reference with the same node and segment tests."""
+    v = f.values
+    grid = f.grid
+    z = grid.zero_index
+    mags = np.abs(v)
+    if mags[z] <= floor:
+        raise ValueError("precondition")
+    a = v[:-1]
+    d = np.diff(v)
+    denom = np.abs(d) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tstar = np.where(denom > 0.0, -(np.conj(d) * a).real / np.where(denom > 0, denom, 1.0), 0.0)
+    tstar = np.clip(tstar, 0.0, 1.0)
+    seg_ok = np.abs(a + tstar * d) > floor + 1e-13 * (np.abs(a) + np.abs(a + d))
+    node_ok = mags > floor
+    hi = z
+    while hi < grid.n and node_ok[hi + 1] and seg_ok[hi]:
+        hi += 1
+    lo = z
+    while lo > 0 and node_ok[lo - 1] and seg_ok[lo - 1]:
+        lo -= 1
+    if lo == hi:
+        raise ValidityCollapsed("single node")
+    return Interval(float(grid.nodes[lo]), float(grid.nodes[hi]))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ValidityCollapsed) as exc:
+        return type(exc)
+
+
+sample = st.one_of(
+    st.sampled_from([0.0, 0.05, -0.05, 0.5, -0.5, 1.0, -1.0]),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
 
 
 class TestGrid:
@@ -189,6 +233,16 @@ class TestZeroFreeInterval:
         x = GridFn.var(grid200)
         with pytest.raises(ValueError):
             zero_free_interval(x, 0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), half=st.integers(8, 30), floor=st.sampled_from([0.0, 0.1, 0.5]))
+    def test_matches_outward_scan(self, data, half, floor):
+        n = 2 * half
+        k = data.draw(st.integers(1, n - 1), label="zero index")
+        re, im = data.draw(arrays(float, (2, n + 1), elements=sample), label="re, im")
+        g = Grid(-k * 0.125, (n - k) * 0.125, n)
+        f = GridFn(g, re + 1j * im)
+        assert outcome(zero_free_interval, f, floor) == outcome(zero_free_by_scan, f, floor)
 
 
 class TestInterval:

@@ -6,6 +6,7 @@ from multexode import (
     Grid,
     GridFn,
     NotConverged,
+    Overflow,
     SignTable,
     exp_primitive,
     multex_e,
@@ -93,6 +94,27 @@ class TestMultexE:
             multex_e([big], tol=1e-12, max_terms=5)
         assert exc.value.diagnostics.terms_used == 5
         assert not exc.value.diagnostics.converged
+
+    def test_empty_budget_is_not_converged(self, grid200):
+        with pytest.raises(NotConverged) as exc:
+            multex_e([GridFn.const(grid200, 1.0)], max_terms=0)
+        assert exc.value.diagnostics.terms_used == 0
+
+    @pytest.mark.parametrize("series", [multex_e, trig_family])
+    def test_overflowing_term_raises_overflow(self, grid200, series):
+        with pytest.raises(Overflow) as exc:
+            series([GridFn.const(grid200, 1e200)] * 2)
+        assert exc.value.x in grid200.nodes
+
+    @pytest.mark.parametrize("series", [multex_e, trig_family])
+    def test_overflowing_sum_of_finite_terms_raises_overflow(self, series):
+        # S^1 = 4.4e306 x reaches 1.65e308 at the right end and S^3 adds
+        # 8.5e307 to the same class there, while every term stays finite
+        g = Grid(-2.5, 37.5, 16)
+        fs = [GridFn.const(g, 4.4e306), GridFn.const(g, 5e-310)]
+        assert all(np.all(np.isfinite(simplicial(fs, j).values)) for j in range(5))
+        with pytest.raises(Overflow):
+            series(fs)
 
     def test_budget_reached_near_tolerance_returns_unconverged(self, grid200):
         # last term lands between tol and 1e3 tol: flagged, not fatal

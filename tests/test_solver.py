@@ -5,6 +5,7 @@ from multexode import (
     Grid,
     IVProblem,
     NonDifferentiable,
+    Overflow,
     Sampled,
     TrigNode,
     basis,
@@ -114,6 +115,11 @@ class TestSolveIvp:
         p = IVProblem(3, ("0", "x", "1"), (1, 0, 0))
         y, bs = solve_ivp(p, grid200)
         assert np.array_equal(y.values, bs.psi[0].values)
+
+    def test_series_overflow_is_typed(self):
+        p = IVProblem(3, ("0", "-40+3*x", "1"), (1, 0.3, -0.2))
+        with pytest.raises(Overflow):
+            solve_ivp(p, Grid(-0.75, 0.75, 400), tol=1e-13)
 
     def test_introductory_third_order_example(self):
         g = Grid(-1, 1, 2000)
