@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -221,19 +220,6 @@ def load_config(path, overrides=None) -> ProblemConfig:
     return cfg
 
 
-def _threads_cap() -> int:
-    raw = os.environ.get("MULTEXODE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"MULTEXODE_THREADS: {raw!r} is not an integer") from None
-    if cap < 1:
-        raise ConfigError("MULTEXODE_THREADS: must be >= 1")
-    return cap
-
-
 def _fmt(v: float) -> str:
     return format(v, ".17g")
 
@@ -391,7 +377,6 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        _threads_cap()  # validated; computation is currently single-threaded
         overrides = {
             "tol": None if args.tol is None else repr(args.tol),
             "grid": None if args.grid is None else str(args.grid),

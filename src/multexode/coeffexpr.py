@@ -61,39 +61,6 @@ class Expr:
             return False
         return self._key() == other._key()
 
-    # arithmetic sugar; numbers coerce to Const
-    def __add__(self, other):
-        return add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return add(as_expr(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_expr(other))
-
-    def __rsub__(self, other):
-        return sub(as_expr(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(as_expr(other), self)
-
-    def __pow__(self, k):
-        if not isinstance(k, (int, np.integer)):
-            raise TypeError("only integer powers are supported")
-        return intpow(self, int(k))
-
-    def __neg__(self):
-        return mul(Const(-1), self)
-
     def __repr__(self):
         return f"{type(self).__name__}({to_text(self)})"
 

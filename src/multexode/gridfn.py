@@ -189,12 +189,19 @@ class GridFn:
 
     # -- basics --------------------------------------------------------
 
-    def with_label(self, label: str) -> "GridFn":
-        g = GridFn.__new__(GridFn)
-        g.grid = self.grid
-        g.values = self.values
+    @classmethod
+    def _wrap(cls, grid: Grid, values: np.ndarray, label: str = "") -> "GridFn":
+        """Wrap a sample row the package made and already checked finite, with
+        no copy and no check; the row is set read-only."""
+        values.setflags(write=False)
+        g = cls.__new__(cls)
+        g.grid = grid
+        g.values = values
         g.label = label
         return g
+
+    def with_label(self, label: str) -> "GridFn":
+        return GridFn._wrap(self.grid, self.values, label)
 
     def at_zero(self) -> complex:
         return complex(self.values[self.grid.zero_index])

@@ -1,7 +1,11 @@
-"""Lower expressions to grid functions.
+"""Lower expressions to sample rows on a grid.
 
 A LowerContext fixes the grid, the coefficient environment, series tolerances
-and the per-solve memo store.  Two division policies share the one floor
+and the per-solve memo store.  The memo and the trig-family cache hold plain
+read-only complex arrays, one per expression, each checked finite once when
+it is stored (Overflow at the first bad node); the recursion never builds a
+GridFn.  The public :func:`lower` is the GridFn edge: it wraps the memo's
+array without a copy.  Two division policies share the one floor
 DIV_FLOOR: the default raises DivisorTooSmall as soon as any node divides by
 a value below it; the masked policy (used while building auxiliary chains)
 instead shrinks the running validity interval to the zero-free neighbourhood
@@ -15,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import coeffexpr as ce
-from .errors import CoverageGap, DivisorTooSmall, UnboundCoefficient, ValidityCollapsed
-from .gridfn import DIV_FLOOR, Grid, GridFn, Interval, _lagrange4, check_divisor, exp_primitive, primitive, zero_free_interval
+from .errors import CoverageGap, DivisorTooSmall, GridMismatch, Overflow, UnboundCoefficient, ValidityCollapsed
+from .gridfn import DIV_FLOOR, Grid, GridFn, Interval, _lagrange4, check_divisor, primitive_values, zero_free_interval
 from .multex import DEFAULT_MAX_TERMS, DEFAULT_TOL, trig_family
 
 MIN_VALIDITY_CELLS = 4
@@ -63,9 +67,9 @@ class LowerContext:
             )
 
     def mask_outside_validity(self, values: np.ndarray) -> np.ndarray:
-        out = values.copy()
-        out[~self.grid.mask(self.validity)] = 0.0
-        return out
+        """Zero a fresh sample row outside the validity interval, in place."""
+        values[~self.grid.mask(self.validity)] = 0.0
+        return values
 
     def realized_derivative(self, fn: ce.AuxFn, s: int) -> ce.Expr:
         """s-th symbolic derivative of an auxiliary function's realization."""
@@ -78,95 +82,105 @@ class LowerContext:
         return self.deriv_cache[key]
 
 
-def _guarded_reciprocal(ctx: LowerContext, den: GridFn, power: int) -> np.ndarray:
+def _guarded_reciprocal(ctx: LowerContext, den: np.ndarray, power: int) -> np.ndarray:
     """den**(-power) under the active division policy (power >= 1)."""
-    mags = np.abs(den.values)
+    mags = np.abs(den)
     z = ctx.grid.zero_index
     if mags[z] < DIV_FLOOR:
         raise DivisorTooSmall(0.0, float(mags[z]), DIV_FLOOR)
     if not ctx.masked:
-        check_divisor(den)
-        return den.values ** (-power)
-    ctx.shrink_validity(zero_free_interval(den, DIV_FLOOR))
+        check_divisor(GridFn._wrap(ctx.grid, den))
+        return den ** (-power)
+    ctx.shrink_validity(zero_free_interval(GridFn._wrap(ctx.grid, den), DIV_FLOOR))
     safe = mags > DIV_FLOOR
-    out = np.zeros_like(den.values)
-    out[safe] = den.values[safe] ** (-power)
+    out = np.zeros_like(den)
+    out[safe] = den[safe] ** (-power)
     return ctx.mask_outside_validity(out)
 
 
 def lower(e: ce.Expr, ctx: LowerContext) -> GridFn:
-    """Evaluate an expression on the context's grid, memoized structurally."""
+    """Evaluate an expression on the context's grid, memoized structurally.
+
+    This is the GridFn edge of lowering: the result wraps the memo's
+    read-only array without a copy.  Floating-point overflow is silenced
+    here, once for the whole recursion, because every node is checked.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return GridFn._wrap(ctx.grid, _values(e, ctx))
+
+
+def _values(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
+    """The memoized, checked, read-only sample row of one expression; Overflow
+    at the first node where it is not finite."""
     hit = ctx.memo.get(e)
     if hit is not None:
         return hit
     out = _lower(e, ctx)
+    if not np.isfinite(out).all():
+        raise Overflow(float(ctx.grid.nodes[np.flatnonzero(~np.isfinite(out))[0]]))
+    out.setflags(write=False)
     ctx.memo[e] = out
     return out
 
 
-def _lower(e: ce.Expr, ctx: LowerContext) -> GridFn:
+def _lower(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
     grid = ctx.grid
     if isinstance(e, ce.Const):
-        return GridFn.const(grid, e.value)
+        return np.full(grid.n + 1, e.value)
     if isinstance(e, ce.Var):
-        return GridFn.var(grid)
+        return grid.nodes.astype(complex)
     if isinstance(e, ce.CoeffRef):
         try:
-            return ctx.env[e.name]
+            f = ctx.env[e.name]
         except KeyError:
             raise UnboundCoefficient(e.name) from None
+        if f.grid != grid:
+            raise GridMismatch(f"{e.name} lives on {f.grid!r}, not {grid!r}")
+        return f.values
     if isinstance(e, ce.Add):
-        return lower(e.a, ctx) + lower(e.b, ctx)
+        return _values(e.a, ctx) + _values(e.b, ctx)
     if isinstance(e, ce.Sub):
-        return lower(e.a, ctx) - lower(e.b, ctx)
+        return _values(e.a, ctx) - _values(e.b, ctx)
     if isinstance(e, ce.Mul):
-        return lower(e.a, ctx) * lower(e.b, ctx)
+        return _values(e.a, ctx) * _values(e.b, ctx)
     if isinstance(e, ce.Div):
-        num = lower(e.a, ctx)
-        den = lower(e.b, ctx)
-        rec = _guarded_reciprocal(ctx, den, 1)
-        vals = num.values * rec
-        if ctx.masked:
-            vals = ctx.mask_outside_validity(vals)
-        return GridFn(grid, vals)
+        num = _values(e.a, ctx)
+        # a named operand keeps numpy from multiplying into the temporary in
+        # place, whose loop rounds differently at large N
+        rec = _guarded_reciprocal(ctx, _values(e.b, ctx), 1)
+        vals = num * rec
+        return ctx.mask_outside_validity(vals) if ctx.masked else vals
     if isinstance(e, ce.IntPow):
-        base = lower(e.base, ctx)
-        if e.k >= 0:
-            return GridFn(grid, base.values**e.k)
-        return GridFn(grid, _guarded_reciprocal(ctx, base, -e.k))
+        base = _values(e.base, ctx)
+        return base**e.k if e.k >= 0 else _guarded_reciprocal(ctx, base, -e.k)
     if isinstance(e, ce.ExpPrim):
-        return exp_primitive(lower(e.child, ctx), e.sign)
+        return np.exp(e.sign * primitive_values(_values(e.child, ctx), grid))
     if isinstance(e, ce.Prim):
-        return primitive(lower(e.child, ctx))
+        return primitive_values(_values(e.child, ctx), grid)
     if isinstance(e, ce.FuncCall):
-        child = lower(e.child, ctx)
-        fn = getattr(np, e.name)
-        return GridFn(grid, fn(child.values))
+        return getattr(np, e.name)(_values(e.child, ctx))
     if isinstance(e, ce.TrigNode):
-        family = _trig_family_for(e.fs, ctx)
-        return family[e.j - 1]
+        return _trig_family_for(e.fs, ctx)[e.j - 1]
     if isinstance(e, ce.Sampled):
         if e.xs[0] > grid.lo + 1e-12 or e.xs[-1] < grid.hi - 1e-12:
             raise CoverageGap(
                 f"table covers [{e.xs[0]:.6g}, {e.xs[-1]:.6g}] but the grid needs "
                 f"[{grid.lo:.6g}, {grid.hi:.6g}]"
             )
-        return GridFn(grid, _lagrange4(e.xs, e.ys, grid.nodes))
+        return _lagrange4(e.xs, e.ys, grid.nodes)
     if isinstance(e, ce.AuxFn):
-        return lower(e.realization, ctx)
+        return _values(e.realization, ctx)
     if isinstance(e, ce.AuxDeriv):
-        return lower(ctx.realized_derivative(e.fn, e.s), ctx)
+        return _values(ctx.realized_derivative(e.fn, e.s), ctx)
     raise TypeError(f"cannot lower {type(e).__name__}")
 
 
 def _trig_family_for(fs, ctx: LowerContext):
-    key = fs
-    hit = ctx.trig_cache.get(key)
+    hit = ctx.trig_cache.get(fs)
     if hit is not None:
         return hit
-    inputs = [lower(f, ctx) for f in fs]
+    inputs = [GridFn._wrap(ctx.grid, _values(f, ctx)) for f in fs]
     family, diag = trig_family(inputs, ctx.series_tol, ctx.max_terms)
-    ctx.trig_cache[key] = family
-    ctx.trig_diagnostics[key] = diag
-    return family
-
+    ctx.trig_cache[fs] = [f.values for f in family]
+    ctx.trig_diagnostics[fs] = diag
+    return ctx.trig_cache[fs]

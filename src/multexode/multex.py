@@ -9,8 +9,8 @@ dimensions; the trig operator at index j sums the dimensions congruent to j
 mod n (dimension 0 belongs to class n, so the operator family at x = 0 is a
 Kronecker delta in j).
 
-Both sums come from one loop over plain sample rows; a GridFn is
-built only for the values returned.  A term that is not finite raises
+Both sums come from one loop over plain sample rows; the values returned
+are wrapped as GridFn without a copy.  A term that is not finite raises
 Overflow at its first non-finite node.
 """
 
@@ -101,7 +101,7 @@ def simplicial(fs, j: int) -> GridFn:
     s = np.ones(grid.n + 1, dtype=complex)
     for m in range(1, j + 1):
         s, _ = _next_term(rows, s, m, grid)
-    return GridFn(grid, s)
+    return GridFn._wrap(grid, s)
 
 
 def truncation_bound(g_integral: float, n: int, terms: int) -> float:
@@ -167,7 +167,7 @@ def _series(fs, tol, max_terms, classes):
     if not converged and last > 1e3 * tol:
         name = "multex" if classes == 1 else "trig"
         raise NotConverged(f"{name} series still at {last:.3e} after {m} terms (tol {tol:.1e})", diag)
-    return [GridFn(grid, v) for v in sums], diag
+    return [GridFn._wrap(grid, v) for v in sums], diag
 
 
 def multex_e(fs, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):

@@ -77,10 +77,9 @@ def _assemble(phi: tuple, a: CoeffVector, chain, ctx: LowerContext, validity: In
         # rotate k-1 steps right; the rotation sends index (k-2) mod n + 1 to n
         inputs = phi[-(k - 1):] + phi[:-(k - 1)]
         expr = TrigNode(inputs, (k - 2) % n + 1)
-        fn = lower(expr, ctx)
-        vals = fn.values.copy()
+        vals = lower(expr, ctx).values.copy()
         vals[~keep] = 0.0
-        members.append(GridFn(ctx.grid, vals, label=f"{label}_{n}_{k}"))
+        members.append(GridFn._wrap(ctx.grid, vals, label=f"{label}_{n}_{k}"))
         exprs.append(expr)
         diags.append(ctx.trig_diagnostics.get(inputs))
     return BasisSet(n, a, tuple(members), tuple(exprs), validity, tuple(diags), chain, ctx)

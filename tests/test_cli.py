@@ -182,13 +182,19 @@ class TestRuns:
         )
         assert run(["solve", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
 
-    def test_overflow_exit_code(self, tmp_path):
-        # the trig series of a near-singular divisor overflows at N = 400
-        cfg = write(
-            tmp_path / "p.cfg",
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # the trig series of a near-singular divisor overflows at N = 400
             "n = 3\na1 = 0\na2 = -40+3*x\na3 = 1\nic = 1, 0.3, -0.2\n"
             "interval = -0.75:0.75\ngrid = 400\ntol = 1e-13\n",
-        )
+            # a coefficient that is not finite on the grid
+            "n = 2\na1 = exp(800*x)\na2 = -1\nic = 1, 0\ngrid = 200\n",
+        ],
+        ids=["trig_series", "coefficient"],
+    )
+    def test_overflow_exit_code(self, tmp_path, text):
+        cfg = write(tmp_path / "p.cfg", text)
         assert run(["solve", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
 
     def test_determinism_byte_identical(self, tmp_path):
@@ -218,9 +224,3 @@ class TestRuns:
 
         ref = preset_schrodinger("2 + sin(x)", 1.0, Grid.aligned(-1, 1, 500)).psi[0]
         assert np.max(np.abs(c - ref.values)) <= 1e-6
-
-    def test_threads_env_validated(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MULTEXODE_THREADS", "zero")
-        cfg = write(tmp_path / "p.cfg", BASIC)
-        assert run(["solve", "--config", cfg, "--output", str(tmp_path / "o")]) == 1
-        assert "MULTEXODE_THREADS" in capsys.readouterr().err

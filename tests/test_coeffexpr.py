@@ -7,6 +7,7 @@ from multexode import (
     Const,
     ExpPrim,
     FuncCall,
+    GridMismatch,
     IntPow,
     LowerContext,
     Mul,
@@ -137,14 +138,29 @@ class TestLower:
         c = lower(t, ctx)
         assert np.max(np.abs(c.values - np.cos(omega * grid2000.nodes))) <= 1e-8
 
-    def test_unbound_coefficient(self, grid200):
+    def test_unbound_coefficient(self, grid200, grid2000):
         with pytest.raises(UnboundCoefficient):
             lower(CoeffRef("a7"), LowerContext(grid200))
+        # a bound coefficient sampled on another grid is refused, not broadcast
+        with pytest.raises(GridMismatch):
+            lower(CoeffRef("a1"), LowerContext(grid200, env={"a1": GridFn.const(grid2000, 1.0)}))
 
     def test_memoized_per_context(self, grid200):
         ctx = LowerContext(grid200)
         e = parse("sin(x) + x^2")
-        assert lower(e, ctx) is lower(e, ctx)
+        assert lower(e, ctx).values is lower(e, ctx).values
+
+    def test_recursion_builds_no_gridfn(self, grid200, monkeypatch):
+        built = []
+        init = GridFn.__init__
+        monkeypatch.setattr(GridFn, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        lower(parse("sin(2*x)*exp(x/2) + x^3/(2 + cos(x))"), LowerContext(grid200))
+        assert not built
+
+    def test_lowered_values_are_read_only(self, grid200):
+        got = lower(parse("x^2 + 1"), LowerContext(grid200))
+        with pytest.raises(ValueError):
+            got.values[0] = 0.0
 
     def test_symbolic_matches_finite_difference(self, grid2000):
         e = parse("sin(2*x)*exp(x/2) + x^3/(2 + cos(x))")

@@ -13,7 +13,7 @@ from multexode import (
     lower,
     parse,
 )
-from multexode.coeffexpr import ONE, X, div, intpow
+from multexode.coeffexpr import ONE, X, ExpPrim, div, intpow
 
 
 class TestStrictPolicy:
@@ -56,9 +56,11 @@ class TestMaskedPolicy:
         assert np.all(got.values[outside] == 0.0)
         assert np.max(np.abs(got.values[inside] - 1.0 / (g.nodes[inside] - 0.5))) < 1e-12
 
-    def test_overflow_propagates(self, grid200):
-        from multexode.coeffexpr import ExpPrim
-
-        ctx = LowerContext(grid200, masked=True)
-        with pytest.raises(Overflow):
-            lower(ExpPrim(Const(1e4), 1), ctx)
+    @pytest.mark.parametrize("masked", [False, True], ids=["strict", "masked"])
+    @pytest.mark.parametrize(
+        "expr", [ExpPrim(Const(1e4), 1), parse("exp(800*x)")], ids=["exp_primitive", "exp_call"]
+    )
+    def test_overflow_propagates(self, grid200, masked, expr):
+        with pytest.raises(Overflow) as exc:
+            lower(expr, LowerContext(grid200, masked=masked))
+        assert 0.0 < exc.value.x < grid200.hi
