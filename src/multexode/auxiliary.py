@@ -5,9 +5,11 @@ of strictly lower-order unit initial-value problems.  Starting from the unit
 vector at the top position, each step extracts a scalar equation by applying
 the upper-triangular derivative matrix (first row 0, 1, D, D^2, ...) to the
 unknown times the current vector, contracting with (-1, a1, ..., an), and
-collecting coefficients of u, u', u'', ...  The solved function feeds the next
-vector, and the remaining index-1 function is fixed by requiring the product
-of all of them to equal an.
+collecting coefficients of u, u', u'', ...; the extraction expands each
+D^k(u beta_m) by the Leibniz rule over one table of derivatives of the
+vector, the same table that applying the matrix reads.  The solved function
+feeds the next vector, and the remaining index-1 function is fixed by
+requiring the product of all of them to equal an.
 
 Solved functions are wrapped as AuxFn nodes so later symbolic derivatives cap
 at the order of their defining equation; this keeps every expression in the
@@ -18,6 +20,7 @@ forms that the wrapped recursion reproduces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from . import coeffexpr as ce
 from .coeffexpr import AuxFn, Const, Expr, TrigNode, ZERO, as_expr
@@ -59,41 +62,16 @@ class CoeffVector:
         return self.coeffs[j]
 
 
-class _UPoly:
-    """Linear form sum_s c_s u^(s) in an unknown scalar u; coefficients are
-    expressions."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = list(coeffs)
-
-    @classmethod
-    def of(cls, c: Expr) -> "_UPoly":
-        return cls([c])
-
-    def diff(self, numeric=False) -> "_UPoly":
-        old = self.coeffs
-        new = [ZERO] * (len(old) + 1)
-        for s, c in enumerate(old):
-            new[s] = ce.add(new[s], ce.differentiate(c, numeric))
-            new[s + 1] = ce.add(new[s + 1], c)
-        return _UPoly(new)
-
-    def scaled(self, g: Expr) -> "_UPoly":
-        return _UPoly([ce.mul(g, c) for c in self.coeffs])
-
-    def plus(self, other: "_UPoly") -> "_UPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for s, c in enumerate(b):
-            out[s] = ce.add(out[s], c)
-        return _UPoly(out)
-
-    def simplified(self) -> list:
-        return [ce.simplify(c) for c in self.coeffs]
+def _derivative_table(v, numeric: bool) -> list:
+    """table[m][d] = D^d v_m for d < max(m, 1): every derivative the
+    derivative matrix takes of entry m."""
+    table = []
+    for m, c in enumerate(v):
+        row = [c]
+        for _ in range(m - 1):
+            row.append(ce.differentiate(row[-1], numeric))
+        table.append(row)
+    return table
 
 
 def apply_scriptD(v, numeric: bool = False) -> list:
@@ -101,17 +79,12 @@ def apply_scriptD(v, numeric: bool = False) -> list:
     expression vector: entry i becomes sum over m > i of D^(m-i-1) v_m.
     The last entry of the result is always the zero expression."""
     v = [as_expr(c) for c in v]
-    size = len(v)
-    derivs = [[c] for c in v]  # derivs[m][d] = D^d v_m, filled on demand
+    table = _derivative_table(v, numeric)
     out = []
-    for i in range(size - 1):
+    for i in range(len(v) - 1):
         acc = ZERO
-        for m in range(i + 1, size):
-            want = m - i - 1
-            dm = derivs[m]
-            while len(dm) <= want:
-                dm.append(ce.differentiate(dm[-1], numeric))
-            acc = ce.add(acc, dm[want])
+        for m in range(i + 1, len(v)):
+            acc = ce.add(acc, table[m][m - i - 1])
         out.append(ce.simplify(acc))
     out.append(ZERO)
     return out
@@ -120,29 +93,32 @@ def apply_scriptD(v, numeric: bool = False) -> list:
 def extract_aux_ode(a: CoeffVector, beta, ctx: LowerContext | None = None, numeric: bool = False):
     """Extract the auxiliary equation carried by a vector.
 
-    Expands the contraction of (a0..an) with the derivative matrix applied to
-    u * beta into a linear form in u, u', ..., then normalizes by the leading
-    coefficient, returning (order m, [b1..bm]) for u^(m) = b1 u^(m-1) + ... +
-    bm u.  Raises DegenerateLeading when the extracted order is below what the
-    vector's support promises or the leading coefficient vanishes at 0 (the
-    latter check requires a context to evaluate on the grid).
+    Contracts (a0..an) with the derivative matrix applied to u * beta and
+    collects the coefficient g_s of each u^(s), expanding every D^k(u beta_m)
+    by the Leibniz rule sum_s C(k, s) u^(s) D^(k-s) beta_m over one derivative
+    table of beta.  Normalizing by the leading coefficient returns (order m,
+    [b1..bm]) for u^(m) = b1 u^(m-1) + ... + bm u.  Raises DegenerateLeading
+    when the extracted order is below what the vector's support promises or
+    the leading coefficient vanishes at 0 (the latter check requires a
+    context to evaluate on the grid).
     """
     beta = [as_expr(c) for c in beta]
     size = len(beta)
     if len(a.coeffs) != size:
         raise ValueError(f"coefficient vector has {len(a.coeffs)} entries, beta has {size}")
 
-    polys = [_UPoly.of(c) for c in beta]
-    total = _UPoly([ZERO])
-    for i in range(size - 1):
-        acc = _UPoly([ZERO])
-        for m in range(i + 1, size):
-            p = polys[m]
-            for _ in range(m - i - 1):
-                p = p.diff(numeric)
-            acc = acc.plus(p)
-        total = total.plus(acc.scaled(a.coeffs[i]))
-    g = total.simplified()
+    table = _derivative_table(beta, numeric)
+    g = []
+    for s in range(size - 1):
+        gs = ZERO
+        for i in range(size - 1 - s):
+            # entries m > i + s reach u^(s), summed from the top entry down
+            acc = ZERO
+            for m in range(i + s + 1, size):
+                k = m - i - 1
+                acc = ce.add(ce.mul(Const(comb(k, s)), table[m][k - s]), acc)
+            gs = ce.add(gs, ce.mul(a.coeffs[i], acc))
+        g.append(ce.simplify(gs))
 
     top_support = max((m for m, c in enumerate(beta) if c != ZERO), default=0)
     expected = top_support - 1
@@ -156,7 +132,7 @@ def extract_aux_ode(a: CoeffVector, beta, ctx: LowerContext | None = None, numer
         lead_val = abs(lower(lead, ctx).at_zero())
         if lead_val <= DIV_FLOOR:
             raise DegenerateLeading(
-                f"leading coefficient magnitude {lead_val:.3e} at 0 is below {DIV_FLOOR:.1e}"
+                f"leading coefficient magnitude {lead_val:.3e} at 0 is not above {DIV_FLOOR:.1e}"
             )
     elif lead == ZERO:
         raise DegenerateLeading("leading coefficient is identically zero")
@@ -241,7 +217,7 @@ def _build_chain(a: CoeffVector, ctx: LowerContext, prefix: str = "phi") -> AuxC
         realization = solve_unit_ivp(order, b, ctx, name)
         fn_expr = AuxFn(name, order, tuple(b), realization)
         phis[k] = fn_expr
-        fns[k] = lower(fn_expr, ctx).with_label(name)
+        fns[k] = lower(fn_expr, ctx)
         cur = apply_scriptD([ce.mul(fn_expr, entry) for entry in cur], numeric)
         betas.append(tuple(cur))
 
@@ -250,7 +226,7 @@ def _build_chain(a: CoeffVector, ctx: LowerContext, prefix: str = "phi") -> AuxC
         prod = phis[k] if prod is None else ce.mul(prod, phis[k])
     phi1 = ce.simplify(ce.mul(a.a(n), ce.invert(prod)))
     phis[1] = phi1
-    fns[1] = lower(phi1, ctx).with_label(f"{prefix}1" if not prefix.endswith(".") else f"{prefix}phi1")
+    fns[1] = lower(phi1, ctx)
 
     validity = _finalize_validity(ctx)
     phi = tuple(phis[k] for k in range(1, n + 1))
@@ -333,9 +309,7 @@ def closed_form_aux(
         psi1 = ce.mul(ce.mul(ce.mul(a.a(4), down), psi3), ce.intpow(psi4, 2))
         phi = (ce.simplify(psi1), ce.simplify(psi2), psi3, psi4)
 
-    fns = tuple(
-        lower(p, ctx).with_label(f"cf_phi{k}") for k, p in enumerate(phi, start=1)
-    )
+    fns = tuple(lower(p, ctx) for p in phi)
     validity = _finalize_validity(ctx)
     diags = {k: _series_diag_for(p, ctx) for k, p in enumerate(phi, start=1)}
     betas = (tuple([ZERO] * n + [ce.ONE]),)

@@ -39,11 +39,11 @@ class Expr:
 
     __slots__ = ("_hash",)
 
+    def __setattr__(self, *a):
+        raise AttributeError("expressions are immutable")
+
     def _key(self):
         raise NotImplementedError
-
-    def children(self):
-        return ()
 
     def __hash__(self):
         try:
@@ -79,9 +79,6 @@ class Const(Expr):
     def __init__(self, value):
         object.__setattr__(self, "value", complex(value))
 
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
-
     def _key(self):
         return (self.value,)
 
@@ -99,8 +96,6 @@ class CoeffRef(Expr):
     def __init__(self, name):
         object.__setattr__(self, "name", str(name))
 
-    __setattr__ = Const.__setattr__
-
     def _key(self):
         return (self.name,)
 
@@ -112,12 +107,7 @@ class _Binary(Expr):
         object.__setattr__(self, "a", as_expr(a))
         object.__setattr__(self, "b", as_expr(b))
 
-    __setattr__ = Const.__setattr__
-
     def _key(self):
-        return (self.a, self.b)
-
-    def children(self):
         return (self.a, self.b)
 
 
@@ -144,13 +134,8 @@ class IntPow(Expr):
         object.__setattr__(self, "base", as_expr(base))
         object.__setattr__(self, "k", int(k))
 
-    __setattr__ = Const.__setattr__
-
     def _key(self):
         return (self.base, self.k)
-
-    def children(self):
-        return (self.base,)
 
 
 class ExpPrim(Expr):
@@ -164,13 +149,8 @@ class ExpPrim(Expr):
         object.__setattr__(self, "child", as_expr(child))
         object.__setattr__(self, "sign", int(sign))
 
-    __setattr__ = Const.__setattr__
-
     def _key(self):
         return (self.child, self.sign)
-
-    def children(self):
-        return (self.child,)
 
 
 class Prim(Expr):
@@ -181,12 +161,7 @@ class Prim(Expr):
     def __init__(self, child):
         object.__setattr__(self, "child", as_expr(child))
 
-    __setattr__ = Const.__setattr__
-
     def _key(self):
-        return (self.child,)
-
-    def children(self):
         return (self.child,)
 
 
@@ -199,13 +174,8 @@ class FuncCall(Expr):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "child", as_expr(child))
 
-    __setattr__ = Const.__setattr__
-
     def _key(self):
         return (self.name, self.child)
-
-    def children(self):
-        return (self.child,)
 
 
 class TrigNode(Expr):
@@ -223,17 +193,12 @@ class TrigNode(Expr):
         object.__setattr__(self, "fs", fs)
         object.__setattr__(self, "j", j)
 
-    __setattr__ = Const.__setattr__
-
     @property
     def n(self):
         return len(self.fs)
 
     def _key(self):
         return (self.fs, self.j)
-
-    def children(self):
-        return self.fs
 
 
 class Sampled(Expr):
@@ -259,8 +224,6 @@ class Sampled(Expr):
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "key", key)
-
-    __setattr__ = Const.__setattr__
 
     def _key(self):
         return (self.key,)
@@ -288,13 +251,8 @@ class AuxFn(Expr):
         object.__setattr__(self, "bcoeffs", bcoeffs)
         object.__setattr__(self, "realization", as_expr(realization))
 
-    __setattr__ = Const.__setattr__
-
     def _key(self):
         return (self.name, self.order, self.bcoeffs, self.realization)
-
-    def children(self):
-        return (self.realization,) + self.bcoeffs
 
 
 class AuxDeriv(Expr):
@@ -311,13 +269,9 @@ class AuxDeriv(Expr):
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "s", s)
 
-    __setattr__ = Const.__setattr__
-
     def _key(self):
         return (self.fn, self.s)
 
-    def children(self):
-        return (self.fn,)
 
 
 ZERO = Const(0)

@@ -10,7 +10,7 @@ class GridMismatch(MultexodeError):
 
 
 class DivisorTooSmall(MultexodeError):
-    """A pointwise division hit a divisor below the configured floor.
+    """A pointwise division hit a divisor not above the configured floor.
 
     Attributes:
         x: abscissa of the first offending node.
@@ -22,7 +22,7 @@ class DivisorTooSmall(MultexodeError):
         self.magnitude = magnitude
         self.floor = floor
         super().__init__(
-            f"divisor magnitude {magnitude:.3e} below floor {floor:.3e} at x = {x:.6g}"
+            f"divisor magnitude {magnitude:.3e} not above floor {floor:.3e} at x = {x:.6g}"
         )
 
 

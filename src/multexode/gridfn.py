@@ -158,9 +158,9 @@ class GridFn:
     recurrences themselves.
     """
 
-    __slots__ = ("grid", "values", "label")
+    __slots__ = ("grid", "values")
 
-    def __init__(self, grid: Grid, values, label: str = ""):
+    def __init__(self, grid: Grid, values):
         arr = np.array(values, dtype=complex)
         if arr.shape != (grid.n + 1,):
             raise ValueError(f"expected {grid.n + 1} samples, got shape {arr.shape}")
@@ -171,37 +171,32 @@ class GridFn:
         arr.setflags(write=False)
         self.grid = grid
         self.values = arr
-        self.label = label
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def const(cls, grid: Grid, c, label: str = "") -> "GridFn":
-        return cls(grid, np.full(grid.n + 1, complex(c)), label)
+    def const(cls, grid: Grid, c) -> "GridFn":
+        return cls(grid, np.full(grid.n + 1, complex(c)))
 
     @classmethod
     def var(cls, grid: Grid) -> "GridFn":
-        return cls(grid, grid.nodes.astype(complex), "x")
+        return cls(grid, grid.nodes.astype(complex))
 
     @classmethod
-    def from_callable(cls, grid: Grid, fn, label: str = "") -> "GridFn":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=complex), label)
+    def from_callable(cls, grid: Grid, fn) -> "GridFn":
+        return cls(grid, np.asarray(fn(grid.nodes), dtype=complex))
 
     # -- basics --------------------------------------------------------
 
     @classmethod
-    def _wrap(cls, grid: Grid, values: np.ndarray, label: str = "") -> "GridFn":
+    def _wrap(cls, grid: Grid, values: np.ndarray) -> "GridFn":
         """Wrap a sample row the package made and already checked finite, with
         no copy and no check; the row is set read-only."""
         values.setflags(write=False)
         g = cls.__new__(cls)
         g.grid = grid
         g.values = values
-        g.label = label
         return g
-
-    def with_label(self, label: str) -> "GridFn":
-        return GridFn._wrap(self.grid, self.values, label)
 
     def at_zero(self) -> complex:
         return complex(self.values[self.grid.zero_index])
@@ -254,8 +249,7 @@ class GridFn:
         return GridFn(self.grid, -self.values)
 
     def __repr__(self):
-        tag = f" {self.label!r}" if self.label else ""
-        return f"GridFn({self.grid!r},{tag} sup={self.sup_norm():.3e})"
+        return f"GridFn({self.grid!r}, sup={self.sup_norm():.3e})"
 
 
 def primitive_values(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -289,22 +283,22 @@ def primitive(f: GridFn) -> GridFn:
 
 
 def check_divisor(g: GridFn) -> None:
-    """Raise :class:`DivisorTooSmall` at the first node where |g| < DIV_FLOOR;
+    """Raise :class:`DivisorTooSmall` at the first node where |g| <= DIV_FLOOR;
     vanishing divisors are an error to surface, never a value to clamp."""
     mags = np.abs(g.values)
-    bad = np.flatnonzero(mags < DIV_FLOOR)
+    bad = np.flatnonzero(mags <= DIV_FLOOR)
     if bad.size:
         i = int(bad[0])
         raise DivisorTooSmall(float(g.grid.nodes[i]), float(mags[i]), DIV_FLOOR)
 
 
-def linear_combination(grid: Grid, coeffs, rows, label: str = "") -> GridFn:
+def linear_combination(grid: Grid, coeffs, rows) -> GridFn:
     """sum_k coeffs[k] * rows[k] over sample rows, accumulated in k order;
     combines basis members (or oracle matrix rows) with initial data."""
     vals = np.zeros(grid.n + 1, dtype=complex)
     for c, row in zip(coeffs, rows, strict=True):
         vals += complex(c) * row
-    return GridFn(grid, vals, label=label)
+    return GridFn(grid, vals)
 
 
 def exp_primitive(f: GridFn, sign: int) -> GridFn:

@@ -66,11 +66,6 @@ class LowerContext:
                 f"is below {MIN_VALIDITY_CELLS} grid cells"
             )
 
-    def mask_outside_validity(self, values: np.ndarray) -> np.ndarray:
-        """Zero a fresh sample row outside the validity interval, in place."""
-        values[~self.grid.mask(self.validity)] = 0.0
-        return values
-
     def realized_derivative(self, fn: ce.AuxFn, s: int) -> ce.Expr:
         """s-th symbolic derivative of an auxiliary function's realization."""
         key = (fn, s)
@@ -86,7 +81,7 @@ def _guarded_reciprocal(ctx: LowerContext, den: np.ndarray, power: int) -> np.nd
     """den**(-power) under the active division policy (power >= 1)."""
     mags = np.abs(den)
     z = ctx.grid.zero_index
-    if mags[z] < DIV_FLOOR:
+    if mags[z] <= DIV_FLOOR:
         raise DivisorTooSmall(0.0, float(mags[z]), DIV_FLOOR)
     if not ctx.masked:
         check_divisor(GridFn._wrap(ctx.grid, den))
@@ -95,7 +90,8 @@ def _guarded_reciprocal(ctx: LowerContext, den: np.ndarray, power: int) -> np.nd
     safe = mags > DIV_FLOOR
     out = np.zeros_like(den)
     out[safe] = den[safe] ** (-power)
-    return ctx.mask_outside_validity(out)
+    out[~ctx.grid.mask(ctx.validity)] = 0.0
+    return out
 
 
 def lower(e: ce.Expr, ctx: LowerContext) -> GridFn:
@@ -148,8 +144,7 @@ def _lower(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
         # a named operand keeps numpy from multiplying into the temporary in
         # place, whose loop rounds differently at large N
         rec = _guarded_reciprocal(ctx, _values(e.b, ctx), 1)
-        vals = num * rec
-        return ctx.mask_outside_validity(vals) if ctx.masked else vals
+        return num * rec
     if isinstance(e, ce.IntPow):
         base = _values(e.base, ctx)
         return base**e.k if e.k >= 0 else _guarded_reciprocal(ctx, base, -e.k)

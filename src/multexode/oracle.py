@@ -81,7 +81,7 @@ class DysonResult:
     term_bounds: list = field(default_factory=list)
 
     def first_row_solution(self, initial_values) -> GridFn:
-        return linear_combination(self.grid, initial_values, self.M[0], label="oracle")
+        return linear_combination(self.grid, initial_values, self.M[0])
 
     def entry(self, i: int, k: int) -> GridFn:
         return GridFn(self.grid, self.M[i, k])

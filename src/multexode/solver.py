@@ -49,9 +49,8 @@ class IVProblem:
 class BasisSet:
     """The n fundamental solutions with unit initial data at 0.
 
-    psi holds the grid realizations (zeroed outside validity for n > 2 when
-    guards fired); exprs the symbolic trig forms, which is what derivative
-    checks differentiate.
+    psi holds the grid realizations, zeroed outside validity; exprs the
+    symbolic trig forms, which is what derivative checks differentiate.
     """
 
     n: int
@@ -67,9 +66,15 @@ class BasisSet:
         return self.psi[k - 1]
 
 
-def _assemble(phi: tuple, a: CoeffVector, chain, ctx: LowerContext, validity: Interval, label: str) -> BasisSet:
+def _member(expr, ctx: LowerContext, validity: Interval) -> GridFn:
+    """Lowered basis member, zeroed outside the validity interval."""
+    vals = lower(expr, ctx).values.copy()
+    vals[~ctx.grid.mask(validity)] = 0.0
+    return GridFn._wrap(ctx.grid, vals)
+
+
+def _assemble(phi: tuple, a: CoeffVector, chain, ctx: LowerContext, validity: Interval) -> BasisSet:
     n = len(phi)
-    keep = ctx.grid.mask(validity)
     members = []
     exprs = []
     diags = []
@@ -77,9 +82,7 @@ def _assemble(phi: tuple, a: CoeffVector, chain, ctx: LowerContext, validity: In
         # rotate k-1 steps right; the rotation sends index (k-2) mod n + 1 to n
         inputs = phi[-(k - 1):] + phi[:-(k - 1)]
         expr = TrigNode(inputs, (k - 2) % n + 1)
-        vals = lower(expr, ctx).values.copy()
-        vals[~keep] = 0.0
-        members.append(GridFn._wrap(ctx.grid, vals, label=f"{label}_{n}_{k}"))
+        members.append(_member(expr, ctx, validity))
         exprs.append(expr)
         diags.append(ctx.trig_diagnostics.get(inputs))
     return BasisSet(n, a, tuple(members), tuple(exprs), validity, tuple(diags), chain, ctx)
@@ -102,10 +105,11 @@ def basis(
     if n == 1:
         ctx = LowerContext(grid, env=env, series_tol=tol, max_terms=max_terms, masked=True)
         expr = ce.expprim(a.a(1), 1)
-        fn = lower(expr, ctx).with_label("psi_1_1")
-        return BasisSet(1, a, (fn,), (expr,), grid.interval, (None,), None, ctx)
+        lower(expr, ctx)  # a dividing coefficient shrinks ctx.validity here
+        validity = _finalize_validity(ctx)
+        return BasisSet(1, a, (_member(expr, ctx, validity),), (expr,), validity, (None,), None, ctx)
     chain = build_aux_chain(a, grid, tol=tol, max_terms=max_terms, env=env, numeric_diff=numeric_diff)
-    return _assemble(chain.phi, a, chain, chain.ctx, chain.validity, "psi")
+    return _assemble(chain.phi, a, chain, chain.ctx, chain.validity)
 
 
 def solve_ivp(
@@ -119,7 +123,7 @@ def solve_ivp(
     """Solve the initial-value problem; returns (solution, basis)."""
     a = CoeffVector.from_rhs(problem.coefficients)
     bs = basis(a, grid, tol=tol, max_terms=max_terms, env=env, numeric_diff=numeric_diff)
-    y = linear_combination(grid, problem.initial_values, [m.values for m in bs.psi], label="y")
+    y = linear_combination(grid, problem.initial_values, [m.values for m in bs.psi])
     return y, bs
 
 
@@ -150,9 +154,7 @@ def preset_schrodinger(
         ) from None
     a1 = ce.simplify(ce.mul(Const(-1), ce.div(dzeta, zeta)))
     a2 = Const(-(complex(omega) ** 2))
-    bs = basis(CoeffVector((Const(-1), a1, a2)), grid, tol=tol, max_terms=max_terms)
-    bs.psi = (bs.psi[0].with_label("C"), bs.psi[1].with_label("S"))
-    return bs
+    return basis(CoeffVector((Const(-1), a1, a2)), grid, tol=tol, max_terms=max_terms)
 
 
 def preset_orr_sommerfeld(
@@ -181,7 +183,7 @@ def preset_orr_sommerfeld(
     a = CoeffVector((Const(-1), Const(0), a2, Const(0), a4))
     for p in phi:
         lower(p, ctx)
-    return _assemble(phi, a, None, ctx, _finalize_validity(ctx), "psi")
+    return _assemble(phi, a, None, ctx, _finalize_validity(ctx))
 
 
 def initial_condition_matrix(bs: BasisSet, numeric_diff: bool = False) -> np.ndarray:

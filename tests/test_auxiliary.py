@@ -19,7 +19,7 @@ from multexode import (
     simplify,
 )
 from multexode.auxiliary import CoeffVector, realization_residual
-from multexode.coeffexpr import ONE, ZERO, mul
+from multexode.coeffexpr import ONE, ZERO, Const, add, mul, sub
 
 
 def coeff_vector(*rhs):
@@ -74,6 +74,34 @@ class TestExtractAuxOde:
         expected = -2.0 * dc.values / c.values
         keep = grid2000.mask(ctx.validity)
         assert np.max(np.abs(got.values[keep] - expected[keep])) < 1e-9
+
+    @pytest.mark.parametrize(
+        "beta",
+        [
+            ("0", "0", "0", "x", "1+x^2"),
+            ("0", "0", "sin(x)", "x", "2+cos(x)"),
+            ("0", "x^2", "1", "exp(x)", "3"),
+        ],
+    )
+    def test_leibniz_forms_match_product_rule(self, beta):
+        # the extracted equation, times its leading coefficient -beta_top, is
+        # the contraction of a with the derivative matrix applied to u*beta
+        a = coeff_vector("x/4", "cos(x)", "x", "1/2")
+        beta = [parse(c) for c in beta]
+        u = parse("exp(x/3)*cos(x)")
+        order, b = extract_aux_ode(a, beta)
+        derivs = [u]
+        for _ in range(order):
+            derivs.append(differentiate(derivs[-1]))
+        lhs = ZERO
+        for ai, di in zip(a.coeffs, apply_scriptD([mul(u, bm) for bm in beta])):
+            lhs = add(lhs, mul(ai, di))
+        rhs = derivs[order]
+        for j, bj in enumerate(b, start=1):
+            rhs = sub(rhs, mul(bj, derivs[order - j]))
+        rhs = mul(mul(Const(-1), beta[order + 1]), rhs)
+        ctx = LowerContext(Grid(-1, 1, 400))
+        assert np.max(np.abs(lower(lhs, ctx).values - lower(rhs, ctx).values)) <= 1e-12
 
     def test_degenerate_leading_rejected(self, grid200):
         a = coeff_vector("1", "1")

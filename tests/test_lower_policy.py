@@ -23,15 +23,19 @@ class TestStrictPolicy:
             lower(e, LowerContext(grid200))
         assert abs(exc.value.x - 0.5) < 2 * grid200.h
 
-    def test_floor_is_shared_with_gridfn_division(self, grid200):
-        # |divisor| near 1e-10: below the one division floor of 1e-8
+    # |divisor| near 1e-10 at x = 0.5, and exactly the floor 1e-8 at x = 0:
+    # neither is above the one division floor
+    @pytest.mark.parametrize(
+        "den, x0", [("x - 0.5 + 1e-10", 0.5), ("x + 1e-8", 0.0)], ids=["below_floor", "at_floor"]
+    )
+    def test_floor_is_shared_with_gridfn_division(self, grid200, den, x0):
         with pytest.raises(DivisorTooSmall) as exc:
-            lower(div(ONE, parse("x - 0.5 + 1e-10")), LowerContext(grid200))
-        assert abs(exc.value.x - 0.5) < 2 * grid200.h
-        f = GridFn.from_callable(grid200, lambda x: x - 0.5 + 1e-10)
+            lower(div(ONE, parse(den)), LowerContext(grid200))
+        assert abs(exc.value.x - x0) < 2 * grid200.h
+        f = lower(parse(den), LowerContext(grid200))
         with pytest.raises(DivisorTooSmall) as exc:
             GridFn.const(grid200, 1.0) / f
-        assert abs(exc.value.x - 0.5) < 2 * grid200.h
+        assert abs(exc.value.x - x0) < 2 * grid200.h
 
     def test_negative_power_guarded(self, grid200):
         with pytest.raises(DivisorTooSmall):
@@ -39,10 +43,11 @@ class TestStrictPolicy:
 
 
 class TestMaskedPolicy:
-    def test_denominator_vanishing_at_zero_always_fatal(self, grid200):
+    @pytest.mark.parametrize("den", [X, parse("x + 1e-8")], ids=["zero", "at_floor"])
+    def test_denominator_vanishing_at_zero_always_fatal(self, grid200, den):
         ctx = LowerContext(grid200, masked=True)
         with pytest.raises(DivisorTooSmall) as exc:
-            lower(div(ONE, X), ctx)
+            lower(div(ONE, den), ctx)
         assert exc.value.x == 0.0
 
     def test_validity_shrinks_and_outside_is_zeroed(self):

@@ -163,6 +163,15 @@ class TestSolveIvp:
         expected = 2.0 * np.exp(np.sin(grid2000.nodes))
         assert np.max(np.abs(y.values - expected)) <= 1e-10
 
+    def test_order1_validity_cut_by_dividing_coefficient(self, grid2000):
+        # y' = y/(x - 0.5) with y(0) = 1 has the solution 1 - 2x
+        y, bs = solve_ivp(IVProblem(1, ("1/(x-0.5)",), (1,)), grid2000)
+        x = grid2000.nodes
+        assert bs.validity.hi < 0.5
+        assert np.all(y.values[x > bs.validity.hi + 1e-12] == 0.0)
+        near = x <= 0.49
+        assert np.max(np.abs(y.values[near] - (1 - 2 * x[near]))) <= 1e-6
+
 
 class TestSchrodingerPreset:
     def test_constant_impedance_reduces_to_circular(self, grid2000):
