@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -220,31 +221,56 @@ def load_config(path, overrides=None) -> ProblemConfig:
     return cfg
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
 def write_function_csv(path: Path, fn: GridFn, validity) -> None:
+    """x, re, im rows on the validity interval, each value in %.17g (the same
+    C formatting as format(v, ".17g"))."""
     keep = fn.grid.mask(validity)
-    lines = ["x,re,im"]
-    for x, v in zip(fn.grid.nodes[keep], fn.values[keep]):
-        lines.append(f"{_fmt(x)},{_fmt(v.real)},{_fmt(v.imag)}")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    v = fn.values[keep]
+    rows = map("%.17g,%.17g,%.17g".__mod__, zip(fn.grid.nodes[keep].tolist(), v.real.tolist(), v.imag.tolist()))
+    path.write_text("\n".join(["x,re,im", *rows]) + "\n", newline="\n")
 
 
 def _functions_json(functions, validity) -> dict:
-    out = {}
     grid = functions[0][1].grid
     keep = grid.mask(validity)
-    out["x"] = [float(x) for x in grid.nodes[keep]]
-    out["functions"] = {
-        name: {
-            "re": [float(v.real) for v in fn.values[keep]],
-            "im": [float(v.imag) for v in fn.values[keep]],
-        }
-        for name, fn in functions
+    return {
+        "x": grid.nodes[keep].tolist(),
+        "functions": {
+            name: {"re": fn.values[keep].real.tolist(), "im": fn.values[keep].imag.tolist()}
+            for name, fn in functions
+        },
     }
-    return out
+
+
+def _result_json(doc: dict) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True) + "\n" for a result document.
+
+    The float lists doc["x"] and doc["functions"][name][part], finite and
+    non-empty as every output on a validity interval is, are written here
+    with float.__repr__, which is how json formats floats.  json lays out
+    only the skeleton around placeholders; doc["report"] is dumped on its own
+    so that none of its strings can be taken for a placeholder.
+    """
+    texts = []
+
+    def slot(text):
+        texts.append(text)
+        return f"\0{len(texts) - 1}"
+
+    def array(xs, depth):
+        pad = "\n" + "  " * depth
+        return slot("[" + pad + "  " + ("," + pad + "  ").join(map(float.__repr__, xs)) + pad + "]")
+
+    skeleton = {
+        "x": array(doc["x"], 1),
+        "functions": {
+            name: {part: array(xs, 3) for part, xs in parts.items()} for name, parts in doc["functions"].items()
+        },
+    }
+    if "report" in doc:
+        skeleton["report"] = slot(json.dumps(doc["report"], indent=2, sort_keys=True).replace("\n", "\n  "))
+    text = json.dumps(skeleton, indent=2, sort_keys=True)
+    return re.sub(r'"\\u0000(\d+)"', lambda mt: texts[int(mt.group(1))], text) + "\n"
 
 
 def _write_outputs(outdir: Path, functions, validity, fmt: str, report: dict | None = None):
@@ -255,7 +281,7 @@ def _write_outputs(outdir: Path, functions, validity, fmt: str, report: dict | N
         if report is not None:
             doc["report"] = report
         target = outdir / "result.json"
-        target.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", newline="\n")
+        target.write_text(_result_json(doc), newline="\n")
         written.append(target)
     else:
         for name, fn in functions:
@@ -319,8 +345,8 @@ def _run_problem(cfg: ProblemConfig, outdir: Path, fmt: str) -> int:
 
     # compare: run both oracles over the validity interval
     m = companion(bs.a, grid)
-    dy = dyson(m, tol=cfg.tol)
-    oracle_series = dy.first_row_solution(cfg.initial_values)
+    dy = dyson(m, tol=cfg.tol, y0=cfg.initial_values)
+    oracle_series = GridFn(grid, dy.M[0])
     oracle_steps = linear_combination(grid, cfg.initial_values, rk4(m, grid.n)[0])
 
     keep = grid.mask(bs.validity)

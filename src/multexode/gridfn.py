@@ -292,6 +292,13 @@ def check_divisor(g: GridFn) -> None:
         raise DivisorTooSmall(float(g.grid.nodes[i]), float(mags[i]), DIV_FLOOR)
 
 
+def check_finite(values: np.ndarray, grid: Grid) -> None:
+    """Raise :class:`Overflow` at the first node where any stacked row of values is not finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise Overflow(float(grid.nodes[np.flatnonzero(~finite.reshape(-1, grid.n + 1).all(axis=0))[0]]))
+
+
 def linear_combination(grid: Grid, coeffs, rows) -> GridFn:
     """sum_k coeffs[k] * rows[k] over sample rows, accumulated in k order;
     combines basis members (or oracle matrix rows) with initial data."""
@@ -305,13 +312,9 @@ def exp_primitive(f: GridFn, sign: int) -> GridFn:
     """exp(sign * primitive(f)) evaluated nodewise; sign must be +1 or -1."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    p = primitive(f).values
     with np.errstate(over="ignore", invalid="ignore"):
-        e = np.exp(sign * p)
-    finite = np.isfinite(e.real) & np.isfinite(e.imag)
-    if not np.all(finite):
-        i = int(np.flatnonzero(~finite)[0])
-        raise Overflow(float(f.grid.nodes[i]))
+        e = np.exp(sign * primitive_values(f.values, f.grid))
+    check_finite(e, f.grid)
     return GridFn(f.grid, e)
 
 

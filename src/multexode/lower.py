@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import coeffexpr as ce
-from .errors import CoverageGap, DivisorTooSmall, GridMismatch, Overflow, UnboundCoefficient, ValidityCollapsed
-from .gridfn import DIV_FLOOR, Grid, GridFn, Interval, _lagrange4, check_divisor, primitive_values, zero_free_interval
+from .errors import CoverageGap, DivisorTooSmall, GridMismatch, UnboundCoefficient, ValidityCollapsed
+from .gridfn import DIV_FLOOR, Grid, GridFn, Interval, _lagrange4, check_divisor, check_finite, primitive_values, zero_free_interval
 from .multex import DEFAULT_MAX_TERMS, DEFAULT_TOL, trig_family
 
 MIN_VALIDITY_CELLS = 4
@@ -112,8 +112,7 @@ def _values(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
     if hit is not None:
         return hit
     out = _lower(e, ctx)
-    if not np.isfinite(out).all():
-        raise Overflow(float(ctx.grid.nodes[np.flatnonzero(~np.isfinite(out))[0]]))
+    check_finite(out, ctx.grid)
     out.setflags(write=False)
     ctx.memo[e] = out
     return out

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotConverged, Overflow
-from .gridfn import GridFn, primitive_values
+from .errors import NotConverged
+from .gridfn import GridFn, check_finite, primitive_values
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 200
@@ -89,7 +89,7 @@ def _next_term(rows, s, m, grid):
         mags = np.abs(s)
     norm = float(np.max(mags))
     if not math.isfinite(norm):
-        raise Overflow(float(grid.nodes[np.flatnonzero(~np.isfinite(mags))[0]]))
+        check_finite(mags, grid)
     return s, norm
 
 
@@ -160,9 +160,7 @@ def _series(fs, tol, max_terms, classes):
             if last <= tol:
                 converged = True
                 break
-    finite = np.isfinite(sums).all(axis=0)  # finite terms can still overflow a sum
-    if not finite.all():
-        raise Overflow(float(grid.nodes[np.flatnonzero(~finite)[0]]))
+    check_finite(sums, grid)  # finite terms can still overflow a sum
     diag = SeriesDiagnostics(m, last, truncation_bound(g, 1, m), converged)
     if not converged and last > 1e3 * tol:
         name = "multex" if classes == 1 else "trig"

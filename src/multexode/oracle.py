@@ -6,6 +6,11 @@ factorial tail (``multex.truncation_bound``) that bounds the trig series, and
 a classical fixed-step fourth-order marcher.  They share nothing with the
 trig-operator machinery except the anchored quadrature (series) and the local
 interpolator (marcher), so an error in either path shows up as disagreement.
+
+Given initial data ``y0``, ``dyson`` sums the same series for the state
+Y' = m Y, Y(0) = y0 instead, at 1/n of the work of the fundamental matrix;
+row 0 of that state is the scalar solution, which is how ``multexode
+compare`` builds its series oracle.
 """
 
 from __future__ import annotations
@@ -64,11 +69,13 @@ def companion(a, grid: Grid, env=None, series_tol: float = DEFAULT_TOL) -> Matri
 
 @dataclass
 class DysonResult:
-    """Fundamental matrix from the iterated-integral series.
+    """Fundamental matrix, or the state of given initial data, from the
+    iterated-integral series.
 
-    M has shape (n, n, nodes) with M(0) = I exactly.  term_norms[j] is the
-    entrywise sup of term j+1; term_bounds the matching factorial bound; the
-    tail bound dominates everything not summed.
+    M has shape (n, n, nodes) with M(0) = I exactly, or (n, nodes) with
+    M(0) = y0 when ``dyson`` was given y0.  term_norms[j] is the entrywise
+    sup of term j+1; term_bounds the matching factorial bound; the tail
+    bound dominates everything not summed.
     """
 
     grid: Grid
@@ -87,35 +94,43 @@ class DysonResult:
         return GridFn(self.grid, self.M[i, k])
 
 
-def dyson(m: MatrixFn, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS) -> DysonResult:
-    """Sum the iterated-integral series for M' = m M, M(0) = I.
+def dyson(
+    m: MatrixFn, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS, y0=None
+) -> DysonResult:
+    """Sum the iterated-integral series for M' = m M, M(0) = I, or for the
+    state Y' = m Y, Y(0) = y0 when the n initial values y0 are given.
 
     Each term integrates m times the previous term from 0, entrywise, on both
     sides of 0 with the anchored signed primitive.  Stops when the entrywise
     sup of the newest term reaches tol; raises NotConverged when the budget
-    runs out far above it.
+    runs out far above it.  The term and tail bounds of the state scale with
+    sum |y0_k|, since every state term is the matrix term applied to y0.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = m.n
     grid = m.grid
-    eye = np.zeros((n, n, grid.n + 1), dtype=complex)
-    for i in range(n):
-        eye[i, i] = 1.0
+    if y0 is None:
+        start, spec, scale = np.eye(n, dtype=complex), "ilp,lkp->ikp", 1.0
+    else:
+        start = np.asarray(y0, dtype=complex)
+        if start.shape != (n,):
+            raise ValueError(f"y0 needs {n} initial values, got shape {start.shape}")
+        spec, scale = "ilp,lp->ip", float(np.sum(np.abs(start)))
+    term = np.repeat(start[..., None], grid.n + 1, axis=-1)
     g = np.max(np.abs(m.data), axis=(0, 1))
     g_int = float(np.max(np.abs(primitive_values(g, grid))))
 
-    total = eye.copy()
-    term = eye
+    total = term.copy()
     norms = []
     bounds = []
-    running_bound = 1.0 / n  # (1/n)(n g)^j / j!, updated multiplicatively
+    running_bound = scale / n  # (scale/n)(n g)^j / j!, updated multiplicatively
     terms = 0
     converged = False
     last = 0.0
     while terms < max_terms:
         terms += 1
-        term = primitive_values(np.einsum("ilp,lkp->ikp", m.data, term), grid)
+        term = primitive_values(np.einsum(spec, m.data, term), grid)
         total += term
         last = float(np.max(np.abs(term)))
         running_bound *= (n * g_int) / terms
@@ -124,7 +139,7 @@ def dyson(m: MatrixFn, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TE
         if last <= tol:
             converged = True
             break
-    tail = truncation_bound(g_int, n, terms)
+    tail = scale * truncation_bound(g_int, n, terms) if scale else 0.0  # no inf * 0
     result = DysonResult(grid, total, terms, tail, converged, g_int, norms, bounds)
     if not converged and last > 1e3 * tol:
         raise NotConverged(

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from multexode import CoverageGap, LowerContext, NonMonotoneAbscissae, lower
-from multexode.cli import ingest_samples, load_config, run
+from multexode import CoverageGap, GridFn, Interval, LowerContext, NonMonotoneAbscissae, lower
+from multexode.cli import _result_json, ingest_samples, load_config, run, write_function_csv
 from multexode import Grid
 
 
@@ -197,16 +199,34 @@ class TestRuns:
         cfg = write(tmp_path / "p.cfg", text)
         assert run(["solve", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
 
-    def test_determinism_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize(
+        "fmt, names",
+        [
+            ("csv", ("solution.csv", "oracle_series.csv", "oracle_stepper.csv", "report.json")),
+            ("json", ("result.json",)),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_determinism_byte_identical(self, tmp_path, fmt, names):
         cfg = write(
             tmp_path / "p.cfg",
             "mode = compare\nn = 2\na1 = sin(x)\na2 = 1+x\nic = 1, 0.5\ngrid = 500\n",
         )
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert run(["compare", "--config", cfg, "--output", str(out1)]) == 0
-        assert run(["compare", "--config", cfg, "--output", str(out2)]) == 0
-        for name in ("solution.csv", "oracle_series.csv", "oracle_stepper.csv", "report.json"):
+        assert run(["compare", "--config", cfg, "--output", str(out1), "--format", fmt]) == 0
+        assert run(["compare", "--config", cfg, "--output", str(out2), "--format", fmt]) == 0
+        for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_json_solve_matches_csv(self, tmp_path):
+        cfg = write(tmp_path / "p.cfg", "n = 3\na1 = sin(x)\na2 = 1+x^2\na3 = x\nic = 1, 0.5j, -0.25\ngrid = 400\n")
+        assert run(["solve", "--config", cfg, "--output", str(tmp_path / "c")]) == 0
+        assert run(["solve", "--config", cfg, "--output", str(tmp_path / "j"), "--format", "json"]) == 0
+        xs, ys = read_csv(tmp_path / "c" / "solution.csv")
+        doc = json.loads((tmp_path / "j" / "result.json").read_text())
+        sol = doc["functions"]["solution"]
+        assert doc["x"] == xs.tolist()
+        assert sol["re"] == ys.real.tolist() and sol["im"] == ys.imag.tolist()
 
     def test_sampled_impedance_needs_numeric_diff_flag(self, tmp_path, capsys):
         xs = np.linspace(-1.5, 1.5, 4001)
@@ -224,3 +244,61 @@ class TestRuns:
 
         ref = preset_schrodinger("2 + sin(x)", 1.0, Grid.aligned(-1, 1, 500)).psi[0]
         assert np.max(np.abs(c - ref.values)) <= 1e-6
+
+
+# floats whose repr takes every form: signed zero, subnormal, exponent with a
+# negative two-digit, positive and three-digit power, and the largest double
+EDGE_FLOATS = (-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+FLOAT_LISTS = st.lists(FLOATS, min_size=1, max_size=12)
+REPORT = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def csv_by_format_loop(fn, validity):
+    """The per-value format(v, ".17g") loop write_function_csv replaced, kept
+    as the reference for its bytes."""
+    keep = fn.grid.mask(validity)
+    lines = ["x,re,im"]
+    for x, v in zip(fn.grid.nodes[keep], fn.values[keep]):
+        lines.append(f"{format(x, '.17g')},{format(v.real, '.17g')},{format(v.imag, '.17g')}")
+    return "\n".join(lines) + "\n"
+
+
+class TestWriters:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        xs=FLOAT_LISTS,
+        functions=st.dictionaries(
+            st.sampled_from(["solution", "oracle_series", "oracle_stepper", "psi_1", "c", "s"]),
+            st.fixed_dictionaries({"re": FLOAT_LISTS, "im": FLOAT_LISTS}),
+            min_size=1,
+            max_size=4,
+        ),
+        report=st.none() | st.dictionaries(st.text(max_size=6), REPORT, max_size=6),
+    )
+    def test_json_emitter_matches_json_dumps(self, xs, functions, report):
+        doc = {"x": xs, "functions": functions}
+        if report is not None:
+            doc["report"] = report
+        assert _result_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        re=arrays(float, 201, elements=FLOATS),
+        im=arrays(float, 201, elements=FLOATS),
+        lo=st.integers(0, 96),
+        hi=st.integers(104, 200),
+    )
+    def test_csv_writer_matches_format_loop(self, tmp_path_factory, re, im, lo, hi):
+        grid = Grid(-1.0, 1.0, 200)
+        values = np.empty(201, dtype=complex)
+        values.real, values.imag = re, im  # keeps -0.0 in both parts
+        fn = GridFn(grid, values)
+        validity = Interval(float(grid.nodes[lo]), float(grid.nodes[hi]))
+        path = tmp_path_factory.mktemp("csv") / "f.csv"
+        write_function_csv(path, fn, validity)
+        assert path.read_bytes() == csv_by_format_loop(fn, validity).encode()

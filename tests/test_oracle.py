@@ -11,6 +11,7 @@ from multexode import (
     truncation_bound,
 )
 from multexode.auxiliary import CoeffVector
+from multexode.gridfn import primitive_values
 
 from conftest import smooth_gridfn
 
@@ -21,9 +22,13 @@ def const_matrix(grid, m):
     return MatrixFn(grid, data)
 
 
-def random_matrix(grid, rng, n, scale=1.0):
-    rows = [[smooth_gridfn(grid, rng, scale=scale) for _ in range(n)] for _ in range(n)]
+def random_matrix(grid, rng, n, scale=1.0, complex_part=False):
+    rows = [[smooth_gridfn(grid, rng, scale=scale, complex_part=complex_part) for _ in range(n)] for _ in range(n)]
     return MatrixFn.from_gridfns(rows)
+
+
+def random_state(rng, n):
+    return rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
 
 
 class TestCompanion:
@@ -108,6 +113,45 @@ class TestDyson:
         m = const_matrix(grid200, 50.0 * np.eye(2))
         with pytest.raises(NotConverged):
             dyson(m, tol=1e-12, max_terms=5)
+
+
+class TestDysonState:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_state_is_matrix_applied_to_y0(self, grid200, rng, n):
+        m = random_matrix(grid200, rng, n, scale=1.5, complex_part=True)
+        v = random_state(rng, n)
+        state = dyson(m, y0=v).M
+        assert state.shape == (n, grid200.n + 1)
+        assert np.max(np.abs(state - np.einsum("ikp,k->ip", dyson(m).M, v))) <= 1e-12
+
+    def test_scaled_tail_bound_dominates_remainder(self, grid200, rng):
+        m = random_matrix(grid200, rng, 3, scale=1.5, complex_part=True)
+        v = random_state(rng, 3)
+        coarse = dyson(m, tol=1e-6, y0=v)
+        fine = dyson(m, tol=1e-14, y0=v)
+        remainder = np.max(np.abs(fine.M - coarse.M))
+        scaled = np.sum(np.abs(v)) * truncation_bound(coarse.g_integral, 3, coarse.terms_used)
+        assert coarse.tail_bound == scaled
+        assert remainder <= coarse.tail_bound
+
+    def test_wrong_length_rejected(self, grid200, rng):
+        m = random_matrix(grid200, rng, 3)
+        with pytest.raises(ValueError):
+            dyson(m, y0=[1.0, 0.0])
+
+    def test_matrix_default_unchanged(self, grid200, rng):
+        # the identity start summed term by term, as the matrix series always was
+        m = random_matrix(grid200, rng, 3, scale=1.5)
+        res = dyson(m, tol=1e-12, y0=None)
+        term = np.zeros((3, 3, grid200.n + 1), dtype=complex)
+        for i in range(3):
+            term[i, i] = 1.0
+        total = term.copy()
+        for _ in range(res.terms_used):
+            term = primitive_values(np.einsum("ilp,lkp->ikp", m.data, term), grid200)
+            total += term
+        assert np.array_equal(res.M, total)
+        assert np.array_equal(dyson(m, tol=1e-12).M, total)
 
 
 class TestTruncationBound:
