@@ -189,14 +189,6 @@ def _series_diag_for(expr: Expr, ctx: LowerContext) -> SeriesDiagnostics | None:
     return None
 
 
-def _finalize_validity(ctx: LowerContext) -> Interval:
-    v = ctx.validity
-    g = ctx.grid
-    lo = v.lo + g.h if v.lo > g.lo else v.lo
-    hi = v.hi - g.h if v.hi < g.hi else v.hi
-    return Interval(lo, hi)
-
-
 def _build_chain(a: CoeffVector, ctx: LowerContext, prefix: str = "phi") -> AuxChain:
     n = a.n
     if n < 2:
@@ -228,7 +220,7 @@ def _build_chain(a: CoeffVector, ctx: LowerContext, prefix: str = "phi") -> AuxC
     phis[1] = phi1
     fns[1] = lower(phi1, ctx)
 
-    validity = _finalize_validity(ctx)
+    validity = ctx.final_validity()
     phi = tuple(phis[k] for k in range(1, n + 1))
     phi_fns = tuple(fns[k] for k in range(1, n + 1))
     diags = {k: _series_diag_for(phis[k], ctx) for k in range(1, n + 1)}
@@ -249,9 +241,7 @@ def build_aux_chain(
     zero the validity interval shrinks and values outside it are zeroed, so
     the returned realizations are trustworthy exactly on ``chain.validity``.
     """
-    ctx = LowerContext(
-        grid, env=env, series_tol=tol, max_terms=max_terms, masked=True, numeric_diff=numeric_diff
-    )
+    ctx = LowerContext(grid, env=env, series_tol=tol, max_terms=max_terms, numeric_diff=numeric_diff)
     return _build_chain(a, ctx)
 
 
@@ -269,7 +259,7 @@ def closed_form_aux(
         raise ValueError("closed forms exist for orders 2, 3 and 4 only")
     if a.n != n:
         raise ValueError(f"coefficient vector has order {a.n}, expected {n}")
-    ctx = LowerContext(grid, env=env, series_tol=tol, max_terms=max_terms, masked=True)
+    ctx = LowerContext(grid, env=env, series_tol=tol, max_terms=max_terms)
     a1 = a.a(1)
     up = ce.expprim(a1, 1)
     down = ce.expprim(a1, -1)
@@ -310,7 +300,7 @@ def closed_form_aux(
         phi = (ce.simplify(psi1), ce.simplify(psi2), psi3, psi4)
 
     fns = tuple(lower(p, ctx) for p in phi)
-    validity = _finalize_validity(ctx)
+    validity = ctx.final_validity()
     diags = {k: _series_diag_for(p, ctx) for k, p in enumerate(phi, start=1)}
     betas = (tuple([ZERO] * n + [ce.ONE]),)
     return AuxChain(n, a, phi, fns, betas, validity, ctx, diags)

@@ -213,11 +213,10 @@ def load_config(path, overrides=None) -> ProblemConfig:
     if "ic" in raw:
         parts = [p for p in raw["ic"].split(",") if p.strip()]
         cfg.initial_values = tuple(_complex(p, "ic") for p in parts)
-    if mode in ("solve", "compare"):
-        if len(cfg.initial_values) != cfg.n:
-            raise ConfigError(
-                f"ic: need {cfg.n} initial values for mode {mode!r}, got {len(cfg.initial_values)}"
-            )
+    if ("ic" in raw or mode in ("solve", "compare")) and len(cfg.initial_values) != cfg.n:
+        raise ConfigError(
+            f"ic: need {cfg.n} initial values for mode {mode!r}, got {len(cfg.initial_values)}"
+        )
     return cfg
 
 
@@ -304,24 +303,21 @@ def _diag_list(bs) -> list:
 
 def _run_problem(cfg: ProblemConfig, outdir: Path, fmt: str) -> int:
     grid = cfg.make_grid()
-    if cfg.mode == "preset:schrodinger":
-        bs = preset_schrodinger(
-            cfg.zeta, cfg.omega, grid, tol=cfg.tol, max_terms=cfg.max_terms,
-            numeric_diff=cfg.numeric_diff,
-        )
-        functions = [("c", bs.psi[0]), ("s", bs.psi[1])]
-        if len(cfg.initial_values) == 2:
-            y = linear_combination(grid, cfg.initial_values, [m.values for m in bs.psi])
-            functions.insert(0, ("solution", y))
-        _write_outputs(outdir, functions, bs.validity, fmt)
-        return 0
-    if cfg.mode == "preset:orr":
-        bs = preset_orr_sommerfeld(
-            cfg.coefficients["a2"], cfg.coefficients["a4"], grid,
-            tol=cfg.tol, max_terms=cfg.max_terms,
-        )
-        functions = [(f"psi_{k}", bs.psi[k - 1]) for k in range(1, 5)]
-        if len(cfg.initial_values) == 4:
+    if cfg.mode.startswith("preset:"):
+        if cfg.mode == "preset:schrodinger":
+            bs = preset_schrodinger(
+                cfg.zeta, cfg.omega, grid, tol=cfg.tol, max_terms=cfg.max_terms,
+                numeric_diff=cfg.numeric_diff,
+            )
+            names = ("c", "s")
+        else:
+            bs = preset_orr_sommerfeld(
+                cfg.coefficients["a2"], cfg.coefficients["a4"], grid,
+                tol=cfg.tol, max_terms=cfg.max_terms,
+            )
+            names = ("psi_1", "psi_2", "psi_3", "psi_4")
+        functions = list(zip(names, bs.psi))
+        if cfg.initial_values:
             y = linear_combination(grid, cfg.initial_values, [m.values for m in bs.psi])
             functions.insert(0, ("solution", y))
         _write_outputs(outdir, functions, bs.validity, fmt)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisorTooSmall, GridMismatch, Overflow, ValidityCollapsed
+from .errors import GridMismatch, Overflow, ValidityCollapsed
 
-# the one division floor, shared by both lowering policies, GridFn division and
-# the leading-coefficient check of the auxiliary chain
+# the one division floor, shared by lowering's guarded division and the
+# leading-coefficient check of the auxiliary chain
 DIV_FLOOR = 1e-8
 
 
@@ -153,9 +153,10 @@ class GridFn:
     """A complex-valued function sampled at the nodes of a :class:`Grid`.
 
     Instances are immutable; arithmetic returns new objects and requires the
-    operands to share one grid.  Evaluation between nodes (``__call__``) uses
-    local cubic interpolation and is meant for reporting, never for the series
-    recurrences themselves.
+    operands to share one grid; the divisor of a division is a scalar (a
+    sampled divisor is lowered, which guards it).  Evaluation between nodes
+    (``__call__``) uses local cubic interpolation and is meant for reporting,
+    never for the series recurrences themselves.
     """
 
     __slots__ = ("grid", "values")
@@ -239,10 +240,6 @@ class GridFn:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, GridFn):
-            self._check(other)
-            check_divisor(other)
-            return GridFn(self.grid, self.values / other.values)
         return GridFn(self.grid, self.values / complex(other))
 
     def __neg__(self):
@@ -282,16 +279,6 @@ def primitive(f: GridFn) -> GridFn:
     return GridFn(f.grid, primitive_values(f.values, f.grid))
 
 
-def check_divisor(g: GridFn) -> None:
-    """Raise :class:`DivisorTooSmall` at the first node where |g| <= DIV_FLOOR;
-    vanishing divisors are an error to surface, never a value to clamp."""
-    mags = np.abs(g.values)
-    bad = np.flatnonzero(mags <= DIV_FLOOR)
-    if bad.size:
-        i = int(bad[0])
-        raise DivisorTooSmall(float(g.grid.nodes[i]), float(mags[i]), DIV_FLOOR)
-
-
 def check_finite(values: np.ndarray, grid: Grid) -> None:
     """Raise :class:`Overflow` at the first node where any stacked row of values is not finite."""
     finite = np.isfinite(values)
@@ -301,10 +288,13 @@ def check_finite(values: np.ndarray, grid: Grid) -> None:
 
 def linear_combination(grid: Grid, coeffs, rows) -> GridFn:
     """sum_k coeffs[k] * rows[k] over sample rows, accumulated in k order;
-    combines basis members (or oracle matrix rows) with initial data."""
+    combines basis members (or oracle matrix rows) with initial data.
+    Overflow at the first node where the sum is not finite."""
     vals = np.zeros(grid.n + 1, dtype=complex)
-    for c, row in zip(coeffs, rows, strict=True):
-        vals += complex(c) * row
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, row in zip(coeffs, rows, strict=True):
+            vals += complex(c) * row
+    check_finite(vals, grid)
     return GridFn(grid, vals)
 
 

@@ -5,13 +5,17 @@ and the per-solve memo store.  The memo and the trig-family cache hold plain
 read-only complex arrays, one per expression, each checked finite once when
 it is stored (Overflow at the first bad node); the recursion never builds a
 GridFn.  The public :func:`lower` is the GridFn edge: it wraps the memo's
-array without a copy.  Two division policies share the one floor
-DIV_FLOOR: the default raises DivisorTooSmall as soon as any node divides by
-a value below it; the masked policy (used while building auxiliary chains)
-instead shrinks the running validity interval to the zero-free neighbourhood
-of 0 and zeroes the result outside it.  Because the primitive is anchored at
-0, values inside the validity interval never depend on the zeroed region, so
-masking is safe.
+array without a copy.
+
+There is one division policy, with the one floor DIV_FLOOR.  A divisor whose
+magnitude at 0 is not above the floor is DivisorTooSmall.  Otherwise the
+context's running validity interval shrinks to the zero-free neighbourhood of
+0 of the divisor, and the quotient is zeroed outside it;
+:meth:`LowerContext.final_validity` then takes one more grid cell off every
+cut side, so the quadrature of no reported node reads a zeroed sample.
+Values inside the reported interval still depend on the zeroed
+region at rounding level, because the anchored primitive is one running sum
+from the left end of the grid with its value at 0 subtracted.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from . import coeffexpr as ce
 from .errors import CoverageGap, DivisorTooSmall, GridMismatch, UnboundCoefficient, ValidityCollapsed
-from .gridfn import DIV_FLOOR, Grid, GridFn, Interval, _lagrange4, check_divisor, check_finite, primitive_values, zero_free_interval
+from .gridfn import DIV_FLOOR, Grid, GridFn, Interval, _lagrange4, check_finite, primitive_values, zero_free_interval
 from .multex import DEFAULT_MAX_TERMS, DEFAULT_TOL, trig_family
 
 MIN_VALIDITY_CELLS = 4
@@ -40,14 +44,12 @@ class LowerContext:
         env=None,
         series_tol: float = DEFAULT_TOL,
         max_terms: int = DEFAULT_MAX_TERMS,
-        masked: bool = False,
         numeric_diff: bool = False,
     ):
         self.grid = grid
         self.env = dict(env or {})
         self.series_tol = series_tol
         self.max_terms = max_terms
-        self.masked = masked
         self.numeric_diff = numeric_diff
         self.validity = grid.interval
         self.memo: dict = {}
@@ -66,6 +68,15 @@ class LowerContext:
                 f"is below {MIN_VALIDITY_CELLS} grid cells"
             )
 
+    def final_validity(self) -> Interval:
+        """The validity interval with one more grid cell off every side a
+        division cut; the interval a solve reports."""
+        v = self.validity
+        g = self.grid
+        lo = v.lo + g.h if v.lo > g.lo else v.lo
+        hi = v.hi - g.h if v.hi < g.hi else v.hi
+        return Interval(lo, hi)
+
     def realized_derivative(self, fn: ce.AuxFn, s: int) -> ce.Expr:
         """s-th symbolic derivative of an auxiliary function's realization."""
         key = (fn, s)
@@ -78,14 +89,12 @@ class LowerContext:
 
 
 def _guarded_reciprocal(ctx: LowerContext, den: np.ndarray, power: int) -> np.ndarray:
-    """den**(-power) under the active division policy (power >= 1)."""
+    """den**(-power) (power >= 1) on the validity interval, which shrinks to
+    the zero-free neighbourhood of 0 of den; zero outside it."""
     mags = np.abs(den)
     z = ctx.grid.zero_index
     if mags[z] <= DIV_FLOOR:
         raise DivisorTooSmall(0.0, float(mags[z]), DIV_FLOOR)
-    if not ctx.masked:
-        check_divisor(GridFn._wrap(ctx.grid, den))
-        return den ** (-power)
     ctx.shrink_validity(zero_free_interval(GridFn._wrap(ctx.grid, den), DIV_FLOOR))
     safe = mags > DIV_FLOOR
     out = np.zeros_like(den)
@@ -98,8 +107,10 @@ def lower(e: ce.Expr, ctx: LowerContext) -> GridFn:
     """Evaluate an expression on the context's grid, memoized structurally.
 
     This is the GridFn edge of lowering: the result wraps the memo's
-    read-only array without a copy.  Floating-point overflow is silenced
-    here, once for the whole recursion, because every node is checked.
+    read-only array without a copy.  A division may shrink ``ctx.validity``
+    and zero the result outside it, so read ``ctx.validity`` before trusting
+    a node.  Floating-point overflow is silenced here, once for the whole
+    recursion, because every node is checked.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return GridFn._wrap(ctx.grid, _values(e, ctx))

@@ -54,11 +54,11 @@ class MatrixFn:
         return GridFn(self.grid, self.data[i, k])
 
 
-def companion(a, grid: Grid, env=None, series_tol: float = DEFAULT_TOL) -> MatrixFn:
+def companion(a, grid: Grid, env=None) -> MatrixFn:
     """Companion matrix of the scalar equation: ones on the superdiagonal and
     the reversed coefficients (an, ..., a1) along the bottom row."""
     n = a.n
-    ctx = LowerContext(grid, env=env, series_tol=series_tol)
+    ctx = LowerContext(grid, env=env)
     data = np.zeros((n, n, grid.n + 1), dtype=complex)
     for i in range(n - 1):
         data[i, i + 1] = 1.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coeffexpr as ce
-from .auxiliary import AuxChain, CoeffVector, _finalize_validity, build_aux_chain
+from .auxiliary import AuxChain, CoeffVector, build_aux_chain
 from .coeffexpr import Const, TrigNode, as_expr
 from .errors import NonDifferentiable
 from .gridfn import Grid, GridFn, Interval, linear_combination
@@ -103,10 +103,10 @@ def basis(
     """
     n = a.n
     if n == 1:
-        ctx = LowerContext(grid, env=env, series_tol=tol, max_terms=max_terms, masked=True)
+        ctx = LowerContext(grid, env=env, series_tol=tol, max_terms=max_terms)
         expr = ce.expprim(a.a(1), 1)
         lower(expr, ctx)  # a dividing coefficient shrinks ctx.validity here
-        validity = _finalize_validity(ctx)
+        validity = ctx.final_validity()
         return BasisSet(1, a, (_member(expr, ctx, validity),), (expr,), validity, (None,), None, ctx)
     chain = build_aux_chain(a, grid, tol=tol, max_terms=max_terms, env=env, numeric_diff=numeric_diff)
     return _assemble(chain.phi, a, chain, chain.ctx, chain.validity)
@@ -143,9 +143,9 @@ def preset_schrodinger(
     """
     zeta = parse(zeta) if isinstance(zeta, str) else as_expr(zeta)
     probe = LowerContext(grid)
-    zvals = lower(zeta, probe).values
+    zvals = lower(zeta, probe).values[grid.mask(probe.validity)]
     if np.any(zvals.real <= 0) or np.any(np.abs(zvals.imag) > 1e-12 * np.abs(zvals.real)):
-        raise ValueError("impedance profile must be real and positive on the grid")
+        raise ValueError("impedance profile must be real and positive on its validity interval")
     try:
         dzeta = ce.differentiate(zeta, numeric_diff)
     except NonDifferentiable:
@@ -172,7 +172,7 @@ def preset_orr_sommerfeld(
     """
     a2 = parse(a2) if isinstance(a2, str) else as_expr(a2)
     a4 = parse(a4) if isinstance(a4, str) else as_expr(a4)
-    ctx = LowerContext(grid, series_tol=tol, max_terms=max_terms, masked=True)
+    ctx = LowerContext(grid, series_tol=tol, max_terms=max_terms)
     c = TrigNode((a2, ce.ONE), 2)
     phi = (
         ce.simplify(ce.mul(a4, c)),
@@ -183,7 +183,7 @@ def preset_orr_sommerfeld(
     a = CoeffVector((Const(-1), Const(0), a2, Const(0), a4))
     for p in phi:
         lower(p, ctx)
-    return _assemble(phi, a, None, ctx, _finalize_validity(ctx))
+    return _assemble(phi, a, None, ctx, ctx.final_validity())
 
 
 def initial_condition_matrix(bs: BasisSet, numeric_diff: bool = False) -> np.ndarray:

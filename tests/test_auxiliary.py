@@ -67,7 +67,7 @@ class TestExtractAuxOde:
         beta = apply_scriptD([ZERO, ZERO, ZERO, mul(c_fn, ONE)])
         order, b = extract_aux_ode(a, beta)
         assert order == 1
-        ctx = LowerContext(grid2000, masked=True)
+        ctx = LowerContext(grid2000)
         got = lower(b[0], ctx)
         c = lower(c_fn, ctx)
         dc = lower(ctx.realized_derivative(c_fn, 1), ctx)
@@ -105,7 +105,7 @@ class TestExtractAuxOde:
 
     def test_degenerate_leading_rejected(self, grid200):
         a = coeff_vector("1", "1")
-        ctx = LowerContext(grid200, masked=True)
+        ctx = LowerContext(grid200)
         with pytest.raises(DegenerateLeading):
             extract_aux_ode(a, [ZERO, ZERO, Var()], ctx)
 
@@ -216,7 +216,7 @@ class TestClosedFormCrossCheck:
         # a1 = a3 = 0 collapses the list to (a4 C, C^-2, C, 1)
         a = coeff_vector("0", "cos(x)/2", "0", "x/3")
         chain = closed_form_aux(4, a, grid2000)
-        ctx = LowerContext(grid2000, masked=True)
+        ctx = LowerContext(grid2000)
         c = lower(TrigNode((parse("cos(x)/2"), ONE), 2), ctx)
         keep = grid2000.mask(chain.validity)
         a4 = lower(parse("x/3"), ctx)

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from multexode import CoverageGap, GridFn, Interval, LowerContext, NonMonotoneAbscissae, lower
 from multexode.cli import _result_json, ingest_samples, load_config, run, write_function_csv
-from multexode import Grid
+from multexode import Grid, IVProblem, solve_ivp
 
 
 def write(path, text):
@@ -50,6 +50,20 @@ class TestConfig:
         cfg = write(tmp_path / "p.cfg", "n = 2\na1 = 0\na2 = -1\nic = 1\n")
         assert run(["solve", "--config", cfg]) == 1
         assert "ic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body, ic",
+        [
+            ("preset = orr\na2 = -1+x\na4 = 1/2\n", "1, 0, 0"),
+            ("preset = schrodinger\nzeta = 2+x\nomega = 1.5\n", "1, 0, 0"),
+        ],
+        ids=["orr", "schrodinger"],
+    )
+    def test_preset_ic_count_checked(self, tmp_path, capsys, body, ic):
+        cfg = write(tmp_path / "p.cfg", f"{body}ic = {ic}\ngrid = 200\n")
+        assert run(["preset", "--config", cfg, "--output", str(tmp_path / "out")]) == 1
+        assert "ic" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_mode_mismatch(self, tmp_path, capsys):
         cfg = write(tmp_path / "p.cfg", "mode = basis\nn = 1\na1 = 0\n")
@@ -134,6 +148,20 @@ class TestRuns:
         report = json.loads((out / "report.json").read_text())
         assert report["pass"] is False
 
+    def test_compare_follows_solve_across_a_cut(self, tmp_path):
+        # a1 = 1/(x-0.5) divides inside the window; compare checks the
+        # interval solve reports instead of rejecting the input
+        body = "n = 1\na1 = 1/(x-0.5)\nic = 1\ninterval = -1:1\ngrid = 2000\n"
+        cfg = write(tmp_path / "p.cfg", body)
+        cmp_cfg = write(tmp_path / "c.cfg", "mode = compare\n" + body)
+        assert run(["solve", "--config", cfg, "--output", str(tmp_path / "s")]) == 0
+        assert run(["compare", "--config", cmp_cfg, "--output", str(tmp_path / "c")]) in (0, 2)
+        report = json.loads((tmp_path / "c" / "report.json").read_text())
+        _, bs = solve_ivp(IVProblem(1, ("1/(x-0.5)",), (1,)), Grid(-1, 1, 2000))
+        assert report["validity"] == [bs.validity.lo, bs.validity.hi]
+        assert report["validity"] == pytest.approx([-1.0, 0.498], abs=1e-12)
+        assert (tmp_path / "c" / "solution.csv").read_bytes() == (tmp_path / "s" / "solution.csv").read_bytes()
+
     def test_preset_schrodinger(self, tmp_path):
         cfg = write(
             tmp_path / "p.cfg",
@@ -192,8 +220,10 @@ class TestRuns:
             "interval = -0.75:0.75\ngrid = 400\ntol = 1e-13\n",
             # a coefficient that is not finite on the grid
             "n = 2\na1 = exp(800*x)\na2 = -1\nic = 1, 0\ngrid = 200\n",
+            # initial data whose combination of the members is not finite
+            "n = 2\na1 = 0\na2 = -4\nic = 1.7e308, 1.7e308\ngrid = 2000\n",
         ],
-        ids=["trig_series", "coefficient"],
+        ids=["trig_series", "coefficient", "initial_data"],
     )
     def test_overflow_exit_code(self, tmp_path, text):
         cfg = write(tmp_path / "p.cfg", text)

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from multexode import (
-    DivisorTooSmall,
     Grid,
     GridFn,
     GridMismatch,
@@ -153,24 +152,6 @@ class TestAlgebra:
     def test_mul(self, grid200):
         x = GridFn.var(grid200)
         assert np.allclose((x * x).values, grid200.nodes**2)
-
-    def test_div_at_anchored_node(self, grid200):
-        one = GridFn.const(grid200, 1.0)
-        c = GridFn.from_callable(grid200, lambda x: 1.0 + x**2)
-        q = one / c
-        assert q.at_zero() == 1.0
-
-    def test_self_division(self, grid200):
-        z = GridFn.from_callable(grid200, lambda x: 2.0 + np.sin(x))
-        q = z / z
-        assert np.max(np.abs(q.values - 1.0)) < 1e-15
-
-    def test_divisor_too_small_reports_first_node(self, grid200):
-        one = GridFn.const(grid200, 1.0)
-        f = GridFn.from_callable(grid200, lambda x: x - 0.5)
-        with pytest.raises(DivisorTooSmall) as exc:
-            one / f
-        assert abs(exc.value.x - 0.5) < 2 * grid200.h
 
     def test_grid_mismatch(self, grid200, grid2000):
         with pytest.raises(GridMismatch):

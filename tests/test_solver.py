@@ -16,6 +16,7 @@ from multexode import (
     parse,
     preset_orr_sommerfeld,
     preset_schrodinger,
+    rk4,
     solve_ivp,
 )
 from multexode.auxiliary import CoeffVector
@@ -121,6 +122,12 @@ class TestSolveIvp:
         with pytest.raises(Overflow):
             solve_ivp(p, Grid(-0.75, 0.75, 400), tol=1e-13)
 
+    def test_huge_initial_data_overflow_is_typed(self, grid2000):
+        p = IVProblem(2, ("0", "-4"), (1.7e308, 1.7e308))
+        with pytest.raises(Overflow) as exc:
+            solve_ivp(p, grid2000)
+        assert grid2000.lo <= exc.value.x <= grid2000.hi
+
     def test_introductory_third_order_example(self):
         g = Grid(-1, 1, 2000)
         p = IVProblem(3, ("0", "1+x^2/4", "x"), (1, 0, 0))
@@ -199,6 +206,16 @@ class TestSchrodingerPreset:
         bs = preset_schrodinger(zeta, 1.0, grid200, numeric_diff=True)
         ref = preset_schrodinger("2 + sin(x)", 1.0, grid200)
         assert np.max(np.abs(bs.psi[0].values - ref.psi[0].values)) <= 1e-7
+
+    def test_singular_impedance_cuts_validity(self, grid2000):
+        # zeta is positive up to its pole at 0.5: the probe and the basis
+        # both cut the interval there instead of rejecting the profile
+        bs = preset_schrodinger("(x-0.5)^-2", 1.0, grid2000)
+        assert bs.validity.lo == grid2000.lo and 0.49 < bs.validity.hi < 0.5
+        steps = rk4(companion(bs.a, grid2000), grid2000.n)
+        near = grid2000.nodes <= 0.45
+        for k in range(2):
+            assert np.max(np.abs(bs.psi[k].values - steps[0, k])[near]) <= 1e-8
 
     def test_nonpositive_impedance_rejected(self, grid200):
         with pytest.raises(ValueError):
