@@ -25,15 +25,8 @@ class TestMaskedPolicy:
             lower(div(ONE, den), ctx)
         assert exc.value.x == 0.0
 
-    @pytest.mark.parametrize(
-        "expr, pole, exact",
-        [
-            (div(ONE, parse("x - 0.5")), 0.5, lambda x: 1.0 / (x - 0.5)),
-            (intpow(parse("x - 0.25"), -2), 0.25, lambda x: (x - 0.25) ** -2.0),
-        ],
-        ids=["reciprocal", "power"],
-    )
-    def test_validity_shrinks_and_outside_is_zeroed(self, expr, pole, exact):
+    @staticmethod
+    def _check_cut_and_zeroed(expr, pole, exact):
         g = Grid(-1, 1, 400)
         ctx = LowerContext(g)
         got = lower(expr, ctx)
@@ -44,10 +37,24 @@ class TestMaskedPolicy:
         assert np.all(got.values[outside] == 0.0)
         assert np.max(np.abs(got.values[inside] - exact(g.nodes[inside]))) < 1e-12
 
+    def test_validity_shrinks_and_outside_is_zeroed(self):
+        self._check_cut_and_zeroed(div(ONE, parse("x - 0.5")), 0.5, lambda x: 1.0 / (x - 0.5))
+
+    def test_negative_power_validity_shrinks(self):
+        self._check_cut_and_zeroed(intpow(parse("x - 0.25"), -2), 0.25, lambda x: (x - 0.25) ** -2.0)
+
+    # strict: a fresh context; masked: a context whose validity interval an
+    # earlier division has already cut (beyond the overflow point), so later
+    # quotients are masked.  Overflow is fatal in both.
+    @pytest.mark.parametrize("masked", [False, True], ids=["strict", "masked"])
     @pytest.mark.parametrize(
         "expr", [ExpPrim(Const(1e4), 1), parse("exp(800*x)")], ids=["exp_primitive", "exp_call"]
     )
-    def test_overflow_propagates(self, grid200, expr):
+    def test_overflow_propagates(self, grid200, masked, expr):
+        ctx = LowerContext(grid200)
+        if masked:
+            lower(div(ONE, parse("x - 0.95")), ctx)
+            assert ctx.validity.hi < 0.95
         with pytest.raises(Overflow) as exc:
-            lower(expr, LowerContext(grid200))
-        assert 0.0 < exc.value.x < grid200.hi
+            lower(expr, ctx)
+        assert 0.0 < exc.value.x < ctx.validity.hi
