@@ -303,33 +303,29 @@ def _diag_list(bs) -> list:
 
 def _run_problem(cfg: ProblemConfig, outdir: Path, fmt: str) -> int:
     grid = cfg.make_grid()
-    if cfg.mode.startswith("preset:"):
-        if cfg.mode == "preset:schrodinger":
-            bs = preset_schrodinger(
-                cfg.zeta, cfg.omega, grid, tol=cfg.tol, max_terms=cfg.max_terms,
+    if cfg.mode == "preset:schrodinger":
+        bs = preset_schrodinger(
+            cfg.zeta, cfg.omega, grid, tol=cfg.tol, max_terms=cfg.max_terms,
+            numeric_diff=cfg.numeric_diff,
+        )
+    elif cfg.mode == "preset:orr":
+        bs = preset_orr_sommerfeld(
+            cfg.coefficients["a2"], cfg.coefficients["a4"], grid,
+            tol=cfg.tol, max_terms=cfg.max_terms,
+        )
+    else:
+        coeffs = [cfg.coefficients[f"a{j}"] for j in range(1, cfg.n + 1)]
+        if cfg.mode == "basis":
+            bs = basis(
+                CoeffVector.from_rhs(coeffs), grid, tol=cfg.tol, max_terms=cfg.max_terms,
                 numeric_diff=cfg.numeric_diff,
             )
-            names = ("c", "s")
-        else:
-            bs = preset_orr_sommerfeld(
-                cfg.coefficients["a2"], cfg.coefficients["a4"], grid,
-                tol=cfg.tol, max_terms=cfg.max_terms,
-            )
-            names = ("psi_1", "psi_2", "psi_3", "psi_4")
+    if cfg.mode not in ("solve", "compare"):
+        names = ("c", "s") if cfg.mode == "preset:schrodinger" else [f"psi_{k}" for k in range(1, cfg.n + 1)]
         functions = list(zip(names, bs.psi))
         if cfg.initial_values:
             y = linear_combination(grid, cfg.initial_values, [m.values for m in bs.psi])
             functions.insert(0, ("solution", y))
-        _write_outputs(outdir, functions, bs.validity, fmt)
-        return 0
-
-    coeffs = [cfg.coefficients[f"a{j}"] for j in range(1, cfg.n + 1)]
-    if cfg.mode == "basis":
-        bs = basis(
-            CoeffVector.from_rhs(coeffs), grid, tol=cfg.tol, max_terms=cfg.max_terms,
-            numeric_diff=cfg.numeric_diff,
-        )
-        functions = [(f"psi_{k}", bs.psi[k - 1]) for k in range(1, cfg.n + 1)]
         _write_outputs(outdir, functions, bs.validity, fmt)
         return 0
 

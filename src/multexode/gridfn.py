@@ -2,10 +2,10 @@
 
 Every quantity in a computation lives on one shared grid whose nodes include
 both endpoints and x = 0.  The module provides the anchored primitive
-(cumulative integral from 0, order-4 accurate at every node), pointwise
-algebra, the exponential of a primitive, and the outward scan that finds the
-largest zero-free subinterval around 0.  All values are complex; all
-operations are pure and return new objects.
+(cumulative integral from 0, order-4 accurate at every node), the
+exponential of a primitive, and the outward scan that finds the largest
+zero-free subinterval around 0.  All values are complex; all operations are
+pure and return new objects.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, Overflow, ValidityCollapsed
+from .errors import Overflow, ValidityCollapsed
 
 # the one division floor, shared by lowering's guarded division and the
 # leading-coefficient check of the auxiliary chain
@@ -152,11 +152,12 @@ def _lagrange4(xs: np.ndarray, ys: np.ndarray, xq: np.ndarray) -> np.ndarray:
 class GridFn:
     """A complex-valued function sampled at the nodes of a :class:`Grid`.
 
-    Instances are immutable; arithmetic returns new objects and requires the
-    operands to share one grid; the divisor of a division is a scalar (a
-    sampled divisor is lowered, which guards it).  Evaluation between nodes
-    (``__call__``) uses local cubic interpolation and is meant for reporting,
-    never for the series recurrences themselves.
+    An immutable sampled value that crosses the public boundary: it carries
+    its grid and one read-only row of samples and defines no arithmetic.  Do
+    pointwise algebra on ``.values`` and wrap the result, or build an
+    expression and ``lower`` it, which guards division.  Evaluation between
+    nodes (``__call__``) uses local cubic interpolation and is meant for
+    reporting, never for the series recurrences themselves.
     """
 
     __slots__ = ("grid", "values")
@@ -210,40 +211,6 @@ class GridFn:
 
     def __call__(self, x):
         return _lagrange4(self.grid.nodes, self.values, x)
-
-    def _check(self, other: "GridFn"):
-        if self.grid != other.grid:
-            raise GridMismatch(f"{self.grid!r} vs {other.grid!r}")
-
-    # -- pointwise algebra ----------------------------------------------
-
-    def _binary(self, other, fn):
-        if isinstance(other, GridFn):
-            self._check(other)
-            return GridFn(self.grid, fn(self.values, other.values))
-        return GridFn(self.grid, fn(self.values, complex(other)))
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return GridFn(self.grid, self.values / complex(other))
-
-    def __neg__(self):
-        return GridFn(self.grid, -self.values)
 
     def __repr__(self):
         return f"GridFn({self.grid!r}, sup={self.sup_norm():.3e})"

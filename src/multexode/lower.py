@@ -1,10 +1,11 @@
 """Lower expressions to sample rows on a grid.
 
 A LowerContext fixes the grid, the coefficient environment, series tolerances
-and the per-solve memo store.  The memo and the trig-family cache hold plain
-read-only complex arrays, one per expression, each checked finite once when
-it is stored (Overflow at the first bad node); the recursion never builds a
-GridFn.  The public :func:`lower` is the GridFn edge: it wraps the memo's
+and the per-solve memo store.  The memo holds plain read-only complex
+arrays, one per expression, each checked finite (Overflow at the first bad
+node); the recursion never builds a GridFn.  Lowering one index of a trig
+family stores every index of it, so the family costs a single recurrence
+pass.  The public :func:`lower` is the GridFn edge: it wraps the memo's
 array without a copy.
 
 There is one division policy, with the one floor DIV_FLOOR.  A divisor whose
@@ -12,7 +13,8 @@ magnitude at 0 is not above the floor is DivisorTooSmall.  Otherwise the
 context's running validity interval shrinks to the zero-free neighbourhood of
 0 of the divisor, and the quotient is zeroed outside it;
 :meth:`LowerContext.final_validity` then takes one more grid cell off every
-cut side, so the quadrature of no reported node reads a zeroed sample.
+cut side, so the quadrature of no reported node reads a zeroed sample, and
+is ValidityCollapsed when fewer than MIN_VALIDITY_CELLS cells remain.
 Values inside the reported interval still depend on the zeroed
 region at rounding level, because the anchored primitive is one running sum
 from the left end of the grid with its value at 0 subtracted.
@@ -33,9 +35,10 @@ MIN_VALIDITY_CELLS = 4
 class LowerContext:
     """Shared state for one solve: grid, environment, tolerances, memo.
 
-    The memo key is the structural identity of the expression; trig-operator
-    families are cached separately so every index of one family costs a
-    single recurrence pass.  A context is cheap; make a fresh one per solve.
+    The memo key is the structural identity of the expression; lowering one
+    trig operator stores its whole family there, so every index of one
+    family costs a single recurrence pass.  A context is cheap; make a fresh
+    one per solve.
     """
 
     def __init__(
@@ -53,7 +56,6 @@ class LowerContext:
         self.numeric_diff = numeric_diff
         self.validity = grid.interval
         self.memo: dict = {}
-        self.trig_cache: dict = {}
         self.trig_diagnostics: dict = {}
         self.deriv_cache: dict = {}
 
@@ -62,20 +64,23 @@ class LowerContext:
             self.validity = self.validity.intersect(interval)
         except ValueError:
             raise ValidityCollapsed("validity interval became empty") from None
-        if self.validity.width < MIN_VALIDITY_CELLS * self.grid.h:
-            raise ValidityCollapsed(
-                f"validity interval [{self.validity.lo:.4g}, {self.validity.hi:.4g}] "
-                f"is below {MIN_VALIDITY_CELLS} grid cells"
-            )
 
     def final_validity(self) -> Interval:
         """The validity interval with one more grid cell off every side a
-        division cut; the interval a solve reports."""
+        division cut; the interval a solve reports.  ValidityCollapsed when
+        it spans fewer than MIN_VALIDITY_CELLS grid cells."""
         v = self.validity
         g = self.grid
-        lo = v.lo + g.h if v.lo > g.lo else v.lo
-        hi = v.hi - g.h if v.hi < g.hi else v.hi
-        return Interval(lo, hi)
+        lo_cut = v.lo > g.lo
+        hi_cut = v.hi < g.hi
+        # the running interval ends on nodes, so this counts cells exactly
+        cells = round(v.width / g.h) - lo_cut - hi_cut
+        if cells < MIN_VALIDITY_CELLS:
+            raise ValidityCollapsed(
+                f"validity interval [{v.lo:.4g}, {v.hi:.4g}] less its margin spans {cells} "
+                f"grid cells, below {MIN_VALIDITY_CELLS}"
+            )
+        return Interval(v.lo + g.h if lo_cut else v.lo, v.hi - g.h if hi_cut else v.hi)
 
     def realized_derivative(self, fn: ce.AuxFn, s: int) -> ce.Expr:
         """s-th symbolic derivative of an auxiliary function's realization."""
@@ -91,15 +96,14 @@ class LowerContext:
 def _guarded_reciprocal(ctx: LowerContext, den: np.ndarray, power: int) -> np.ndarray:
     """den**(-power) (power >= 1) on the validity interval, which shrinks to
     the zero-free neighbourhood of 0 of den; zero outside it."""
-    mags = np.abs(den)
-    z = ctx.grid.zero_index
-    if mags[z] <= DIV_FLOOR:
-        raise DivisorTooSmall(0.0, float(mags[z]), DIV_FLOOR)
+    mag0 = float(abs(den[ctx.grid.zero_index]))
+    if mag0 <= DIV_FLOOR:
+        raise DivisorTooSmall(0.0, mag0, DIV_FLOOR)
     ctx.shrink_validity(zero_free_interval(GridFn._wrap(ctx.grid, den), DIV_FLOOR))
-    safe = mags > DIV_FLOOR
+    # the validity interval lies inside the zero-free run of den
+    keep = ctx.grid.mask(ctx.validity)
     out = np.zeros_like(den)
-    out[safe] = den[safe] ** (-power)
-    out[~ctx.grid.mask(ctx.validity)] = 0.0
+    out[keep] = den[keep] ** (-power)
     return out
 
 
@@ -165,7 +169,11 @@ def _lower(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
     if isinstance(e, ce.FuncCall):
         return getattr(np, e.name)(_values(e.child, ctx))
     if isinstance(e, ce.TrigNode):
-        return _trig_family_for(e.fs, ctx)[e.j - 1]
+        inputs = [GridFn._wrap(grid, _values(f, ctx)) for f in e.fs]
+        family, ctx.trig_diagnostics[e.fs] = trig_family(inputs, ctx.series_tol, ctx.max_terms)
+        for j, member in enumerate(family, start=1):
+            ctx.memo[ce.TrigNode(e.fs, j)] = member.values
+        return ctx.memo[e]
     if isinstance(e, ce.Sampled):
         if e.xs[0] > grid.lo + 1e-12 or e.xs[-1] < grid.hi - 1e-12:
             raise CoverageGap(
@@ -179,13 +187,3 @@ def _lower(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
         return _values(ctx.realized_derivative(e.fn, e.s), ctx)
     raise TypeError(f"cannot lower {type(e).__name__}")
 
-
-def _trig_family_for(fs, ctx: LowerContext):
-    hit = ctx.trig_cache.get(fs)
-    if hit is not None:
-        return hit
-    inputs = [GridFn._wrap(ctx.grid, _values(f, ctx)) for f in fs]
-    family, diag = trig_family(inputs, ctx.series_tol, ctx.max_terms)
-    ctx.trig_cache[fs] = [f.values for f in family]
-    ctx.trig_diagnostics[fs] = diag
-    return ctx.trig_cache[fs]

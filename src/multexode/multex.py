@@ -186,20 +186,24 @@ def trig_equiv_check(fs, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_
 
     Route one sums the simplicial terms by congruence class; route two takes
     half-sums of two multex series with a sign-flipped input list.  The
-    discrepancy is a runtime self-test of the sign table.
+    discrepancy is a runtime self-test of the sign table.  It needs at least
+    two inputs: with one, every sign flips and the half-sum is the even part
+    of the multex series, not T_1 = E.
     """
     n = len(fs)
+    if n < 2:
+        raise ValueError("the sign-flip check needs at least two input functions")
     family, _ = trig_family(fs, tol, max_terms)
     e_plain, _ = multex_e(fs, tol, max_terms)
+    grid = e_plain.grid
     table = SignTable(n)
     worst = 0.0
     for j in range(1, n + 1):
-        row = table.row(j)
-        flipped = [f * int(rk) for f, rk in zip(fs, row)]
+        flipped = [GridFn._wrap(grid, f.values * complex(rk)) for f, rk in zip(fs, table.row(j))]
         e_flip, _ = multex_e(flipped, tol, max_terms)
         if j == n:
-            alt = (e_plain + e_flip) * 0.5
+            half = e_plain.values + e_flip.values
         else:
-            alt = (e_plain - e_flip) * 0.5
-        worst = max(worst, (family[j - 1] - alt).sup_norm())
+            half = e_plain.values - e_flip.values
+        worst = max(worst, float(np.max(np.abs(family[j - 1].values - 0.5 * half))))
     return worst

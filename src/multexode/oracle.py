@@ -50,9 +50,6 @@ class MatrixFn:
         data = np.stack([np.stack([f.values for f in row]) for row in rows])
         return cls(grid, data)
 
-    def entry(self, i: int, k: int) -> GridFn:
-        return GridFn(self.grid, self.data[i, k])
-
 
 def companion(a, grid: Grid, env=None) -> MatrixFn:
     """Companion matrix of the scalar equation: ones on the superdiagonal and

@@ -62,9 +62,6 @@ class BasisSet:
     chain: AuxChain | None
     ctx: LowerContext
 
-    def member(self, k: int) -> GridFn:
-        return self.psi[k - 1]
-
 
 def _member(expr, ctx: LowerContext, validity: Interval) -> GridFn:
     """Lowered basis member, zeroed outside the validity interval."""

@@ -5,6 +5,7 @@ from multexode import (
     AuxFn,
     DegenerateLeading,
     Grid,
+    IVProblem,
     LowerContext,
     TrigNode,
     ValidityCollapsed,
@@ -17,6 +18,7 @@ from multexode import (
     lower,
     parse,
     simplify,
+    solve_ivp,
 )
 from multexode.auxiliary import CoeffVector, realization_residual
 from multexode.coeffexpr import ONE, ZERO, Const, add, mul, sub
@@ -122,7 +124,7 @@ class TestChainOrder2:
         e_dn = exp_primitive(phi2_ref, -1)
         a2 = lower(parse("1+x^2/4"), ctx)
         assert np.max(np.abs(chain.phi_fns[1].values - e_up.values)) <= 1e-9
-        assert np.max(np.abs(chain.phi_fns[0].values - (a2 * e_dn).values)) <= 1e-9
+        assert np.max(np.abs(chain.phi_fns[0].values - a2.values * e_dn.values)) <= 1e-9
 
     def test_validity_is_global(self, grid2000):
         chain = build_aux_chain(coeff_vector("sin(x)", "-4"), grid2000)
@@ -223,11 +225,32 @@ class TestClosedFormCrossCheck:
         assert np.max(np.abs(chain.phi_fns[3].values - 1.0)[keep]) <= 1e-9
         assert np.max(np.abs(chain.phi_fns[2].values - c.values)[keep]) <= 1e-9
         assert np.max(np.abs(chain.phi_fns[1].values - c.values**-2)[keep]) <= 1e-7
-        assert np.max(np.abs(chain.phi_fns[0].values - (a4 * c).values)[keep]) <= 1e-9
+        assert np.max(np.abs(chain.phi_fns[0].values - a4.values * c.values)[keep]) <= 1e-9
+
+
+def pole_pair_problem(order, pole):
+    """a1 = 1/((x-pole)(x+pole)), the other coefficients 0, unit data."""
+    rhs = (f"1/((x-{pole})*(x+{pole}))",) + ("0",) * (order - 1)
+    return IVProblem(order, rhs, (1,) + (0,) * (order - 1))
 
 
 class TestValidity:
-    def test_collapse_detected(self):
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_collapse_detected(self, order):
+        # poles at +-0.025 on a grid of spacing 0.01 cut the zero-free run to
+        # [-0.02, 0.02]; less the one-cell margin, two cells would remain
+        with pytest.raises(ValidityCollapsed):
+            solve_ivp(pole_pair_problem(order, 0.025), Grid(-1, 1, 200))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_exactly_four_cells_survive(self, order):
+        g = Grid(-1, 1, 200)
+        _, bs = solve_ivp(pole_pair_problem(order, 0.035), g)
+        assert np.count_nonzero(g.mask(bs.validity)) == 5
+        assert bs.validity.lo == pytest.approx(-0.02, abs=1e-12)
+        assert bs.validity.hi == pytest.approx(0.02, abs=1e-12)
+
+    def test_collapse_detected_on_coarse_grid(self):
         # strong negative stiffness pushes the first zero of the order-2
         # solution inside four cells of a coarse grid
         g = Grid(-1, 1, 16)

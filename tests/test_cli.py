@@ -180,21 +180,28 @@ class TestRuns:
         assert np.max(np.abs(p4 - xs**3 / 6)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "body, ic, members",
+        "body, ic, members, command",
         [
-            ("preset = orr\na2 = -1+x\na4 = 1/2\n", "1, 0.5, -0.25, 2j", ("psi_1", "psi_2", "psi_3", "psi_4")),
-            ("preset = schrodinger\nzeta = 2+x\nomega = 1.5\n", "1, -0.5+0.25j", ("c", "s")),
+            ("preset = orr\na2 = -1+x\na4 = 1/2\n", "1, 0.5, -0.25, 2j", ("psi_1", "psi_2", "psi_3", "psi_4"), "preset"),
+            ("preset = schrodinger\nzeta = 2+x\nomega = 1.5\n", "1, -0.5+0.25j", ("c", "s"), "preset"),
+            ("mode = basis\nn = 2\na1 = 0\na2 = -4\n", "1, -0.5+0.25j", ("psi_1", "psi_2"), "basis"),
         ],
     )
-    def test_preset_solution_combines_members(self, tmp_path, body, ic, members):
+    def test_preset_solution_combines_members(self, tmp_path, body, ic, members, command):
         cfg = write(tmp_path / "p.cfg", f"{body}ic = {ic}\ngrid = 200\n")
         out = tmp_path / "out"
-        assert run(["preset", "--config", cfg, "--output", str(out)]) == 0
+        assert run([command, "--config", cfg, "--output", str(out)]) == 0
         _, y = read_csv(out / "solution.csv")
         expected = 0
         for c, name in zip(ic.split(","), members, strict=True):
             expected = expected + complex(c) * read_csv(out / f"{name}.csv")[1]
         assert np.array_equal(y, expected)
+
+    def test_collapsed_validity_exit_code(self, tmp_path, capsys):
+        # poles at +-0.025 leave two cells of validity once the margin is off
+        cfg = write(tmp_path / "p.cfg", "n = 1\na1 = 1/((x-0.025)*(x+0.025))\nic = 1\ngrid = 200\n")
+        assert run(["solve", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        assert "grid cells" in capsys.readouterr().err
 
     def test_json_format(self, tmp_path):
         cfg = write(tmp_path / "p.cfg", BASIC)

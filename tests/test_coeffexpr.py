@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,19 @@ class TestLower:
         ctx = LowerContext(grid200)
         e = parse("sin(x) + x^2")
         assert lower(e, ctx).values is lower(e, ctx).values
+
+    def test_trig_family_computed_once_per_family(self, grid200, monkeypatch):
+        lower_module = importlib.import_module("multexode.lower")
+        family = lower_module.trig_family
+        calls = []
+        monkeypatch.setattr(lower_module, "trig_family", lambda *a: calls.append(1) or family(*a))
+        fs = (parse("cos(x)"), parse("1 + x/2"), ONE)
+        ctx = LowerContext(grid200)
+        got = {j: lower(TrigNode(fs, j), ctx).values for j in (2, 3, 1, 2)}
+        assert len(calls) == 1
+        ref, _ = family([lower(f, LowerContext(grid200)) for f in fs])
+        for j, row in got.items():
+            assert np.array_equal(row, ref[j - 1].values)
 
     def test_recursion_builds_no_gridfn(self, grid200, monkeypatch):
         built = []

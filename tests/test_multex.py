@@ -196,7 +196,7 @@ class TestTrig:
         s = GridFn.const(grid200, 1.0)
         bound = 1.0
         for j in range(1, 25):
-            s = primitive(fs[nu(j, 2) - 1] * s)
+            s = primitive(GridFn(grid200, fs[nu(j, 2) - 1].values * s.values))
             bound *= big_g / j
             assert s.sup_norm() <= bound + 1e-15
 
@@ -220,3 +220,10 @@ class TestSignTable:
     def test_zero_inputs_no_discrepancy(self, grid200):
         z = GridFn.const(grid200, 0.0)
         assert trig_equiv_check((z, z)) == 0.0
+
+    def test_one_input_rejected(self, grid200, rng):
+        # with one input every sign flips, so the half-sum is the even part
+        # of E rather than T_1 = E and the check would report a false gap
+        f = smooth_gridfn(grid200, rng, complex_part=True)
+        with pytest.raises(ValueError):
+            trig_equiv_check((f,))
