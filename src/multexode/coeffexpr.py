@@ -351,7 +351,7 @@ def intpow(base: Expr, k: int) -> Expr:
             return Const(folded)
         return IntPow(base, k)
     if isinstance(base, IntPow):
-        return IntPow(base.base, base.k * k)
+        return intpow(base.base, base.k * k)
     return IntPow(base, k)
 
 

@@ -4,8 +4,10 @@ Every quantity in a computation lives on one shared grid whose nodes include
 both endpoints and x = 0.  The module provides the anchored primitive
 (cumulative integral from 0, order-4 accurate at every node), the
 exponential of a primitive, and the outward scan that finds the largest
-zero-free subinterval around 0.  All values are complex; all operations are
-pure and return new objects.
+zero-free subinterval around 0.  The primitive sums outward from 0 on each
+side, so its value at a node never depends on samples beyond the node's
+stencil neighbour.  Sample rows keep their dtype, real until a complex value
+enters; all operations are pure and return new objects.
 """
 
 from __future__ import annotations
@@ -150,14 +152,16 @@ def _lagrange4(xs: np.ndarray, ys: np.ndarray, xq: np.ndarray) -> np.ndarray:
 
 
 class GridFn:
-    """A complex-valued function sampled at the nodes of a :class:`Grid`.
+    """A function sampled at the nodes of a :class:`Grid`.
 
     An immutable sampled value that crosses the public boundary: it carries
-    its grid and one read-only row of samples and defines no arithmetic.  Do
-    pointwise algebra on ``.values`` and wrap the result, or build an
-    expression and ``lower`` it, which guards division.  Evaluation between
-    nodes (``__call__``) uses local cubic interpolation and is meant for
-    reporting, never for the series recurrences themselves.
+    its grid and one read-only row of samples and defines no arithmetic.  The
+    constructors store complex samples; lowering and the series wrap their
+    rows as they are, real until a complex value enters.  Do pointwise
+    algebra on ``.values`` and wrap the result, or build an expression and
+    ``lower`` it, which guards division.  Evaluation between nodes
+    (``__call__``) uses local cubic interpolation and is meant for reporting,
+    never for the series recurrences themselves.
     """
 
     __slots__ = ("grid", "values")
@@ -220,20 +224,30 @@ def primitive_values(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Anchored cumulative integral along the last axis of a sample array.
 
     Each grid cell is integrated with the order-4 cubic rule (centered
-    4-point weights inside, one-sided at the two boundary cells), so the
-    running sum gives an order-4 integral from 0 at every node.
+    4-point weights inside, one-sided at the two boundary cells), summed
+    outward from the zero node on each side: a node's value reads only the
+    samples between it and 0 and its stencil neighbour.  Samples are scaled
+    by h/24 first, so no weight overflows before the integral does.  The
+    result keeps the input's dtype.
     """
-    v = np.asarray(values, dtype=complex)
-    h = grid.h
-    seg = np.empty(v.shape[:-1] + (v.shape[-1] - 1,), dtype=complex)
-    seg[..., 1:-1] = (h / 24.0) * (
-        -v[..., :-3] + 13.0 * v[..., 1:-2] + 13.0 * v[..., 2:-1] - v[..., 3:]
-    )
-    seg[..., 0] = (h / 24.0) * (9.0 * v[..., 0] + 19.0 * v[..., 1] - 5.0 * v[..., 2] + v[..., 3])
-    seg[..., -1] = (h / 24.0) * (v[..., -4] - 5.0 * v[..., -3] + 19.0 * v[..., -2] + 9.0 * v[..., -1])
-    cum = np.concatenate([np.zeros(v.shape[:-1] + (1,), dtype=complex), np.cumsum(seg, axis=-1)], axis=-1)
-    cum -= cum[..., grid.zero_index : grid.zero_index + 1]
-    return cum
+    t = np.asarray(values) * (grid.h / 24.0)
+    out = np.empty_like(t)
+    z, n = grid.zero_index, grid.n
+    # cell k joins nodes k and k+1; its integral is written at node k left of
+    # 0 and at node k+1 right of 0, so each side is one in-place accumulation
+    for lo, hi, at in ((1, z, 0), (z, n - 1, 1)):
+        w = out[..., lo + at : hi + at]
+        np.add(t[..., lo:hi], t[..., lo + 1 : hi + 1], out=w)
+        w *= 13.0
+        w -= t[..., lo - 1 : hi - 1]
+        w -= t[..., lo + 2 : hi + 2]
+    out[..., 0] = 9.0 * t[..., 0] + 19.0 * t[..., 1] - 5.0 * t[..., 2] + t[..., 3]
+    out[..., n] = t[..., -4] - 5.0 * t[..., -3] + 19.0 * t[..., -2] + 9.0 * t[..., -1]
+    out[..., z] = 0.0
+    np.cumsum(out[..., z:], axis=-1, out=out[..., z:])
+    # leftward from 0 the integral is 0 - w[z-1] - w[z-2] - ...
+    np.subtract.accumulate(out[..., z::-1], axis=-1, out=out[..., z::-1])
+    return out
 
 
 def primitive(f: GridFn) -> GridFn:
@@ -289,15 +303,19 @@ def zero_free_interval(f: GridFn, floor: float) -> Interval:
     mags = np.abs(v)
     if mags[z] <= floor:
         raise ValueError(f"|f(0)| = {mags[z]:.3e} is not above the floor {floor:.3e}")
-    a = v[:-1]
     d = np.diff(v)
+    # |a + t d| >= |a| - |d| on the segment: where that clears twice the
+    # threshold below, rounding cannot bring the projection under it
+    seg_ok = mags[:-1] - np.abs(d) > 2.0 * (floor + 1e-13 * (mags[:-1] + mags[1:]))
+    near = np.flatnonzero(~seg_ok)
+    a, d = v[near], d[near]
     denom = np.abs(d) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         tstar = np.where(denom > 0.0, -(np.conj(d) * a).real / np.where(denom > 0, denom, 1.0), 0.0)
     tstar = np.clip(tstar, 0.0, 1.0)
     segmin = np.abs(a + tstar * d)
     # guard against float residue of an exact crossing when floor == 0
-    seg_ok = segmin > floor + 1e-13 * (np.abs(a) + np.abs(a + d))
+    seg_ok[near] = segmin > floor + 1e-13 * (np.abs(a) + np.abs(a + d))
     node_ok = mags > floor
 
     # step k joins nodes k and k+1; the first blocked step above z and the

@@ -1,12 +1,13 @@
 """Lower expressions to sample rows on a grid.
 
 A LowerContext fixes the grid, the coefficient environment, series tolerances
-and the per-solve memo store.  The memo holds plain read-only complex
-arrays, one per expression, each checked finite (Overflow at the first bad
-node); the recursion never builds a GridFn.  Lowering one index of a trig
-family stores every index of it, so the family costs a single recurrence
-pass.  The public :func:`lower` is the GridFn edge: it wraps the memo's
-array without a copy.
+and the per-solve memo store.  The memo holds plain read-only arrays, one
+per expression, each checked finite (Overflow at the first bad node), real
+until a complex constant, coefficient, table or ``sqrt`` enters; the
+recursion never builds a GridFn.  Lowering one index of a trig family
+stores every index of it, so the family costs a single recurrence pass.
+The public :func:`lower` is the GridFn edge: it wraps the memo's array
+without a copy.
 
 There is one division policy, with the one floor DIV_FLOOR.  A divisor whose
 magnitude at 0 is not above the floor is DivisorTooSmall.  Otherwise the
@@ -15,9 +16,9 @@ context's running validity interval shrinks to the zero-free neighbourhood of
 :meth:`LowerContext.final_validity` then takes one more grid cell off every
 cut side, so the quadrature of no reported node reads a zeroed sample, and
 is ValidityCollapsed when fewer than MIN_VALIDITY_CELLS cells remain.
-Values inside the reported interval still depend on the zeroed
-region at rounding level, because the anchored primitive is one running sum
-from the left end of the grid with its value at 0 subtracted.
+The anchored primitive sums outward from 0 on each side, so a primitive
+inside the reported interval does not depend on samples outside it; each
+further nested primitive reads one more stencil node outward.
 """
 
 from __future__ import annotations
@@ -136,9 +137,9 @@ def _values(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
 def _lower(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
     grid = ctx.grid
     if isinstance(e, ce.Const):
-        return np.full(grid.n + 1, e.value)
+        return np.full(grid.n + 1, e.value.real if e.value.imag == 0 else e.value)
     if isinstance(e, ce.Var):
-        return grid.nodes.astype(complex)
+        return grid.nodes
     if isinstance(e, ce.CoeffRef):
         try:
             f = ctx.env[e.name]
@@ -167,7 +168,9 @@ def _lower(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
     if isinstance(e, ce.Prim):
         return primitive_values(_values(e.child, ctx), grid)
     if isinstance(e, ce.FuncCall):
-        return getattr(np, e.name)(_values(e.child, ctx))
+        arg = _values(e.child, ctx)
+        # the principal root of a negative real is imaginary
+        return getattr(np, e.name)(arg.astype(complex) if e.name == "sqrt" else arg)
     if isinstance(e, ce.TrigNode):
         inputs = [GridFn._wrap(grid, _values(f, ctx)) for f in e.fs]
         family, ctx.trig_diagnostics[e.fs] = trig_family(inputs, ctx.series_tol, ctx.max_terms)

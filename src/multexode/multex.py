@@ -98,7 +98,7 @@ def simplicial(fs, j: int) -> GridFn:
     if j < 0:
         raise ValueError("dimension must be >= 0")
     grid, rows = _input_rows(fs)
-    s = np.ones(grid.n + 1, dtype=complex)
+    s = np.ones(grid.n + 1, dtype=np.result_type(*rows))
     for m in range(1, j + 1):
         s, _ = _next_term(rows, s, m, grid)
     return GridFn._wrap(grid, s)
@@ -142,9 +142,10 @@ def _series(fs, tol, max_terms, classes):
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid, rows = _input_rows(fs)
-    sums = np.zeros((classes, grid.n + 1), dtype=complex)
+    dtype = np.result_type(*rows)  # real inputs keep the sums real
+    sums = np.zeros((classes, grid.n + 1), dtype=dtype)
     sums[-1] += 1.0  # dimension 0 belongs to the last class
-    s = np.ones(grid.n + 1, dtype=complex)
+    s = np.ones(grid.n + 1, dtype=dtype)
     m = 0
     last = math.inf
     converged = False

@@ -64,8 +64,8 @@ class BasisSet:
 
 
 def _member(expr, ctx: LowerContext, validity: Interval) -> GridFn:
-    """Lowered basis member, zeroed outside the validity interval."""
-    vals = lower(expr, ctx).values.copy()
+    """Lowered basis member as a complex copy, zeroed outside validity."""
+    vals = lower(expr, ctx).values.astype(complex)
     vals[~ctx.grid.mask(validity)] = 0.0
     return GridFn._wrap(ctx.grid, vals)
 

@@ -51,6 +51,12 @@ class TestSimplify:
         assert simplify(parse("x - x")) == ZERO
         assert simplify(IntPow(X, 0)) == ONE
 
+    def test_nested_powers_fold_as_one_power(self):
+        # (0^-1)^-1 prints as 0^1, which parses to the constant 0
+        assert simplify(IntPow(IntPow(Const(0), -1), -1)) == ZERO
+        assert simplify(IntPow(IntPow(X, -1), -1)) == X
+        assert simplify(IntPow(IntPow(X, 2), -3)) == IntPow(X, -6)
+
     def test_flattening_collects_constants(self):
         e = Mul(Mul(Const(2), X), Mul(Const(3), FuncCall("cos", X)))
         s = simplify(e)
@@ -146,6 +152,22 @@ class TestLower:
         # a bound coefficient sampled on another grid is refused, not broadcast
         with pytest.raises(GridMismatch):
             lower(CoeffRef("a1"), LowerContext(grid200, env={"a1": GridFn.const(grid2000, 1.0)}))
+
+    def test_real_rows_stay_real(self, grid200):
+        ctx = LowerContext(grid200)
+        assert lower(parse("1 + x*cos(x) - exp(2*x)/3"), ctx).values.dtype == np.float64
+        assert all(v.dtype == np.float64 for v in ctx.memo.values())
+
+    def test_complex_constant_promotes_the_row(self, grid200):
+        v = lower(parse("x + 2*i"), LowerContext(grid200)).values
+        assert v.dtype == np.complex128
+        assert np.array_equal(v, grid200.nodes + 2j)
+
+    def test_sqrt_of_a_negative_real_is_imaginary(self, grid200):
+        x = grid200.nodes
+        v = lower(parse("sqrt(x)"), LowerContext(grid200)).values
+        assert v.dtype == np.complex128
+        assert np.max(np.abs(v - np.where(x < 0, 1j * np.sqrt(np.abs(x)), np.sqrt(np.abs(x))))) <= 1e-15
 
     def test_memoized_per_context(self, grid200):
         ctx = LowerContext(grid200)

@@ -11,9 +11,10 @@ from multexode import (
     ValidityCollapsed,
     exp_primitive,
     primitive,
+    simplicial,
     zero_free_interval,
 )
-from multexode.gridfn import _lagrange4
+from multexode.gridfn import _lagrange4, primitive_values
 
 from conftest import smooth_gridfn
 
@@ -146,6 +147,29 @@ class TestPrimitive:
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 3.5
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_local_to_each_side_of_zero(self, grid2000, dtype, side):
+        # samples beyond |x| = 0.5 on one side, however large, leave every
+        # bit of the primitive on the other side as it was
+        x = grid2000.nodes
+        f = np.cos(x).astype(dtype)
+        far = side * x > 0.5
+        p = primitive_values(np.where(far, 1e6 * f, f), grid2000)
+        near = side * x <= 0
+        assert np.array_equal(p[near], primitive_values(f, grid2000)[near])
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_keeps_the_input_dtype(self, grid200, dtype):
+        v = np.cos(grid200.nodes).astype(dtype)
+        assert primitive_values(v, grid200).dtype == dtype
+        assert primitive_values(np.stack([v, v]), grid200).dtype == dtype
+
+    def test_no_overflow_before_the_integral_overflows(self):
+        # the primitive reaches 20 * 8e306 = 1.6e308, just below the float max
+        s = simplicial([GridFn.const(Grid(-20, 20, 16), 8e306)], 1)
+        assert s.sup_norm() == pytest.approx(1.6e308, rel=1e-12)
+
 
 class TestAlgebra:
     def test_rejects_non_finite_samples(self, grid200):
@@ -213,7 +237,8 @@ class TestZeroFreeInterval:
         k = data.draw(st.integers(1, n - 1), label="zero index")
         re, im = data.draw(arrays(float, (2, n + 1), elements=sample), label="re, im")
         g = Grid(-k * 0.125, (n - k) * 0.125, n)
-        f = GridFn(g, re + 1j * im)
+        # lowering hands real rows to the scan as they are
+        f = GridFn._wrap(g, re) if data.draw(st.booleans(), label="real") else GridFn(g, re + 1j * im)
         assert outcome(zero_free_interval, f, floor) == outcome(zero_free_by_scan, f, floor)
 
 

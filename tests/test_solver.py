@@ -18,6 +18,7 @@ from multexode import (
     preset_schrodinger,
     rk4,
     solve_ivp,
+    trig_family,
 )
 from multexode.auxiliary import CoeffVector
 
@@ -116,6 +117,14 @@ class TestSolveIvp:
         p = IVProblem(3, ("0", "x", "1"), (1, 0, 0))
         y, bs = solve_ivp(p, grid200)
         assert np.array_equal(y.values, bs.psi[0].values)
+
+    def test_real_chain_stays_real_to_the_complex_edge(self, grid200):
+        y, bs = solve_ivp(IVProblem(3, ("0.3+x", "-2+x/10", "0.5"), (1, 0, 0)), grid200)
+        assert all(v.dtype == np.float64 for v in bs.ctx.memo.values())
+        family, _ = trig_family(list(bs.chain.phi_fns))
+        assert all(t.values.dtype == np.float64 for t in family)
+        assert y.values.dtype == np.complex128
+        assert all(m.values.dtype == np.complex128 for m in bs.psi)
 
     def test_series_overflow_is_typed(self):
         p = IVProblem(3, ("0", "-40+3*x", "1"), (1, 0.3, -0.2))
