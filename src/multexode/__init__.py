@@ -8,7 +8,7 @@ and cross-checks everything against an iterated-integral series oracle and a
 classical fixed-step integrator.
 """
 
-from .auxiliary import AuxChain, CoeffVector, apply_scriptD, build_aux_chain, closed_form_aux, extract_aux_ode
+from .auxiliary import AuxChain, CoeffVector, apply_scriptD, build_aux_chain, extract_aux_ode
 from .coeffexpr import (
     AuxDeriv,
     AuxFn,
@@ -45,9 +45,9 @@ from .errors import (
     UnboundCoefficient,
     ValidityCollapsed,
 )
-from .gridfn import Grid, GridFn, Interval, exp_primitive, primitive, zero_free_interval
+from .gridfn import Grid, GridFn, Interval, zero_free_interval
 from .lower import LowerContext, lower
-from .multex import SeriesDiagnostics, SignTable, multex_e, simplicial, trig_equiv_check, trig_family, truncation_bound
+from .multex import SeriesDiagnostics, multex_e, trig_family, truncation_bound
 from .oracle import DysonResult, MatrixFn, companion, dyson, rk4
 from .parser import parse
 from .solver import (

@@ -244,75 +244,3 @@ def build_aux_chain(
     ctx = LowerContext(grid, env=env, series_tol=tol, max_terms=max_terms, numeric_diff=numeric_diff)
     return _build_chain(a, ctx)
 
-
-def closed_form_aux(
-    n: int,
-    a: CoeffVector,
-    grid: Grid,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    env=None,
-) -> AuxChain:
-    """Hard-coded chains for orders 2, 3 and 4, used as an oracle for the
-    general recursion."""
-    if n not in (2, 3, 4):
-        raise ValueError("closed forms exist for orders 2, 3 and 4 only")
-    if a.n != n:
-        raise ValueError(f"coefficient vector has order {a.n}, expected {n}")
-    ctx = LowerContext(grid, env=env, series_tol=tol, max_terms=max_terms)
-    a1 = a.a(1)
-    up = ce.expprim(a1, 1)
-    down = ce.expprim(a1, -1)
-
-    if n == 2:
-        phi2 = ce.simplify(up)
-        phi1 = ce.simplify(ce.mul(a.a(2), down))
-        phi = (phi1, phi2)
-    elif n == 3:
-        c = TrigNode((ce.mul(a.a(2), down), up), 2)
-        phi3 = c
-        phi2 = ce.simplify(ce.mul(up, ce.intpow(c, -2)))
-        phi1 = ce.simplify(ce.mul(ce.mul(a.a(3), down), c))
-        phi = (phi1, phi2, phi3)
-    else:
-        c = TrigNode((ce.mul(a.a(2), down), up), 2)
-        inner = (
-            ce.simplify(ce.mul(ce.mul(a.a(3), down), c)),
-            ce.simplify(ce.mul(up, ce.intpow(c, -2))),
-            c,
-        )
-        psi4 = AuxFn("cf_psi4", 3, (a.a(1), a.a(2), a.a(3)), TrigNode(inner, 3))
-        p4d1 = ce.AuxDeriv(psi4, 1)
-        p4d2 = ce.AuxDeriv(psi4, 2)
-        bracket = ce.add(
-            ce.mul(a.a(2), psi4),
-            ce.sub(ce.mul(ce.mul(Const(2), a.a(1)), p4d1), ce.mul(Const(3), p4d2)),
-        )
-        psi3 = TrigNode(
-            (
-                ce.mul(ce.mul(down, ce.intpow(psi4, 2)), bracket),
-                ce.mul(up, ce.intpow(psi4, -3)),
-            ),
-            2,
-        )
-        psi2 = ce.mul(ce.mul(up, ce.intpow(psi3, -2)), ce.intpow(psi4, -3))
-        psi1 = ce.mul(ce.mul(ce.mul(a.a(4), down), psi3), ce.intpow(psi4, 2))
-        phi = (ce.simplify(psi1), ce.simplify(psi2), psi3, psi4)
-
-    fns = tuple(lower(p, ctx) for p in phi)
-    validity = ctx.final_validity()
-    diags = {k: _series_diag_for(p, ctx) for k, p in enumerate(phi, start=1)}
-    betas = (tuple([ZERO] * n + [ce.ONE]),)
-    return AuxChain(n, a, phi, fns, betas, validity, ctx, diags)
-
-
-def realization_residual(fn_expr: AuxFn, ctx: LowerContext) -> GridFn:
-    """Residual of an auxiliary function's realization in its own equation,
-    computed by differentiating the realization (not the capped wrapper)."""
-    m = fn_expr.order
-    lhs = ctx.realized_derivative(fn_expr, m)
-    rhs = ZERO
-    for i, b in enumerate(fn_expr.bcoeffs, start=1):
-        term = fn_expr.realization if m - i == 0 else ctx.realized_derivative(fn_expr, m - i)
-        rhs = ce.add(rhs, ce.mul(b, term))
-    return lower(ce.simplify(ce.sub(lhs, rhs)), ctx)

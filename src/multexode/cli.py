@@ -46,8 +46,9 @@ def ingest_samples(path) -> Sampled:
     """Load a two- or three-column CSV sample table as a coefficient.
 
     Column 1 is x (strictly increasing), column 2 the value, and an optional
-    column 3 the imaginary part.  Comment lines (#) and a non-numeric header
-    row are skipped.
+    column 3 the imaginary part; without it, or with only zeros there, the
+    table is real.  Comment lines (#) and a non-numeric header row are
+    skipped.
     """
     rows = []
     text = Path(path).read_text()
@@ -74,7 +75,7 @@ def ingest_samples(path) -> Sampled:
         raise NonMonotoneAbscissae(
             f"{path}: abscissae must be strictly increasing, violated at row {i + 2} (x = {xs[i + 1]:g})"
         )
-    return Sampled(xs, arr[:, 1] + 1j * arr[:, 2])
+    return Sampled(xs, arr[:, 1] + 1j * arr[:, 2] if np.any(arr[:, 2]) else arr[:, 1])
 
 
 @dataclass

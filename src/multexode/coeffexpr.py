@@ -211,12 +211,10 @@ class Sampled(Expr):
     __slots__ = ("xs", "ys", "key")
 
     def __init__(self, xs, ys, key=None):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=complex)
+        xs = np.array(xs, dtype=float)
+        ys = np.array(ys, dtype=np.result_type(np.asarray(ys), float))  # a real table stays real
         if xs.ndim != 1 or xs.shape != ys.shape:
             raise ValueError("sampled table needs matching 1-d abscissae and values")
-        xs = xs.copy()
-        ys = ys.copy()
         xs.setflags(write=False)
         ys.setflags(write=False)
         if key is None:
@@ -535,13 +533,13 @@ def _table_derivative(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     m = len(xs)
     if m < 4:
         raise ValueError("need at least 4 samples to differentiate a table")
-    out = np.empty(m, dtype=complex)
+    out = np.empty(m, dtype=np.result_type(ys, float))
     for i in range(m):
         w = min(max(i - 1, 0), m - 4)
         xw = xs[w : w + 4]
         yw = ys[w : w + 4]
         q = xs[i]
-        acc = 0.0 + 0.0j
+        acc = 0.0
         for k in range(4):
             dk = 0.0
             for mm in range(4):

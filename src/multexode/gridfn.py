@@ -2,12 +2,12 @@
 
 Every quantity in a computation lives on one shared grid whose nodes include
 both endpoints and x = 0.  The module provides the anchored primitive
-(cumulative integral from 0, order-4 accurate at every node), the
-exponential of a primitive, and the outward scan that finds the largest
-zero-free subinterval around 0.  The primitive sums outward from 0 on each
-side, so its value at a node never depends on samples beyond the node's
-stencil neighbour.  Sample rows keep their dtype, real until a complex value
-enters; all operations are pure and return new objects.
+(cumulative integral from 0, order-4 accurate at every node) and the
+outward scan that finds the largest zero-free subinterval around 0.  The
+primitive sums outward from 0 on each side, so its value at a node never
+depends on samples beyond the node's stencil neighbour.  Sample rows keep
+their dtype, real until a complex value enters; all operations are pure and
+return new objects.
 """
 
 from __future__ import annotations
@@ -127,8 +127,9 @@ def _lagrange4(xs: np.ndarray, ys: np.ndarray, xq: np.ndarray) -> np.ndarray:
     xs must be strictly increasing; windows clamp at the ends.  ys holds
     samples along its last axis and may carry leading stack axes, shape
     (..., len(xs)); the result has shape (..., len(xq)), or (...) for a
-    scalar xq (a NumPy scalar when ys is 1-D).  One weight table serves the
-    whole stack, and every row is bit-identical to interpolating it alone.
+    scalar xq (a NumPy scalar when ys is 1-D), real for real ys.  One weight
+    table serves the whole stack, and every row is bit-identical to
+    interpolating it alone.
     """
     xq = np.asarray(xq, dtype=float)
     scalar = xq.ndim == 0
@@ -138,7 +139,7 @@ def _lagrange4(xs: np.ndarray, ys: np.ndarray, xq: np.ndarray) -> np.ndarray:
     idx = w[:, None] + np.arange(4)[None, :]
     xw = xs[idx]                      # (m, 4)
     yw = ys[..., idx]                 # (..., m, 4)
-    out = np.zeros(ys.shape[:-1] + (len(q),), dtype=complex)
+    out = np.zeros(ys.shape[:-1] + (len(q),), dtype=np.result_type(ys, float))
     for kcol in range(4):
         lk = np.ones(len(q))
         xk = xw[:, kcol]
@@ -250,16 +251,6 @@ def primitive_values(values: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def primitive(f: GridFn) -> GridFn:
-    """Anchored primitive: g(x) = integral of f from 0 to x, at every node.
-
-    g(0) is exactly zero and values for x < 0 carry the expected sign.  Each
-    node value is an order-4 composite integral, so the recurrences that
-    repeatedly multiply and re-integrate retain full grid accuracy.
-    """
-    return GridFn(f.grid, primitive_values(f.values, f.grid))
-
-
 def check_finite(values: np.ndarray, grid: Grid) -> None:
     """Raise :class:`Overflow` at the first node where any stacked row of values is not finite."""
     finite = np.isfinite(values)
@@ -279,26 +270,15 @@ def linear_combination(grid: Grid, coeffs, rows) -> GridFn:
     return GridFn(grid, vals)
 
 
-def exp_primitive(f: GridFn, sign: int) -> GridFn:
-    """exp(sign * primitive(f)) evaluated nodewise; sign must be +1 or -1."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = np.exp(sign * primitive_values(f.values, f.grid))
-    check_finite(e, f.grid)
-    return GridFn(f.grid, e)
-
-
-def zero_free_interval(f: GridFn, floor: float) -> Interval:
-    """Largest node-aligned subinterval around 0 on which |f| stays above floor.
+def zero_free_interval(v: np.ndarray, grid: Grid, floor: float) -> Interval:
+    """Largest node-aligned subinterval around 0 on which the sample row v
+    stays above floor in magnitude.
 
     Scans outward from the zero node.  A segment between adjacent nodes also
-    blocks the scan when the linear interpolant of f dips to the floor inside
+    blocks the scan when the linear interpolant of v dips to the floor inside
     it, so sign changes between nodes are caught even when no node value is
     small.
     """
-    v = f.values
-    grid = f.grid
     z = grid.zero_index
     mags = np.abs(v)
     if mags[z] <= floor:

@@ -100,7 +100,7 @@ def _guarded_reciprocal(ctx: LowerContext, den: np.ndarray, power: int) -> np.nd
     mag0 = float(abs(den[ctx.grid.zero_index]))
     if mag0 <= DIV_FLOOR:
         raise DivisorTooSmall(0.0, mag0, DIV_FLOOR)
-    ctx.shrink_validity(zero_free_interval(GridFn._wrap(ctx.grid, den), DIV_FLOOR))
+    ctx.shrink_validity(zero_free_interval(den, ctx.grid, DIV_FLOOR))
     # the validity interval lies inside the zero-free run of den
     keep = ctx.grid.mask(ctx.validity)
     out = np.zeros_like(den)

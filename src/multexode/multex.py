@@ -1,4 +1,4 @@
-"""Simplicial integrals, the multex series, and trig operators.
+"""The multex series and the trig operators, sums of simplex integrals.
 
 The building block is the nested simplex integral S^j whose integrand cycles
 through the inputs f1..fn.  It obeys the first-order recurrence
@@ -49,26 +49,6 @@ class SeriesDiagnostics:
         }
 
 
-class SignTable:
-    """Sign pattern eps[j, k] used by the half-sum form of the trig operators.
-
-    eps is -1 exactly when k is congruent to j or j+1 modulo n.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        eps = np.ones((n, n), dtype=int)
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if k % n == j % n or k % n == (j + 1) % n:
-                    eps[j - 1, k - 1] = -1
-        eps.setflags(write=False)
-        self.eps = eps
-
-    def row(self, j: int) -> np.ndarray:
-        return self.eps[j - 1]
-
-
 def _input_rows(fs):
     """The shared grid of the inputs and their sample rows (the arrays
     themselves, not copies)."""
@@ -79,29 +59,6 @@ def _input_rows(fs):
         if f.grid != grid:
             raise ValueError("all inputs must share one grid")
     return grid, [f.values for f in fs]
-
-
-def _next_term(rows, s, m, grid):
-    """S^m = P(f_nu(m) S^(m-1)) on sample rows, with its sup norm; Overflow at
-    the first node where the term is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = primitive_values(rows[(m - 1) % len(rows)] * s, grid)
-        mags = np.abs(s)
-    norm = float(np.max(mags))
-    if not math.isfinite(norm):
-        check_finite(mags, grid)
-    return s, norm
-
-
-def simplicial(fs, j: int) -> GridFn:
-    """The dimension-j simplex integral of the cycling inputs, on both branches."""
-    if j < 0:
-        raise ValueError("dimension must be >= 0")
-    grid, rows = _input_rows(fs)
-    s = np.ones(grid.n + 1, dtype=np.result_type(*rows))
-    for m in range(1, j + 1):
-        s, _ = _next_term(rows, s, m, grid)
-    return GridFn._wrap(grid, s)
 
 
 def truncation_bound(g_integral: float, n: int, terms: int) -> float:
@@ -155,7 +112,11 @@ def _series(fs, tol, max_terms, classes):
             last = 0.0
             for c in range(classes):
                 m += 1
-                s, norm = _next_term(rows, s, m, grid)
+                s = primitive_values(rows[(m - 1) % len(rows)] * s, grid)
+                mags = np.abs(s)
+                norm = float(np.max(mags))
+                if not math.isfinite(norm):
+                    check_finite(mags, grid)  # Overflow at the term's first bad node
                 sums[c] += s
                 last = max(last, norm)
             if last <= tol:
@@ -181,30 +142,3 @@ def trig_family(fs, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS
     mod n), sharing one recurrence pass."""
     return _series(fs, tol, max_terms, len(fs))
 
-
-def trig_equiv_check(fs, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS) -> float:
-    """Max node discrepancy between the two equivalent trig definitions.
-
-    Route one sums the simplicial terms by congruence class; route two takes
-    half-sums of two multex series with a sign-flipped input list.  The
-    discrepancy is a runtime self-test of the sign table.  It needs at least
-    two inputs: with one, every sign flips and the half-sum is the even part
-    of the multex series, not T_1 = E.
-    """
-    n = len(fs)
-    if n < 2:
-        raise ValueError("the sign-flip check needs at least two input functions")
-    family, _ = trig_family(fs, tol, max_terms)
-    e_plain, _ = multex_e(fs, tol, max_terms)
-    grid = e_plain.grid
-    table = SignTable(n)
-    worst = 0.0
-    for j in range(1, n + 1):
-        flipped = [GridFn._wrap(grid, f.values * complex(rk)) for f, rk in zip(fs, table.row(j))]
-        e_flip, _ = multex_e(flipped, tol, max_terms)
-        if j == n:
-            half = e_plain.values + e_flip.values
-        else:
-            half = e_plain.values - e_flip.values
-        worst = max(worst, float(np.max(np.abs(family[j - 1].values - 0.5 * half))))
-    return worst

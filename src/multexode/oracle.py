@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotConverged
-from .gridfn import Grid, GridFn, _lagrange4, linear_combination, primitive_values
+from .gridfn import Grid, _lagrange4, primitive_values
 from .lower import LowerContext, lower
 from .multex import DEFAULT_TOL, truncation_bound
 
@@ -43,12 +43,6 @@ class MatrixFn:
         self.grid = grid
         self.data = arr
         self.n = arr.shape[0]
-
-    @classmethod
-    def from_gridfns(cls, rows) -> "MatrixFn":
-        grid = rows[0][0].grid
-        data = np.stack([np.stack([f.values for f in row]) for row in rows])
-        return cls(grid, data)
 
 
 def companion(a, grid: Grid, env=None) -> MatrixFn:
@@ -83,12 +77,6 @@ class DysonResult:
     g_integral: float
     term_norms: list = field(default_factory=list)
     term_bounds: list = field(default_factory=list)
-
-    def first_row_solution(self, initial_values) -> GridFn:
-        return linear_combination(self.grid, initial_values, self.M[0])
-
-    def entry(self, i: int, k: int) -> GridFn:
-        return GridFn(self.grid, self.M[i, k])
 
 
 def dyson(

@@ -1,0 +1,124 @@
+"""The references the tests compare the package against: alternative
+definitions and hard-coded forms that no solver path uses."""
+
+from types import SimpleNamespace
+
+import numpy as np
+
+from multexode import (
+    AuxDeriv,
+    AuxFn,
+    CoeffRef,
+    Const,
+    ExpPrim,
+    GridFn,
+    LowerContext,
+    MatrixFn,
+    TrigNode,
+    lower,
+    multex_e,
+    trig_family,
+)
+from multexode import coeffexpr as ce
+from multexode.gridfn import check_finite, linear_combination, primitive_values
+from multexode.multex import DEFAULT_MAX_TERMS, DEFAULT_TOL
+
+
+def primitive(f: GridFn) -> GridFn:
+    """Anchored primitive: the integral of f from 0 to every node."""
+    return GridFn(f.grid, primitive_values(f.values, f.grid))
+
+
+def exp_primitive(f: GridFn, sign: int) -> GridFn:
+    """exp(sign * primitive(f)) at every node, lowered as an ExpPrim of f;
+    Overflow at the first node where it is not finite."""
+    return lower(ExpPrim(CoeffRef("f"), sign), LowerContext(f.grid, env={"f": f}))
+
+
+def simplicial(fs, j: int) -> GridFn:
+    """The dimension-j simplex integral of the cycling inputs on both
+    branches: S^0 = 1, S^m = P(f_nu(m) S^(m-1))."""
+    grid = fs[0].grid
+    s = np.ones(grid.n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(j):
+            s = primitive_values(fs[m % len(fs)].values * s, grid)
+    check_finite(s, grid)
+    return GridFn(grid, s)
+
+
+def sign_table(n: int) -> np.ndarray:
+    """eps[j-1, k-1] of the half-sum trig form: -1 exactly when k is
+    congruent to j or j+1 modulo n, else 1."""
+    j, k = np.ogrid[1 : n + 1, 1 : n + 1]
+    return np.where((k % n == j % n) | (k % n == (j + 1) % n), -1, 1)
+
+
+def trig_equiv_check(fs, tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERMS) -> float:
+    """Max node discrepancy between the class-sum trig operators and the
+    half-sums of the multex series of the inputs and of their sign-flipped
+    list.  It needs two inputs or more: with one, every sign flips and the
+    half-sum is the even part of the multex series, not T_1 = E."""
+    n = len(fs)
+    if n < 2:
+        raise ValueError("the sign-flip check needs at least two input functions")
+    family, _ = trig_family(fs, tol, max_terms)
+    plain = multex_e(fs, tol, max_terms)[0].values
+    worst = 0.0
+    for j, signs in enumerate(sign_table(n), start=1):
+        flipped = [GridFn(f.grid, f.values * complex(r)) for f, r in zip(fs, signs)]
+        e_flip = multex_e(flipped, tol, max_terms)[0].values
+        half = plain + e_flip if j == n else plain - e_flip
+        worst = max(worst, float(np.max(np.abs(family[j - 1].values - 0.5 * half))))
+    return worst
+
+
+def closed_form_aux(n: int, a, grid, tol=DEFAULT_TOL) -> SimpleNamespace:
+    """Hard-coded auxiliary chains of orders 2, 3 and 4: their realizations
+    phi_fns and the validity interval they leave, an oracle for the general
+    recursion."""
+    ctx = LowerContext(grid, series_tol=tol)
+    up = ce.expprim(a.a(1), 1)
+    down = ce.expprim(a.a(1), -1)
+    if n == 2:
+        phi = (ce.simplify(ce.mul(a.a(2), down)), ce.simplify(up))
+    else:
+        c = TrigNode((ce.mul(a.a(2), down), up), 2)
+        phi = (ce.simplify(ce.mul(ce.mul(a.a(3), down), c)), ce.simplify(ce.mul(up, ce.intpow(c, -2))), c)
+    if n == 4:
+        # the order-3 chain of (a1, a2, a3) is the inner list of psi4
+        psi4 = AuxFn("cf_psi4", 3, (a.a(1), a.a(2), a.a(3)), TrigNode(phi, 3))
+        bracket = ce.add(
+            ce.mul(a.a(2), psi4),
+            ce.sub(ce.mul(ce.mul(Const(2), a.a(1)), AuxDeriv(psi4, 1)), ce.mul(Const(3), AuxDeriv(psi4, 2))),
+        )
+        psi3 = TrigNode(
+            (ce.mul(ce.mul(down, ce.intpow(psi4, 2)), bracket), ce.mul(up, ce.intpow(psi4, -3))), 2
+        )
+        psi2 = ce.mul(ce.mul(up, ce.intpow(psi3, -2)), ce.intpow(psi4, -3))
+        psi1 = ce.mul(ce.mul(ce.mul(a.a(4), down), psi3), ce.intpow(psi4, 2))
+        phi = (ce.simplify(psi1), ce.simplify(psi2), psi3, psi4)
+    phi_fns = tuple(lower(p, ctx) for p in phi)
+    return SimpleNamespace(phi_fns=phi_fns, validity=ctx.final_validity())
+
+
+def realization_residual(fn_expr: AuxFn, ctx: LowerContext) -> GridFn:
+    """Residual of an auxiliary function's realization in its own equation,
+    computed by differentiating the realization (not the capped wrapper)."""
+    m = fn_expr.order
+    rhs = ce.ZERO
+    for i, b in enumerate(fn_expr.bcoeffs, start=1):
+        term = fn_expr.realization if m - i == 0 else ctx.realized_derivative(fn_expr, m - i)
+        rhs = ce.add(rhs, ce.mul(b, term))
+    return lower(ce.simplify(ce.sub(ctx.realized_derivative(fn_expr, m), rhs)), ctx)
+
+
+def first_row_solution(result, initial_values) -> GridFn:
+    """The scalar solution of a fundamental-matrix Dyson result: row 0 of M
+    combined with the initial data."""
+    return linear_combination(result.grid, initial_values, result.M[0])
+
+
+def matrix_from_gridfns(rows) -> MatrixFn:
+    """MatrixFn of a square nested list of GridFns on one grid."""
+    return MatrixFn(rows[0][0].grid, [[f.values for f in row] for row in rows])

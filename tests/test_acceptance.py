@@ -12,16 +12,13 @@ from multexode import (
     GridFn,
     IVProblem,
     basis,
-    closed_form_aux,
     companion,
     dyson,
-    exp_primitive,
     initial_condition_matrix,
     preset_orr_sommerfeld,
     preset_schrodinger,
     rk4,
     solve_ivp,
-    trig_equiv_check,
     trig_family,
     truncation_bound,
 )
@@ -31,6 +28,7 @@ from multexode.coeffexpr import Const, FuncCall, IntPow, Var, add, mul, simplify
 from multexode.lower import LowerContext, lower
 
 from conftest import smooth_gridfn
+from crosschecks import closed_form_aux, exp_primitive, first_row_solution, matrix_from_gridfns, trig_equiv_check
 from test_solver import phi_series_solution
 
 
@@ -149,7 +147,7 @@ class TestAcceptance:
                 ic = tuple(rng.uniform(-1, 1) + 1j * rng.uniform(-0.5, 0.5) for _ in range(n))
                 y, bs = solve_ivp(IVProblem(n, rhs, ic), g, tol=1e-12)
                 m = companion(bs.a, g)
-                series = dyson(m, tol=1e-12).first_row_solution(ic)
+                series = first_row_solution(dyson(m, tol=1e-12), ic)
                 stepped = rk4(m, g.n)
                 vals = np.zeros(g.n + 1, dtype=complex)
                 for k, c in enumerate(ic):
@@ -208,7 +206,7 @@ class TestAcceptance:
         oracle = dyson(companion(bs2.a, g2), tol=1e-12)
         keep = g2.mask(bs2.validity)
         err_gen = max(
-            float(np.max(np.abs(bs2.psi[k - 1].values[keep] - oracle.entry(0, k - 1).values[keep])))
+            float(np.max(np.abs(bs2.psi[k - 1].values[keep] - oracle.M[0, k - 1][keep])))
             for k in range(1, 5)
         )
         # vanishing coefficients give the exact polynomial flow
@@ -232,9 +230,7 @@ class TestAcceptance:
         rng = np.random.default_rng(9)
         g = Grid(-1, 1, 1000)
         rows = [[smooth_gridfn(g, rng, scale=1.5) for _ in range(3)] for _ in range(3)]
-        from multexode import MatrixFn
-
-        m = MatrixFn.from_gridfns(rows)
+        m = matrix_from_gridfns(rows)
         coarse = dyson(m, tol=1e-8)
         fine = dyson(m, tol=1e-14)
         per_term_ok = all(

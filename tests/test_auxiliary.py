@@ -12,7 +12,6 @@ from multexode import (
     Var,
     apply_scriptD,
     build_aux_chain,
-    closed_form_aux,
     differentiate,
     extract_aux_ode,
     lower,
@@ -20,8 +19,10 @@ from multexode import (
     simplify,
     solve_ivp,
 )
-from multexode.auxiliary import CoeffVector, realization_residual
+from multexode.auxiliary import CoeffVector
 from multexode.coeffexpr import ONE, ZERO, Const, add, mul, sub
+
+from crosschecks import closed_form_aux, exp_primitive, realization_residual
 
 
 def coeff_vector(*rhs):
@@ -118,8 +119,6 @@ class TestChainOrder2:
         chain = build_aux_chain(a, grid2000)
         ctx = LowerContext(grid2000)
         phi2_ref = lower(parse("sin(x)"), ctx)
-        from multexode import exp_primitive
-
         e_up = exp_primitive(phi2_ref, 1)
         e_dn = exp_primitive(phi2_ref, -1)
         a2 = lower(parse("1+x^2/4"), ctx)

@@ -101,6 +101,12 @@ class TestIngest:
             ingest_samples(table)
         assert "row" in str(exc.value)
 
+    @pytest.mark.parametrize("imag", ["", ",0"], ids=["two_columns", "zero_imaginary"])
+    def test_real_table_ingests_as_float(self, tmp_path, imag):
+        table = tmp_path / "real.csv"
+        table.write_text("\n".join(f"{x},{np.cos(x)}{imag}" for x in np.linspace(-1.5, 1.5, 101)))
+        assert ingest_samples(table).ys.dtype == np.float64
+
     def test_complex_column(self, tmp_path, grid200):
         xs = np.linspace(-1.5, 1.5, 2001)
         table = tmp_path / "cx.csv"

@@ -216,6 +216,13 @@ class TestLower:
         got = lower(s, LowerContext(grid200))
         assert np.max(np.abs(got.values - np.cos(grid200.nodes))) < 1e-10
 
+    def test_real_table_lowers_to_a_real_row(self, grid200):
+        xs = np.linspace(-1.5, 1.5, 3001)
+        assert lower(Sampled(xs, np.cos(xs)), LowerContext(grid200)).values.dtype == np.float64
+        ds = differentiate(Sampled(xs, np.cos(xs)), numeric=True)
+        assert ds.ys.dtype == np.float64
+        assert lower(ds, LowerContext(grid200)).values.dtype == np.float64
+
     def test_div_by_const_expr(self, grid200):
         e = parse("1/(1+x^2)")
         got = lower(e, LowerContext(grid200))

@@ -9,21 +9,17 @@ from multexode import (
     Interval,
     Overflow,
     ValidityCollapsed,
-    exp_primitive,
-    primitive,
-    simplicial,
     zero_free_interval,
 )
 from multexode.gridfn import _lagrange4, primitive_values
 
 from conftest import smooth_gridfn
+from crosschecks import exp_primitive, primitive, simplicial
 
 
-def zero_free_by_scan(f, floor):
+def zero_free_by_scan(v, grid, floor):
     """The node-by-node outward scan zero_free_interval replaced, kept as a
     plain-Python reference with the same node and segment tests."""
-    v = f.values
-    grid = f.grid
     z = grid.zero_index
     mags = np.abs(v)
     if mags[z] <= floor:
@@ -211,24 +207,24 @@ class TestZeroFreeInterval:
     def test_linear_function_scan(self):
         g = Grid(-2, 2, 400)
         f = GridFn.from_callable(g, lambda x: 1.0 + x)
-        iv = zero_free_interval(f, 0.1)
+        iv = zero_free_interval(f.values, g, 0.1)
         assert abs(iv.lo - (-0.9)) <= 2 * g.h
         assert iv.hi == 2.0
 
     def test_constant_full_interval(self, grid200):
-        iv = zero_free_interval(GridFn.const(grid200, 1.0), 0.5)
+        iv = zero_free_interval(GridFn.const(grid200, 1.0).values, grid200, 0.5)
         assert iv == Interval(grid200.lo, grid200.hi)
 
     def test_cos_stops_at_quarter_period(self):
         g = Grid(-3, 3, 600)
-        iv = zero_free_interval(GridFn.from_callable(g, np.cos), 0.0)
+        iv = zero_free_interval(GridFn.from_callable(g, np.cos).values, g, 0.0)
         assert abs(iv.lo + np.pi / 2) <= 2 * g.h
         assert abs(iv.hi - np.pi / 2) <= 2 * g.h
 
     def test_precondition_checked(self, grid200):
         x = GridFn.var(grid200)
         with pytest.raises(ValueError):
-            zero_free_interval(x, 0.1)
+            zero_free_interval(x.values, grid200, 0.1)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), half=st.integers(8, 30), floor=st.sampled_from([0.0, 0.1, 0.5]))
@@ -238,8 +234,8 @@ class TestZeroFreeInterval:
         re, im = data.draw(arrays(float, (2, n + 1), elements=sample), label="re, im")
         g = Grid(-k * 0.125, (n - k) * 0.125, n)
         # lowering hands real rows to the scan as they are
-        f = GridFn._wrap(g, re) if data.draw(st.booleans(), label="real") else GridFn(g, re + 1j * im)
-        assert outcome(zero_free_interval, f, floor) == outcome(zero_free_by_scan, f, floor)
+        v = re if data.draw(st.booleans(), label="real") else re + 1j * im
+        assert outcome(zero_free_interval, v, g, floor) == outcome(zero_free_by_scan, v, g, floor)
 
 
 class TestInterval:

@@ -7,17 +7,13 @@ from multexode import (
     GridFn,
     NotConverged,
     Overflow,
-    SignTable,
-    exp_primitive,
     multex_e,
-    primitive,
-    simplicial,
-    trig_equiv_check,
     trig_family,
     truncation_bound,
 )
 
 from conftest import smooth_gridfn
+from crosschecks import exp_primitive, primitive, sign_table, simplicial, trig_equiv_check
 
 
 def brute_simplex_2d(f1, f2, x, m=2000):
@@ -188,7 +184,6 @@ class TestTrig:
             assert np.max(np.abs(s[:z] - mirrored)) < 1e-12
 
     def test_term_decay_factorial_domination(self, grid200, rng):
-        from multexode import primitive
         from multexode.multex import nu
 
         fs = [smooth_gridfn(grid200, rng, scale=2.0) for _ in range(2)]
@@ -203,11 +198,11 @@ class TestTrig:
 
 class TestSignTable:
     def test_flip_pattern(self):
-        t = SignTable(4)
+        t = sign_table(4)
         for j in range(1, 5):
             for k in range(1, 5):
                 expected = -1 if (k % 4 == j % 4 or k % 4 == (j + 1) % 4) else 1
-                assert t.eps[j - 1, k - 1] == expected
+                assert t[j - 1, k - 1] == expected
 
     def test_two_definitions_agree_n2(self, grid200):
         one = GridFn.const(grid200, 1.0)

@@ -14,6 +14,7 @@ from multexode.auxiliary import CoeffVector
 from multexode.gridfn import primitive_values
 
 from conftest import smooth_gridfn
+from crosschecks import matrix_from_gridfns
 
 
 def const_matrix(grid, m):
@@ -24,7 +25,7 @@ def const_matrix(grid, m):
 
 def random_matrix(grid, rng, n, scale=1.0, complex_part=False):
     rows = [[smooth_gridfn(grid, rng, scale=scale, complex_part=complex_part) for _ in range(n)] for _ in range(n)]
-    return MatrixFn.from_gridfns(rows)
+    return matrix_from_gridfns(rows)
 
 
 def random_state(rng, n):
