@@ -14,7 +14,6 @@ from .coeffexpr import (
     AuxFn,
     Add,
     Const,
-    CoeffRef,
     Div,
     ExpPrim,
     Expr,
@@ -36,13 +35,11 @@ from .errors import (
     DegenerateLeading,
     DivisorTooSmall,
     ExpressionSyntaxError,
-    GridMismatch,
     MultexodeError,
     NonDifferentiable,
     NonMonotoneAbscissae,
     NotConverged,
     Overflow,
-    UnboundCoefficient,
     ValidityCollapsed,
 )
 from .gridfn import Grid, GridFn, Interval, zero_free_interval

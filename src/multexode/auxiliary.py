@@ -232,7 +232,6 @@ def build_aux_chain(
     grid: Grid,
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
-    env=None,
     numeric_diff: bool = False,
 ) -> AuxChain:
     """Run the general recursion for the coefficients in ``a`` on ``grid``.
@@ -241,6 +240,6 @@ def build_aux_chain(
     zero the validity interval shrinks and values outside it are zeroed, so
     the returned realizations are trustworthy exactly on ``chain.validity``.
     """
-    ctx = LowerContext(grid, env=env, series_tol=tol, max_terms=max_terms, numeric_diff=numeric_diff)
+    ctx = LowerContext(grid, series_tol=tol, max_terms=max_terms, numeric_diff=numeric_diff)
     return _build_chain(a, ctx)
 

@@ -25,7 +25,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -295,13 +295,6 @@ def _write_outputs(outdir: Path, functions, validity, fmt: str, report: dict | N
     return written
 
 
-def _diag_list(bs) -> list:
-    out = []
-    for d in bs.diagnostics:
-        out.append(d.as_dict() if d is not None else None)
-    return out
-
-
 def _run_problem(cfg: ProblemConfig, outdir: Path, fmt: str) -> int:
     grid = cfg.make_grid()
     if cfg.mode == "preset:schrodinger":
@@ -353,7 +346,7 @@ def _run_problem(cfg: ProblemConfig, outdir: Path, fmt: str) -> int:
     aux_diags = None
     if bs.chain is not None:
         aux_diags = {
-            f"phi{k}": (d.as_dict() if d is not None else None)
+            f"phi{k}": (asdict(d) if d is not None else None)
             for k, d in sorted(bs.chain.diagnostics.items())
         }
     report = {
@@ -366,7 +359,7 @@ def _run_problem(cfg: ProblemConfig, outdir: Path, fmt: str) -> int:
         "max_abs_err_stepper_oracle": float(np.max(err_steps)),
         "validity": [bs.validity.lo, bs.validity.hi],
         "oracles": {"series": {"terms_used": dy.terms_used, "tail_bound": dy.tail_bound}, "stepper": {"steps": grid.n}},
-        "member_diagnostics": _diag_list(bs),
+        "member_diagnostics": [asdict(d) if d is not None else None for d in bs.diagnostics],
         "auxiliary_diagnostics": aux_diags,
         "pass": passed,
     }

@@ -1,9 +1,10 @@
 """Immutable coefficient-expression IR with symbolic differentiation.
 
 Expression trees carry everything the solver manipulates symbolically:
-constants, the variable x, named coefficient references, arithmetic, the
-anchored primitive P, exponentials of primitives, trig-operator nodes, and
-sampled data tables.  Differentiation knows the special rules of the method:
+constants, the variable x, arithmetic, the anchored primitive P,
+exponentials of primitives, trig-operator nodes, and sampled data tables (a
+coefficient known only on the grid is the table ``Sampled(grid.nodes,
+values)``).  Differentiation knows the special rules of the method:
 the derivative of a trig node shifts its index and multiplies by one input,
 the derivative of exp(±P f) is ±f times itself, and derivatives of a solved
 auxiliary function stop at the order of its defining equation, where the
@@ -88,16 +89,6 @@ class Var(Expr):
 
     def _key(self):
         return ()
-
-
-class CoeffRef(Expr):
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        object.__setattr__(self, "name", str(name))
-
-    def _key(self):
-        return (self.name,)
 
 
 class _Binary(Expr):
@@ -413,7 +404,7 @@ def simplify(e: Expr) -> Expr:
     Flattened chains are rebuilt left-associated with any folded constant
     first, which is also the canonical order the printer emits.
     """
-    if isinstance(e, (Const, Var, CoeffRef, Sampled)):
+    if isinstance(e, (Const, Var, Sampled)):
         return e
     if isinstance(e, (Add, Mul)):
         cls = type(e)
@@ -481,10 +472,6 @@ def differentiate(e: Expr, numeric: bool = False) -> Expr:
         return ZERO
     if isinstance(e, Var):
         return ONE
-    if isinstance(e, CoeffRef):
-        raise NonDifferentiable(
-            f"cannot differentiate unresolved coefficient {e.name!r}; substitute its definition first"
-        )
     if isinstance(e, Add):
         return add(d(e.a), d(e.b))
     if isinstance(e, Sub):
@@ -533,26 +520,23 @@ def _table_derivative(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     m = len(xs)
     if m < 4:
         raise ValueError("need at least 4 samples to differentiate a table")
-    out = np.empty(m, dtype=np.result_type(ys, float))
-    for i in range(m):
-        w = min(max(i - 1, 0), m - 4)
-        xw = xs[w : w + 4]
-        yw = ys[w : w + 4]
-        q = xs[i]
-        acc = 0.0
-        for k in range(4):
-            dk = 0.0
-            for mm in range(4):
-                if mm == k:
+    # row i reads the 4-point window that gridfn._lagrange4 uses at xs[i]
+    idx = np.clip(np.arange(m) - 1, 0, m - 4)[:, None] + np.arange(4)
+    xw = xs[idx]
+    yw = ys[idx]
+    out = np.zeros(m, dtype=np.result_type(ys, float))
+    for k in range(4):
+        dk = np.zeros(m)
+        for mm in range(4):
+            if mm == k:
+                continue
+            p = np.ones(m)
+            for r in range(4):
+                if r in (k, mm):
                     continue
-                p = 1.0
-                for r in range(4):
-                    if r in (k, mm):
-                        continue
-                    p *= (q - xw[r]) / (xw[k] - xw[r])
-                dk += p / (xw[k] - xw[mm])
-            acc += dk * yw[k]
-        out[i] = acc
+                p *= (xs - xw[:, r]) / (xw[:, k] - xw[:, r])
+            dk += p / (xw[:, k] - xw[:, mm])
+        out += dk * yw[:, k]
     return out
 
 
@@ -584,8 +568,6 @@ def _print(e: Expr) -> tuple[str, int]:
         return s, (_PREC["atom"] if not s.startswith("-") else _PREC["pow"])
     if isinstance(e, Var):
         return "x", _PREC["atom"]
-    if isinstance(e, CoeffRef):
-        return e.name, _PREC["atom"]
     if isinstance(e, Add):
         sa, _ = _print(e.a)
         sb, pb = _print(e.b)
@@ -648,9 +630,9 @@ def _print(e: Expr) -> tuple[str, int]:
 def to_text(e: Expr) -> str:
     """Canonical text of the simplified expression.
 
-    For trees built from the parseable grammar (constants, x, coefficient
-    names, arithmetic, integer powers, function calls) the output parses back
-    to the same simplified tree.  Operator nodes print in a bracketed display
-    form that is not meant to be re-parsed.
+    For trees built from the parseable grammar (constants, x, arithmetic,
+    integer powers, function calls) the output parses back to the same
+    simplified tree.  Operator nodes print in a bracketed display form that
+    is not meant to be re-parsed.
     """
     return _print(simplify(e))[0]

@@ -5,10 +5,6 @@ class MultexodeError(Exception):
     """Base class for all multexode errors."""
 
 
-class GridMismatch(MultexodeError):
-    """Two grid functions do not share the same grid."""
-
-
 class DivisorTooSmall(MultexodeError):
     """A pointwise division hit a divisor not above the configured floor.
 
@@ -32,14 +28,6 @@ class Overflow(MultexodeError):
     def __init__(self, x):
         self.x = x
         super().__init__(f"overflow first occurred at x = {x:.6g}")
-
-
-class UnboundCoefficient(MultexodeError):
-    """A coefficient reference could not be resolved in the environment."""
-
-    def __init__(self, name):
-        self.name = name
-        super().__init__(f"coefficient {name!r} is not bound in the environment")
 
 
 class NonDifferentiable(MultexodeError):

@@ -1,11 +1,11 @@
 """Lower expressions to sample rows on a grid.
 
-A LowerContext fixes the grid, the coefficient environment, series tolerances
-and the per-solve memo store.  The memo holds plain read-only arrays, one
-per expression, each checked finite (Overflow at the first bad node), real
-until a complex constant, coefficient, table or ``sqrt`` enters; the
-recursion never builds a GridFn.  Lowering one index of a trig family
-stores every index of it, so the family costs a single recurrence pass.
+A LowerContext fixes the grid, series tolerances and the per-solve memo
+store.  The memo holds plain read-only arrays, one per expression, each
+checked finite (Overflow at the first bad node), real until a complex
+constant, a complex table or ``sqrt`` enters; the recursion never builds a
+GridFn.  Lowering one index of a trig family stores every index of it, so
+the family costs a single recurrence pass.
 The public :func:`lower` is the GridFn edge: it wraps the memo's array
 without a copy.
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import coeffexpr as ce
-from .errors import CoverageGap, DivisorTooSmall, GridMismatch, UnboundCoefficient, ValidityCollapsed
+from .errors import CoverageGap, DivisorTooSmall, ValidityCollapsed
 from .gridfn import DIV_FLOOR, Grid, GridFn, Interval, _lagrange4, check_finite, primitive_values, zero_free_interval
 from .multex import DEFAULT_MAX_TERMS, DEFAULT_TOL, trig_family
 
@@ -34,7 +34,7 @@ MIN_VALIDITY_CELLS = 4
 
 
 class LowerContext:
-    """Shared state for one solve: grid, environment, tolerances, memo.
+    """Shared state for one solve: grid, tolerances, memo.
 
     The memo key is the structural identity of the expression; lowering one
     trig operator stores its whole family there, so every index of one
@@ -45,13 +45,11 @@ class LowerContext:
     def __init__(
         self,
         grid: Grid,
-        env=None,
         series_tol: float = DEFAULT_TOL,
         max_terms: int = DEFAULT_MAX_TERMS,
         numeric_diff: bool = False,
     ):
         self.grid = grid
-        self.env = dict(env or {})
         self.series_tol = series_tol
         self.max_terms = max_terms
         self.numeric_diff = numeric_diff
@@ -140,14 +138,6 @@ def _lower(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
         return np.full(grid.n + 1, e.value.real if e.value.imag == 0 else e.value)
     if isinstance(e, ce.Var):
         return grid.nodes
-    if isinstance(e, ce.CoeffRef):
-        try:
-            f = ctx.env[e.name]
-        except KeyError:
-            raise UnboundCoefficient(e.name) from None
-        if f.grid != grid:
-            raise GridMismatch(f"{e.name} lives on {f.grid!r}, not {grid!r}")
-        return f.values
     if isinstance(e, ce.Add):
         return _values(e.a, ctx) + _values(e.b, ctx)
     if isinstance(e, ce.Sub):

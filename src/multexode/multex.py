@@ -40,14 +40,6 @@ class SeriesDiagnostics:
     apriori_bound: float
     converged: bool
 
-    def as_dict(self):
-        return {
-            "terms_used": self.terms_used,
-            "last_term_norm": self.last_term_norm,
-            "apriori_bound": self.apriori_bound,
-            "converged": self.converged,
-        }
-
 
 def _input_rows(fs):
     """The shared grid of the inputs and their sample rows (the arrays

@@ -45,11 +45,11 @@ class MatrixFn:
         self.n = arr.shape[0]
 
 
-def companion(a, grid: Grid, env=None) -> MatrixFn:
+def companion(a, grid: Grid) -> MatrixFn:
     """Companion matrix of the scalar equation: ones on the superdiagonal and
     the reversed coefficients (an, ..., a1) along the bottom row."""
     n = a.n
-    ctx = LowerContext(grid, env=env)
+    ctx = LowerContext(grid)
     data = np.zeros((n, n, grid.n + 1), dtype=complex)
     for i in range(n - 1):
         data[i, i + 1] = 1.0

@@ -7,8 +7,7 @@ Grammar (EBNF, also documented in the README):
     factor  := atomneg ("^" intlit)?
     atomneg := "-" atomneg | atom
     intlit  := ["-"] digits
-    atom    := number | "x" | "i" | coeff | func "(" expr ")" | "(" expr ")"
-    coeff   := "a1" .. "a9"
+    atom    := number | "x" | "i" | func "(" expr ")" | "(" expr ")"
     func    := "sin" | "cos" | "exp" | "sinh" | "cosh" | "sqrt"
 
 Unary minus binds tighter than "^", so -x^2 means (-x)^2.  Exponents are
@@ -31,7 +30,6 @@ from .coeffexpr import (
     Mul,
     Sub,
     Var,
-    CoeffRef,
     FUNC_NAMES,
     _is_const,
 )
@@ -39,7 +37,6 @@ from .errors import ExpressionSyntaxError
 
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_COEFF = re.compile(r"a[1-9]$")
 
 
 def _fold(cls, a, b):
@@ -166,21 +163,19 @@ class _Parser:
         m = _IDENT.match(self.text, self.pos)
         if m:
             name = m.group()
+            if name not in ("x", "i", *FUNC_NAMES):
+                self.error({"x", "i"} | set(FUNC_NAMES))
             self.pos = m.end()
             if name == "x":
                 return Var()
             if name == "i":
                 return Const(1j)
-            if _COEFF.match(name):
-                return CoeffRef(name)
-            if name in FUNC_NAMES:
-                if not self.take("("):
-                    self.error({"("})
-                e = self.expr()
-                if not self.take(")"):
-                    self.error({")"})
-                return FuncCall(name, e)
-            self.error({"x", "i", "a1..a9"} | set(FUNC_NAMES))
+            if not self.take("("):
+                self.error({"("})
+            e = self.expr()
+            if not self.take(")"):
+                self.error({")"})
+            return FuncCall(name, e)
         self.error({"number", "identifier", "("})
 
 

@@ -90,7 +90,6 @@ def basis(
     grid: Grid,
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
-    env=None,
     numeric_diff: bool = False,
 ) -> BasisSet:
     """Fundamental solution basis for the coefficients in ``a``.
@@ -100,12 +99,12 @@ def basis(
     """
     n = a.n
     if n == 1:
-        ctx = LowerContext(grid, env=env, series_tol=tol, max_terms=max_terms)
+        ctx = LowerContext(grid, series_tol=tol, max_terms=max_terms)
         expr = ce.expprim(a.a(1), 1)
         lower(expr, ctx)  # a dividing coefficient shrinks ctx.validity here
         validity = ctx.final_validity()
         return BasisSet(1, a, (_member(expr, ctx, validity),), (expr,), validity, (None,), None, ctx)
-    chain = build_aux_chain(a, grid, tol=tol, max_terms=max_terms, env=env, numeric_diff=numeric_diff)
+    chain = build_aux_chain(a, grid, tol=tol, max_terms=max_terms, numeric_diff=numeric_diff)
     return _assemble(chain.phi, a, chain, chain.ctx, chain.validity)
 
 
@@ -114,12 +113,11 @@ def solve_ivp(
     grid: Grid,
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
-    env=None,
     numeric_diff: bool = False,
 ):
     """Solve the initial-value problem; returns (solution, basis)."""
     a = CoeffVector.from_rhs(problem.coefficients)
-    bs = basis(a, grid, tol=tol, max_terms=max_terms, env=env, numeric_diff=numeric_diff)
+    bs = basis(a, grid, tol=tol, max_terms=max_terms, numeric_diff=numeric_diff)
     y = linear_combination(grid, problem.initial_values, [m.values for m in bs.psi])
     return y, bs
 

@@ -8,12 +8,12 @@ import numpy as np
 from multexode import (
     AuxDeriv,
     AuxFn,
-    CoeffRef,
     Const,
     ExpPrim,
     GridFn,
     LowerContext,
     MatrixFn,
+    Sampled,
     TrigNode,
     lower,
     multex_e,
@@ -32,7 +32,7 @@ def primitive(f: GridFn) -> GridFn:
 def exp_primitive(f: GridFn, sign: int) -> GridFn:
     """exp(sign * primitive(f)) at every node, lowered as an ExpPrim of f;
     Overflow at the first node where it is not finite."""
-    return lower(ExpPrim(CoeffRef("f"), sign), LowerContext(f.grid, env={"f": f}))
+    return lower(ExpPrim(Sampled(f.grid.nodes, f.values), sign), LowerContext(f.grid))
 
 
 def simplicial(fs, j: int) -> GridFn:

@@ -45,6 +45,11 @@ class TestConfig:
         cfg = write(tmp_path / "p.cfg", "n = 1\na1 = ((x\nic = 1\n")
         assert run(["solve", "--config", cfg]) == 1
         assert "offset" in capsys.readouterr().err
+        # a1..a9 are config keys, not names an expression can refer to
+        cfg = write(tmp_path / "q.cfg", "n = 2\na1 = 0\na2 = a1*x - 1\nic = 1, 0\n")
+        assert run(["solve", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "a2" in err and "offset 0" in err
 
     def test_ic_count_checked(self, tmp_path, capsys):
         cfg = write(tmp_path / "p.cfg", "n = 2\na1 = 0\na2 = -1\nic = 1\n")

@@ -9,7 +9,6 @@ from multexode import (
     Const,
     ExpPrim,
     FuncCall,
-    GridMismatch,
     IntPow,
     LowerContext,
     Mul,
@@ -17,9 +16,7 @@ from multexode import (
     Prim,
     Sampled,
     TrigNode,
-    UnboundCoefficient,
     Var,
-    CoeffRef,
     differentiate,
     lower,
     parse,
@@ -101,10 +98,6 @@ class TestDifferentiate:
         )
         assert d2 == expected
 
-    def test_unresolved_coefficient_rejected(self):
-        with pytest.raises(NonDifferentiable):
-            differentiate(CoeffRef("a1"))
-
     def test_sampled_rejected_without_opt_in(self):
         xs = np.linspace(-1, 1, 101)
         s = Sampled(xs, np.cos(xs))
@@ -132,11 +125,10 @@ class TestLower:
         assert np.all(lower(ONE, ctx).values == 1.0)
 
     def test_exp_primitive_of_log_derivative(self, grid2000):
-        # a1 bound to -zeta'/zeta for zeta = 2 + sin x
+        # a1 = -zeta'/zeta for zeta = 2 + sin x, sampled on the grid
         zeta = 2.0 + np.sin(grid2000.nodes)
-        env = {"a1": GridFn(grid2000, -np.cos(grid2000.nodes) / zeta)}
-        ctx = LowerContext(grid2000, env=env)
-        e = lower(ExpPrim(CoeffRef("a1"), -1), ctx)
+        a1 = Sampled(grid2000.nodes, -np.cos(grid2000.nodes) / zeta)
+        e = lower(ExpPrim(a1, -1), LowerContext(grid2000))
         assert np.max(np.abs(e.values - zeta / 2.0)) <= 1e-9
 
     def test_trig_node_recovers_cosine(self, grid2000):
@@ -145,13 +137,6 @@ class TestLower:
         ctx = LowerContext(grid2000)
         c = lower(t, ctx)
         assert np.max(np.abs(c.values - np.cos(omega * grid2000.nodes))) <= 1e-8
-
-    def test_unbound_coefficient(self, grid200, grid2000):
-        with pytest.raises(UnboundCoefficient):
-            lower(CoeffRef("a7"), LowerContext(grid200))
-        # a bound coefficient sampled on another grid is refused, not broadcast
-        with pytest.raises(GridMismatch):
-            lower(CoeffRef("a1"), LowerContext(grid200, env={"a1": GridFn.const(grid2000, 1.0)}))
 
     def test_real_rows_stay_real(self, grid200):
         ctx = LowerContext(grid200)

@@ -164,14 +164,10 @@ class TestSolveIvp:
 
     def test_order4_against_series_oracle(self, rng):
         g = Grid(-0.75, 0.75, 1000)
-        coeffs = tuple(smooth_gridfn(g, rng, scale=2.0) for _ in range(4))
-        env = {f"a{j}": coeffs[j - 1] for j in range(1, 5)}
-        from multexode import CoeffRef
-
+        coeffs = tuple(Sampled(g.nodes, smooth_gridfn(g, rng, scale=2.0).values) for _ in range(4))
         ic = (0.7, -0.2, 0.4, 0.1)
-        p = IVProblem(4, tuple(CoeffRef(f"a{j}") for j in range(1, 5)), ic)
-        y, bs = solve_ivp(p, g, env=env)
-        m = companion(bs.a, g, env=env)
+        y, bs = solve_ivp(IVProblem(4, coeffs, ic), g)
+        m = companion(bs.a, g)
         oracle = first_row_solution(dyson(m, tol=1e-12), ic)
         keep = g.mask(bs.validity)
         assert np.max(np.abs(y.values[keep] - oracle.values[keep])) <= 1e-6
