@@ -20,7 +20,6 @@ from .coeffexpr import (
     FuncCall,
     IntPow,
     Mul,
-    Prim,
     Sampled,
     Sub,
     TrigNode,

@@ -27,7 +27,7 @@ from .coeffexpr import AuxFn, Const, Expr, TrigNode, ZERO, as_expr
 from .errors import DegenerateLeading
 from .gridfn import DIV_FLOOR, Grid, GridFn, Interval
 from .lower import LowerContext, lower
-from .multex import DEFAULT_MAX_TERMS, DEFAULT_TOL, SeriesDiagnostics
+from .multex import DEFAULT_TOL, SeriesDiagnostics
 
 
 @dataclass(frozen=True)
@@ -227,19 +227,13 @@ def _build_chain(a: CoeffVector, ctx: LowerContext, prefix: str = "phi") -> AuxC
     return AuxChain(n, a, phi, phi_fns, tuple(betas), validity, ctx, diags)
 
 
-def build_aux_chain(
-    a: CoeffVector,
-    grid: Grid,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    numeric_diff: bool = False,
-) -> AuxChain:
+def build_aux_chain(a: CoeffVector, grid: Grid, tol: float = DEFAULT_TOL, numeric_diff: bool = False) -> AuxChain:
     """Run the general recursion for the coefficients in ``a`` on ``grid``.
 
     Division by auxiliary functions is guarded: wherever a divisor approaches
     zero the validity interval shrinks and values outside it are zeroed, so
     the returned realizations are trustworthy exactly on ``chain.validity``.
     """
-    ctx = LowerContext(grid, series_tol=tol, max_terms=max_terms, numeric_diff=numeric_diff)
+    ctx = LowerContext(grid, series_tol=tol, numeric_diff=numeric_diff)
     return _build_chain(a, ctx)
 

@@ -34,12 +34,16 @@ from .auxiliary import CoeffVector
 from .coeffexpr import Expr, Sampled
 from .errors import ConfigError, ExpressionSyntaxError, MultexodeError, NonMonotoneAbscissae, NotConverged, Overflow, ValidityCollapsed
 from .gridfn import Grid, GridFn, linear_combination
-from .multex import DEFAULT_MAX_TERMS, DEFAULT_TOL
+from .multex import DEFAULT_TOL
 from .oracle import companion, dyson, rk4
 from .parser import parse
 from .solver import IVProblem, basis, preset_orr_sommerfeld, preset_schrodinger, solve_ivp
 
 MODES = ("solve", "basis", "compare", "preset:schrodinger", "preset:orr")
+KEYS = frozenset(
+    ["mode", "preset", "n", *(f"a{j}" for j in range(1, 10)), "zeta", "omega", "ic", "interval", "grid", "tol",
+     "compare_tol", "numeric_diff"]
+)
 
 
 def ingest_samples(path) -> Sampled:
@@ -89,7 +93,6 @@ class ProblemConfig:
     hi: float = 1.0
     grid_n: int = 2000
     tol: float = DEFAULT_TOL
-    max_terms: int = DEFAULT_MAX_TERMS
     initial_values: tuple = ()
     compare_tol: float = 1e-6
     numeric_diff: bool = False
@@ -145,6 +148,9 @@ def load_config(path, overrides=None) -> ProblemConfig:
         raise ConfigError(f"config file {path} does not exist")
     raw = _parse_kv(path.read_text(), str(path))
     raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    unknown = sorted(raw.keys() - KEYS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown key {unknown[0]!r}")
     base = path.parent
 
     mode = raw.get("mode", "solve")
@@ -168,7 +174,6 @@ def load_config(path, overrides=None) -> ProblemConfig:
     for key, attr, conv in (
         ("grid", "grid_n", int),
         ("tol", "tol", float),
-        ("max_terms", "max_terms", int),
         ("compare_tol", "compare_tol", float),
     ):
         if key in raw:
@@ -298,22 +303,13 @@ def _write_outputs(outdir: Path, functions, validity, fmt: str, report: dict | N
 def _run_problem(cfg: ProblemConfig, outdir: Path, fmt: str) -> int:
     grid = cfg.make_grid()
     if cfg.mode == "preset:schrodinger":
-        bs = preset_schrodinger(
-            cfg.zeta, cfg.omega, grid, tol=cfg.tol, max_terms=cfg.max_terms,
-            numeric_diff=cfg.numeric_diff,
-        )
+        bs = preset_schrodinger(cfg.zeta, cfg.omega, grid, tol=cfg.tol, numeric_diff=cfg.numeric_diff)
     elif cfg.mode == "preset:orr":
-        bs = preset_orr_sommerfeld(
-            cfg.coefficients["a2"], cfg.coefficients["a4"], grid,
-            tol=cfg.tol, max_terms=cfg.max_terms,
-        )
+        bs = preset_orr_sommerfeld(cfg.coefficients["a2"], cfg.coefficients["a4"], grid, tol=cfg.tol)
     else:
         coeffs = [cfg.coefficients[f"a{j}"] for j in range(1, cfg.n + 1)]
         if cfg.mode == "basis":
-            bs = basis(
-                CoeffVector.from_rhs(coeffs), grid, tol=cfg.tol, max_terms=cfg.max_terms,
-                numeric_diff=cfg.numeric_diff,
-            )
+            bs = basis(CoeffVector.from_rhs(coeffs), grid, tol=cfg.tol, numeric_diff=cfg.numeric_diff)
     if cfg.mode not in ("solve", "compare"):
         names = ("c", "s") if cfg.mode == "preset:schrodinger" else [f"psi_{k}" for k in range(1, cfg.n + 1)]
         functions = list(zip(names, bs.psi))
@@ -324,7 +320,7 @@ def _run_problem(cfg: ProblemConfig, outdir: Path, fmt: str) -> int:
         return 0
 
     problem = IVProblem(cfg.n, tuple(coeffs), cfg.initial_values)
-    y, bs = solve_ivp(problem, grid, tol=cfg.tol, max_terms=cfg.max_terms, numeric_diff=cfg.numeric_diff)
+    y, bs = solve_ivp(problem, grid, tol=cfg.tol, numeric_diff=cfg.numeric_diff)
     if cfg.mode == "solve":
         _write_outputs(outdir, [("solution", y)], bs.validity, fmt)
         return 0

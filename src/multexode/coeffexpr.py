@@ -1,14 +1,14 @@
 """Immutable coefficient-expression IR with symbolic differentiation.
 
 Expression trees carry everything the solver manipulates symbolically:
-constants, the variable x, arithmetic, the anchored primitive P,
-exponentials of primitives, trig-operator nodes, and sampled data tables (a
-coefficient known only on the grid is the table ``Sampled(grid.nodes,
-values)``).  Differentiation knows the special rules of the method:
-the derivative of a trig node shifts its index and multiplies by one input,
-the derivative of exp(±P f) is ±f times itself, and derivatives of a solved
-auxiliary function stop at the order of its defining equation, where the
-equation's right side is substituted instead of differentiating further.
+constants, the variable x, arithmetic, exponentials of anchored primitives,
+trig-operator nodes, and sampled data tables (a coefficient known only on the
+grid is the table ``Sampled(grid.nodes, values)``).  Differentiation knows
+the special rules of the method: the derivative of a trig node shifts its
+index and multiplies by one input, the derivative of exp(±P f) is ±f times
+itself, and derivatives of a solved auxiliary function stop at the order of
+its defining equation, where the equation's right side is substituted
+instead of differentiating further.
 
 Simplification is deliberately small: constant folding, 0/1 absorption and
 flattening of +/* chains.  Nothing here attempts general computer algebra.
@@ -142,18 +142,6 @@ class ExpPrim(Expr):
 
     def _key(self):
         return (self.child, self.sign)
-
-
-class Prim(Expr):
-    """P child: the anchored primitive, always evaluated numerically."""
-
-    __slots__ = ("child",)
-
-    def __init__(self, child):
-        object.__setattr__(self, "child", as_expr(child))
-
-    def _key(self):
-        return (self.child,)
 
 
 class FuncCall(Expr):
@@ -350,12 +338,6 @@ def expprim(child: Expr, sign: int) -> Expr:
     return ExpPrim(child, sign)
 
 
-def prim(child: Expr) -> Expr:
-    if _is_const(child, 0):
-        return ZERO
-    return Prim(child)
-
-
 def func(name: str, child: Expr) -> Expr:
     if _is_const(child):
         try:
@@ -433,8 +415,6 @@ def simplify(e: Expr) -> Expr:
         return intpow(simplify(e.base), e.k)
     if isinstance(e, ExpPrim):
         return expprim(simplify(e.child), e.sign)
-    if isinstance(e, Prim):
-        return prim(simplify(e.child))
     if isinstance(e, FuncCall):
         return func(e.name, simplify(e.child))
     if isinstance(e, TrigNode):
@@ -484,8 +464,6 @@ def differentiate(e: Expr, numeric: bool = False) -> Expr:
         return mul(mul(Const(e.k), intpow(e.base, e.k - 1)), d(e.base))
     if isinstance(e, ExpPrim):
         return mul(mul(Const(e.sign), e.child), e)
-    if isinstance(e, Prim):
-        return e.child
     if isinstance(e, FuncCall):
         return _FUNC_DERIV[e.name](e.child, d(e.child))
     if isinstance(e, TrigNode):
@@ -613,8 +591,6 @@ def _print(e: Expr) -> tuple[str, int]:
     if isinstance(e, ExpPrim):
         s = "+" if e.sign > 0 else "-"
         return f"expP[{s}]({_print(e.child)[0]})", _PREC["atom"]
-    if isinstance(e, Prim):
-        return f"P({_print(e.child)[0]})", _PREC["atom"]
     if isinstance(e, TrigNode):
         inner = ", ".join(_print(f)[0] for f in e.fs)
         return f"T[{e.j}]({inner})", _PREC["atom"]

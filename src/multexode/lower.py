@@ -28,7 +28,7 @@ import numpy as np
 from . import coeffexpr as ce
 from .errors import CoverageGap, DivisorTooSmall, ValidityCollapsed
 from .gridfn import DIV_FLOOR, Grid, GridFn, Interval, _lagrange4, check_finite, primitive_values, zero_free_interval
-from .multex import DEFAULT_MAX_TERMS, DEFAULT_TOL, trig_family
+from .multex import DEFAULT_TOL, trig_family
 
 MIN_VALIDITY_CELLS = 4
 
@@ -42,16 +42,9 @@ class LowerContext:
     one per solve.
     """
 
-    def __init__(
-        self,
-        grid: Grid,
-        series_tol: float = DEFAULT_TOL,
-        max_terms: int = DEFAULT_MAX_TERMS,
-        numeric_diff: bool = False,
-    ):
+    def __init__(self, grid: Grid, series_tol: float = DEFAULT_TOL, numeric_diff: bool = False):
         self.grid = grid
         self.series_tol = series_tol
-        self.max_terms = max_terms
         self.numeric_diff = numeric_diff
         self.validity = grid.interval
         self.memo: dict = {}
@@ -155,15 +148,13 @@ def _lower(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
         return base**e.k if e.k >= 0 else _guarded_reciprocal(ctx, base, -e.k)
     if isinstance(e, ce.ExpPrim):
         return np.exp(e.sign * primitive_values(_values(e.child, ctx), grid))
-    if isinstance(e, ce.Prim):
-        return primitive_values(_values(e.child, ctx), grid)
     if isinstance(e, ce.FuncCall):
         arg = _values(e.child, ctx)
         # the principal root of a negative real is imaginary
         return getattr(np, e.name)(arg.astype(complex) if e.name == "sqrt" else arg)
     if isinstance(e, ce.TrigNode):
         inputs = [GridFn._wrap(grid, _values(f, ctx)) for f in e.fs]
-        family, ctx.trig_diagnostics[e.fs] = trig_family(inputs, ctx.series_tol, ctx.max_terms)
+        family, ctx.trig_diagnostics[e.fs] = trig_family(inputs, ctx.series_tol)
         for j, member in enumerate(family, start=1):
             ctx.memo[ce.TrigNode(e.fs, j)] = member.values
         return ctx.memo[e]

@@ -25,12 +25,7 @@ from .errors import NotConverged
 from .gridfn import GridFn, check_finite, primitive_values
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_TERMS = 200
-
-
-def nu(m: int, n: int) -> int:
-    """Index map sending m >= 1 to its representative in 1..n modulo n."""
-    return (m - 1) % n + 1
+MAX_TERMS = 200  # a safety stop only: tol ends a series, whose terms fall factorially past their hump
 
 
 @dataclass(frozen=True)
@@ -77,16 +72,17 @@ def truncation_bound(g_integral: float, n: int, terms: int) -> float:
             return total
 
 
-def _series(fs, tol, max_terms, classes):
+def _series(fs, tol, classes):
     """Class sums of the simplex integrals: dimension m >= 1 goes to class
     (m-1) mod classes and dimension 0 to the last class.
 
     Terms are taken one full cycle of classes at a time, so every class
     receives its next contribution before the stopping test, which compares
-    the largest term of the last cycle against tol.  If the budget runs out
-    with that term still more than 1e3 * tol, the series is considered
-    divergent at this resolution and NotConverged is raised carrying the
-    diagnostics.
+    the largest term of the last cycle against tol.  The budget MAX_TERMS is
+    checked once per cycle, so a family of n inputs may take up to
+    MAX_TERMS + n - 1 terms.  If the budget runs out with that term still more
+    than 1e3 * tol, the series is considered divergent at this resolution and
+    NotConverged is raised carrying the diagnostics.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -100,7 +96,7 @@ def _series(fs, tol, max_terms, classes):
     converged = False
     with np.errstate(over="ignore", invalid="ignore"):
         g = float(np.max(np.abs(primitive_values(np.max(np.abs(rows), axis=0), grid))))
-        while m < max_terms:
+        while m < MAX_TERMS:
             last = 0.0
             for c in range(classes):
                 m += 1
@@ -122,15 +118,15 @@ def _series(fs, tol, max_terms, classes):
     return [GridFn._wrap(grid, v) for v in sums], diag
 
 
-def multex_e(fs, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
+def multex_e(fs, tol: float = DEFAULT_TOL):
     """Partial sum of the multex series (all dimensions) with its diagnostics;
     stops once the newest term falls to tol."""
-    (total,), diag = _series(fs, tol, max_terms, 1)
+    (total,), diag = _series(fs, tol, 1)
     return total, diag
 
 
-def trig_family(fs, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
+def trig_family(fs, tol: float = DEFAULT_TOL):
     """All n trig operators of one input list (the dimensions congruent to j
     mod n), sharing one recurrence pass."""
-    return _series(fs, tol, max_terms, len(fs))
+    return _series(fs, tol, len(fs))
 

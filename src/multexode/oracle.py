@@ -24,7 +24,7 @@ from .gridfn import Grid, _lagrange4, primitive_values
 from .lower import LowerContext, lower
 from .multex import DEFAULT_TOL, truncation_bound
 
-DEFAULT_MAX_TERMS = 400
+MAX_TERMS = 400  # a safety stop, twice the trig series' own, so the oracle outlasts it
 
 
 class MatrixFn:
@@ -79,17 +79,15 @@ class DysonResult:
     term_bounds: list = field(default_factory=list)
 
 
-def dyson(
-    m: MatrixFn, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS, y0=None
-) -> DysonResult:
+def dyson(m: MatrixFn, tol: float = DEFAULT_TOL, y0=None) -> DysonResult:
     """Sum the iterated-integral series for M' = m M, M(0) = I, or for the
     state Y' = m Y, Y(0) = y0 when the n initial values y0 are given.
 
     Each term integrates m times the previous term from 0, entrywise, on both
     sides of 0 with the anchored signed primitive.  Stops when the entrywise
-    sup of the newest term reaches tol; raises NotConverged when the budget
-    runs out far above it.  The term and tail bounds of the state scale with
-    sum |y0_k|, since every state term is the matrix term applied to y0.
+    sup of the newest term reaches tol; raises NotConverged when MAX_TERMS
+    terms leave it far above.  The term and tail bounds of the state scale
+    with sum |y0_k|, since every state term is the matrix term applied to y0.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -113,7 +111,7 @@ def dyson(
     terms = 0
     converged = False
     last = 0.0
-    while terms < max_terms:
+    while terms < MAX_TERMS:
         terms += 1
         term = primitive_values(np.einsum(spec, m.data, term), grid)
         total += term

@@ -58,8 +58,8 @@ class _Parser:
         self.text = text
         self.pos = 0
 
-    def error(self, expected):
-        found = self.text[self.pos : self.pos + 1] or "<end of input>"
+    def error(self, expected, found=None):
+        found = found or self.text[self.pos : self.pos + 1] or "<end of input>"
         raise ExpressionSyntaxError(self.pos, expected, found)
 
     def skip_ws(self):
@@ -164,7 +164,7 @@ class _Parser:
         if m:
             name = m.group()
             if name not in ("x", "i", *FUNC_NAMES):
-                self.error({"x", "i"} | set(FUNC_NAMES))
+                self.error({"x", "i"} | set(FUNC_NAMES), name)
             self.pos = m.end()
             if name == "x":
                 return Var()

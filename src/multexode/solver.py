@@ -20,7 +20,7 @@ from .coeffexpr import Const, TrigNode, as_expr
 from .errors import NonDifferentiable
 from .gridfn import Grid, GridFn, Interval, linear_combination
 from .lower import LowerContext, lower
-from .multex import DEFAULT_MAX_TERMS, DEFAULT_TOL
+from .multex import DEFAULT_TOL
 from .parser import parse
 
 
@@ -85,13 +85,7 @@ def _assemble(phi: tuple, a: CoeffVector, chain, ctx: LowerContext, validity: In
     return BasisSet(n, a, tuple(members), tuple(exprs), validity, tuple(diags), chain, ctx)
 
 
-def basis(
-    a: CoeffVector,
-    grid: Grid,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    numeric_diff: bool = False,
-) -> BasisSet:
+def basis(a: CoeffVector, grid: Grid, tol: float = DEFAULT_TOL, numeric_diff: bool = False) -> BasisSet:
     """Fundamental solution basis for the coefficients in ``a``.
 
     Order 1 short-circuits to the exponential of a primitive; higher orders
@@ -99,37 +93,24 @@ def basis(
     """
     n = a.n
     if n == 1:
-        ctx = LowerContext(grid, series_tol=tol, max_terms=max_terms)
+        ctx = LowerContext(grid, series_tol=tol)
         expr = ce.expprim(a.a(1), 1)
         lower(expr, ctx)  # a dividing coefficient shrinks ctx.validity here
         validity = ctx.final_validity()
         return BasisSet(1, a, (_member(expr, ctx, validity),), (expr,), validity, (None,), None, ctx)
-    chain = build_aux_chain(a, grid, tol=tol, max_terms=max_terms, numeric_diff=numeric_diff)
+    chain = build_aux_chain(a, grid, tol=tol, numeric_diff=numeric_diff)
     return _assemble(chain.phi, a, chain, chain.ctx, chain.validity)
 
 
-def solve_ivp(
-    problem: IVProblem,
-    grid: Grid,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    numeric_diff: bool = False,
-):
+def solve_ivp(problem: IVProblem, grid: Grid, tol: float = DEFAULT_TOL, numeric_diff: bool = False):
     """Solve the initial-value problem; returns (solution, basis)."""
     a = CoeffVector.from_rhs(problem.coefficients)
-    bs = basis(a, grid, tol=tol, max_terms=max_terms, numeric_diff=numeric_diff)
+    bs = basis(a, grid, tol=tol, numeric_diff=numeric_diff)
     y = linear_combination(grid, problem.initial_values, [m.values for m in bs.psi])
     return y, bs
 
 
-def preset_schrodinger(
-    zeta,
-    omega,
-    grid: Grid,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    numeric_diff: bool = False,
-) -> BasisSet:
+def preset_schrodinger(zeta, omega, grid: Grid, tol: float = DEFAULT_TOL, numeric_diff: bool = False) -> BasisSet:
     """Impedance-form basis (C, S) for (zeta u')' + omega^2 zeta u = 0.
 
     The equation is rewritten as u'' = -(zeta'/zeta) u' - omega^2 u, which
@@ -149,16 +130,10 @@ def preset_schrodinger(
         ) from None
     a1 = ce.simplify(ce.mul(Const(-1), ce.div(dzeta, zeta)))
     a2 = Const(-(complex(omega) ** 2))
-    return basis(CoeffVector((Const(-1), a1, a2)), grid, tol=tol, max_terms=max_terms)
+    return basis(CoeffVector((Const(-1), a1, a2)), grid, tol=tol)
 
 
-def preset_orr_sommerfeld(
-    a2,
-    a4,
-    grid: Grid,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> BasisSet:
+def preset_orr_sommerfeld(a2, a4, grid: Grid, tol: float = DEFAULT_TOL) -> BasisSet:
     """Fourth-order basis for y'''' = a2 y'' + a4 y.
 
     With the two odd coefficients absent the auxiliary list collapses to
@@ -167,7 +142,7 @@ def preset_orr_sommerfeld(
     """
     a2 = parse(a2) if isinstance(a2, str) else as_expr(a2)
     a4 = parse(a4) if isinstance(a4, str) else as_expr(a4)
-    ctx = LowerContext(grid, series_tol=tol, max_terms=max_terms)
+    ctx = LowerContext(grid, series_tol=tol)
     c = TrigNode((a2, ce.ONE), 2)
     phi = (
         ce.simplify(ce.mul(a4, c)),

@@ -21,7 +21,7 @@ from multexode import (
 )
 from multexode import coeffexpr as ce
 from multexode.gridfn import check_finite, linear_combination, primitive_values
-from multexode.multex import DEFAULT_MAX_TERMS, DEFAULT_TOL
+from multexode.multex import DEFAULT_TOL
 
 
 def primitive(f: GridFn) -> GridFn:
@@ -54,7 +54,7 @@ def sign_table(n: int) -> np.ndarray:
     return np.where((k % n == j % n) | (k % n == (j + 1) % n), -1, 1)
 
 
-def trig_equiv_check(fs, tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERMS) -> float:
+def trig_equiv_check(fs, tol=DEFAULT_TOL) -> float:
     """Max node discrepancy between the class-sum trig operators and the
     half-sums of the multex series of the inputs and of their sign-flipped
     list.  It needs two inputs or more: with one, every sign flips and the
@@ -62,12 +62,12 @@ def trig_equiv_check(fs, tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERMS) -> float:
     n = len(fs)
     if n < 2:
         raise ValueError("the sign-flip check needs at least two input functions")
-    family, _ = trig_family(fs, tol, max_terms)
-    plain = multex_e(fs, tol, max_terms)[0].values
+    family, _ = trig_family(fs, tol)
+    plain = multex_e(fs, tol)[0].values
     worst = 0.0
     for j, signs in enumerate(sign_table(n), start=1):
         flipped = [GridFn(f.grid, f.values * complex(r)) for f, r in zip(fs, signs)]
-        e_flip = multex_e(flipped, tol, max_terms)[0].values
+        e_flip = multex_e(flipped, tol)[0].values
         half = plain + e_flip if j == n else plain - e_flip
         worst = max(worst, float(np.max(np.abs(family[j - 1].values - 0.5 * half))))
     return worst

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,7 +51,21 @@ class TestConfig:
         cfg = write(tmp_path / "q.cfg", "n = 2\na1 = 0\na2 = a1*x - 1\nic = 1, 0\n")
         assert run(["solve", "--config", cfg]) == 1
         err = capsys.readouterr().err
-        assert "a2" in err and "offset 0" in err
+        assert "a2" in err and "offset 0" in err and "found 'a1'" in err
+
+    @pytest.mark.parametrize("line", ["gird = 400", "max_terms = 50"])
+    def test_unknown_key_named(self, tmp_path, capsys, line):
+        cfg = write(tmp_path / "p.cfg", BASIC + line + "\n")
+        assert run(["solve", "--config", cfg, "--output", str(tmp_path / "out")]) == 1
+        assert repr(line.split()[0]) in capsys.readouterr().err
+
+    def test_readme_config_examples_load(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config format", 1)[1].split("\n##", 1)[0]
+        blocks = re.findall(r"```\n(.*?)```", section, re.S)
+        assert len(blocks) == 3  # solve, schrodinger, orr
+        for block in blocks:
+            load_config(write(tmp_path / "p.cfg", block))
 
     def test_ic_count_checked(self, tmp_path, capsys):
         cfg = write(tmp_path / "p.cfg", "n = 2\na1 = 0\na2 = -1\nic = 1\n")
@@ -226,7 +242,7 @@ class TestRuns:
     def test_not_converged_exit_code(self, tmp_path):
         cfg = write(
             tmp_path / "p.cfg",
-            "n = 2\na1 = 0\na2 = -400\nic = 1, 0\nmax_terms = 4\ntol = 1e-16\ngrid = 200\n",
+            "n = 2\na1 = 0\na2 = -10000\nic = 1, 0\ngrid = 200\n",
         )
         assert run(["solve", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
 

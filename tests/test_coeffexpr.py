@@ -13,7 +13,6 @@ from multexode import (
     LowerContext,
     Mul,
     NonDifferentiable,
-    Prim,
     Sampled,
     TrigNode,
     Var,
@@ -81,10 +80,6 @@ class TestDifferentiate:
         assert differentiate(e) == Mul(a1, e)
         em = ExpPrim(a1, -1)
         assert simplify(differentiate(em)) == Mul(Mul(Const(-1), a1), em)
-
-    def test_primitive_rule(self):
-        f = parse("cos(x)")
-        assert differentiate(Prim(f)) == f
 
     def test_second_derivative_of_trig_node_composes(self):
         f1, f2 = parse("sin(x)"), parse("x^2")
@@ -216,7 +211,6 @@ class TestLower:
 
 class TestPrinter:
     def test_display_forms(self):
-        assert to_text(Prim(X)) == "P(x)"
         assert to_text(ExpPrim(X, -1)) == "expP[-](x)"
         assert to_text(TrigNode((X, ONE), 2)) == "T[2](x, 1)"
 

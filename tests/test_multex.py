@@ -11,6 +11,7 @@ from multexode import (
     trig_family,
     truncation_bound,
 )
+from multexode.multex import MAX_TERMS
 
 from conftest import smooth_gridfn
 from crosschecks import exp_primitive, primitive, sign_table, simplicial, trig_equiv_check
@@ -85,16 +86,12 @@ class TestMultexE:
         assert np.max(np.abs(resid)) <= 1e-6
 
     def test_not_converged_raises_with_diagnostics(self, grid200):
-        big = GridFn.const(grid200, 40.0)
+        # the terms (100 x)^m / m! of exp(100 x) still exceed 1e22 at m = MAX_TERMS
+        big = GridFn.const(grid200, 100.0)
         with pytest.raises(NotConverged) as exc:
-            multex_e([big], tol=1e-12, max_terms=5)
-        assert exc.value.diagnostics.terms_used == 5
+            multex_e([big], tol=1e-12)
+        assert exc.value.diagnostics.terms_used == MAX_TERMS
         assert not exc.value.diagnostics.converged
-
-    def test_empty_budget_is_not_converged(self, grid200):
-        with pytest.raises(NotConverged) as exc:
-            multex_e([GridFn.const(grid200, 1.0)], max_terms=0)
-        assert exc.value.diagnostics.terms_used == 0
 
     @pytest.mark.parametrize("series", [multex_e, trig_family])
     def test_overflowing_term_raises_overflow(self, grid200, series):
@@ -113,9 +110,9 @@ class TestMultexE:
             series(fs)
 
     def test_budget_reached_near_tolerance_returns_unconverged(self, grid200):
-        # last term lands between tol and 1e3 tol: flagged, not fatal
-        one = GridFn.const(grid200, 1.0)
-        _, diag = multex_e([one], tol=1e-9, max_terms=10)
+        # the last of MAX_TERMS terms lands between tol and 1e3 tol: flagged, not fatal
+        _, diag = multex_e([GridFn.const(grid200, 70.5)], tol=1e-9)
+        assert diag.terms_used == MAX_TERMS
         assert not diag.converged
         assert 1e-9 < diag.last_term_norm <= 1e-6
 
@@ -184,14 +181,12 @@ class TestTrig:
             assert np.max(np.abs(s[:z] - mirrored)) < 1e-12
 
     def test_term_decay_factorial_domination(self, grid200, rng):
-        from multexode.multex import nu
-
         fs = [smooth_gridfn(grid200, rng, scale=2.0) for _ in range(2)]
         big_g = max(f.sup_norm() for f in fs) * (grid200.hi - grid200.lo)
         s = GridFn.const(grid200, 1.0)
         bound = 1.0
         for j in range(1, 25):
-            s = primitive(GridFn(grid200, fs[nu(j, 2) - 1].values * s.values))
+            s = primitive(GridFn(grid200, fs[(j - 1) % 2].values * s.values))
             bound *= big_g / j
             assert s.sup_norm() <= bound + 1e-15
 

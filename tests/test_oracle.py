@@ -12,6 +12,7 @@ from multexode import (
 )
 from multexode.auxiliary import CoeffVector
 from multexode.gridfn import primitive_values
+from multexode.oracle import MAX_TERMS
 
 from conftest import smooth_gridfn
 from crosschecks import matrix_from_gridfns
@@ -111,9 +112,10 @@ class TestDyson:
         assert np.max(np.abs(det - 1.0)) <= 1e-8
 
     def test_not_converged(self, grid200):
-        m = const_matrix(grid200, 50.0 * np.eye(2))
-        with pytest.raises(NotConverged):
-            dyson(m, tol=1e-12, max_terms=5)
+        m = const_matrix(grid200, 300.0 * np.eye(2))
+        with pytest.raises(NotConverged) as exc:
+            dyson(m, tol=1e-12)
+        assert exc.value.diagnostics.terms_used == MAX_TERMS
 
 
 class TestDysonState:

@@ -68,6 +68,7 @@ class TestErrors:
             parse("2*foo")
         assert "sin" in exc.value.expected or "x" in exc.value.expected
         assert exc.value.offset == 2
+        assert exc.value.found == "foo"
 
     def test_trailing_garbage(self):
         with pytest.raises(ExpressionSyntaxError) as exc:
