@@ -59,4 +59,17 @@ from .solver import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AuxChain", "CoeffVector", "apply_scriptD", "build_aux_chain", "extract_aux_ode",
+    "AuxDeriv", "AuxFn", "Add", "Const", "Div", "ExpPrim", "Expr", "FuncCall", "IntPow", "Mul", "Sampled", "Sub",
+    "TrigNode", "Var", "differentiate", "simplify", "to_text",
+    "ConfigError", "CoverageGap", "DegenerateLeading", "DivisorTooSmall", "ExpressionSyntaxError",
+    "MultexodeError", "NonDifferentiable", "NonMonotoneAbscissae", "NotConverged", "Overflow", "ValidityCollapsed",
+    "Grid", "GridFn", "Interval", "zero_free_interval",
+    "LowerContext", "lower",
+    "SeriesDiagnostics", "multex_e", "trig_family", "truncation_bound",
+    "DysonResult", "MatrixFn", "companion", "dyson", "rk4",
+    "parse",
+    "BasisSet", "IVProblem", "basis", "initial_condition_matrix", "ode_residual", "preset_orr_sommerfeld",
+    "preset_schrodinger", "solve_ivp",
+]

@@ -40,10 +40,8 @@ from .parser import parse
 from .solver import IVProblem, basis, preset_orr_sommerfeld, preset_schrodinger, solve_ivp
 
 MODES = ("solve", "basis", "compare", "preset:schrodinger", "preset:orr")
-KEYS = frozenset(
-    ["mode", "preset", "n", *(f"a{j}" for j in range(1, 10)), "zeta", "omega", "ic", "interval", "grid", "tol",
-     "compare_tol", "numeric_diff"]
-)
+SHARED_KEYS = frozenset(["ic", "interval", "grid", "tol", "compare_tol", "numeric_diff"])
+KEYS = SHARED_KEYS | {"mode", "preset", "n", *(f"a{j}" for j in range(1, 10)), "zeta", "omega"}
 
 
 def ingest_samples(path) -> Sampled:
@@ -195,12 +193,14 @@ def load_config(path, overrides=None) -> ProblemConfig:
             raise ConfigError("omega: required for the schrodinger preset")
         cfg.omega = _complex(raw["omega"], "omega")
         cfg.n = 2
+        read = {"preset", "zeta", "omega"}
     elif mode == "preset:orr":
         for name in ("a2", "a4"):
             if name not in raw:
                 raise ConfigError(f"{name}: required for the orr preset")
             cfg.coefficients[name] = _coefficient(raw[name], base, name)
         cfg.n = 4
+        read = {"preset", "a2", "a4"}
     else:
         if "n" not in raw:
             raise ConfigError("n: required")
@@ -215,6 +215,10 @@ def load_config(path, overrides=None) -> ProblemConfig:
             if name not in raw:
                 raise ConfigError(f"{name}: coefficient missing for order n = {cfg.n}")
             cfg.coefficients[name] = _coefficient(raw[name], base, name)
+        read = {"mode", "n", *cfg.coefficients}
+    unread = sorted(raw.keys() - read - SHARED_KEYS)
+    if unread:
+        raise ConfigError(f"{path}: key {unread[0]!r} is not read in mode {mode!r}")
 
     if "ic" in raw:
         parts = [p for p in raw["ic"].split(",") if p.strip()]

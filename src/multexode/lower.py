@@ -1,13 +1,15 @@
 """Lower expressions to sample rows on a grid.
 
 A LowerContext fixes the grid, series tolerances and the per-solve memo
-store.  The memo holds plain read-only arrays, one per expression, each
-checked finite (Overflow at the first bad node), real until a complex
-constant, a complex table or ``sqrt`` enters; the recursion never builds a
-GridFn.  Lowering one index of a trig family stores every index of it, so
-the family costs a single recurrence pass.
-The public :func:`lower` is the GridFn edge: it wraps the memo's array
-without a copy.
+store.  Every node lowers to a plain read-only array, checked finite
+(Overflow at the first bad node), real until a complex constant, a complex
+table or ``sqrt`` enters; the recursion never builds a GridFn.  The memo
+keeps the rows that integrate, sum a series, read a table or divide;
+arithmetic rows are transient, recomputed from their memoized children when
+reached again.  Lowering one index of a trig family stores every index of
+it, so the family costs a single recurrence pass.
+The public :func:`lower` is the GridFn edge: it stores the row it returns
+and wraps it without a copy.
 
 There is one division policy, with the one floor DIV_FLOOR.  A divisor whose
 magnitude at 0 is not above the floor is DivisorTooSmall.  Otherwise the
@@ -31,15 +33,20 @@ from .gridfn import DIV_FLOOR, Grid, GridFn, Interval, _lagrange4, check_finite,
 from .multex import DEFAULT_TOL, trig_family
 
 MIN_VALIDITY_CELLS = 4
+# nodes whose row costs only elementwise arithmetic on its children's rows
+# (IntPow only for k >= 0; a negative power divides)
+_TRANSIENT = (ce.Const, ce.Var, ce.Add, ce.Sub, ce.Mul, ce.FuncCall, ce.IntPow)
 
 
 class LowerContext:
     """Shared state for one solve: grid, tolerances, memo.
 
-    The memo key is the structural identity of the expression; lowering one
-    trig operator stores its whole family there, so every index of one
-    family costs a single recurrence pass.  A context is cheap; make a fresh
-    one per solve.
+    The memo key is the structural identity of the expression.  It keeps
+    the rows of primitives, trig families, tables, divisions and auxiliary
+    functions, and every row asked for through :func:`lower`; arithmetic
+    rows are transient.  Lowering one trig operator stores its whole family,
+    so every index of one family costs a single recurrence pass.  A context
+    is cheap; make a fresh one per solve.
     """
 
     def __init__(self, grid: Grid, series_tol: float = DEFAULT_TOL, numeric_diff: bool = False):
@@ -109,19 +116,22 @@ def lower(e: ce.Expr, ctx: LowerContext) -> GridFn:
     recursion, because every node is checked.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return GridFn._wrap(ctx.grid, _values(e, ctx))
+        return GridFn._wrap(ctx.grid, ctx.memo.setdefault(e, _values(e, ctx)))
 
 
 def _values(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
-    """The memoized, checked, read-only sample row of one expression; Overflow
-    at the first node where it is not finite."""
+    """The checked, read-only sample row of one expression; Overflow at the
+    first node where it is not finite.  A transient row is not stored: its
+    recompute finds the costly rows below it in the memo, and so repeats no
+    primitive, series, zero-free scan or table read."""
     hit = ctx.memo.get(e)
     if hit is not None:
         return hit
     out = _lower(e, ctx)
     check_finite(out, ctx.grid)
     out.setflags(write=False)
-    ctx.memo[e] = out
+    if not isinstance(e, _TRANSIENT) or isinstance(e, ce.IntPow) and e.k < 0:
+        ctx.memo[e] = out
     return out
 
 

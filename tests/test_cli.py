@@ -34,6 +34,8 @@ interval = -1:1
 grid = 2000
 tol = 1e-12
 """
+ORR = "preset = orr\na2 = -1+x\na4 = 1/2\n"
+SCHRODINGER = "preset = schrodinger\nzeta = 2+x\nomega = 1.5\n"
 
 
 class TestConfig:
@@ -53,11 +55,38 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "a2" in err and "offset 0" in err and "found 'a1'" in err
 
-    @pytest.mark.parametrize("line", ["gird = 400", "max_terms = 50"])
-    def test_unknown_key_named(self, tmp_path, capsys, line):
-        cfg = write(tmp_path / "p.cfg", BASIC + line + "\n")
-        assert run(["solve", "--config", cfg, "--output", str(tmp_path / "out")]) == 1
-        assert repr(line.split()[0]) in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            pytest.param("solve", BASIC + "gird = 400\n", "gird", id="gird = 400"),
+            pytest.param("solve", BASIC + "max_terms = 50\n", "max_terms", id="max_terms = 50"),
+            # accepted keys that the chosen mode never reads
+            pytest.param("solve", "n = 2\na1 = 0\na2 = -4\na3 = x\nzeta = 2\nic = 1, 0\n", "a3", id="a3-beyond-n"),
+            pytest.param("solve", BASIC + "zeta = 2\n", "zeta", id="zeta-in-solve"),
+            pytest.param("compare", "mode = compare\n" + BASIC + "omega = 1\n", "omega", id="omega-in-compare"),
+            pytest.param("preset", ORR + "mode = compare\n", "mode", id="mode-with-preset"),
+            pytest.param("preset", ORR + "n = 4\n", "n", id="n-in-orr"),
+            pytest.param("preset", ORR + "a1 = 0\n", "a1", id="a1-in-orr"),
+            pytest.param("preset", ORR + "omega = 1\n", "omega", id="omega-in-orr"),
+            pytest.param("preset", SCHRODINGER + "n = 2\n", "n", id="n-in-schrodinger"),
+            pytest.param("preset", SCHRODINGER + "a2 = x\n", "a2", id="a2-in-schrodinger"),
+        ],
+    )
+    def test_unknown_key_named(self, tmp_path, capsys, command, text, key):
+        cfg = write(tmp_path / "p.cfg", text)
+        assert run([command, "--config", cfg, "--output", str(tmp_path / "out")]) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "body, ic",
+        [("n = 2\na1 = 0\na2 = -4\n", "1, 0"), (ORR, "1, 0, 0, 0"), (SCHRODINGER, "1, 0")],
+        ids=["solve", "orr", "schrodinger"],
+    )
+    def test_shared_keys_accepted_in_every_mode(self, tmp_path, body, ic):
+        shared = f"ic = {ic}\ninterval = -1:1\ngrid = 200\ntol = 1e-10\ncompare_tol = 1e-7\nnumeric_diff = false\n"
+        cfg = load_config(write(tmp_path / "p.cfg", body + shared))
+        assert (cfg.grid_n, cfg.tol, cfg.compare_tol) == (200, 1e-10, 1e-7)
 
     def test_readme_config_examples_load(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

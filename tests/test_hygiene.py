@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -21,3 +22,10 @@ def test_every_module_level_import_is_used(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_all_names_resolve_to_public_objects():
+    names = multexode.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(multexode, n)] == []
+    assert [n for n in names if isinstance(getattr(multexode, n), ModuleType)] == []

@@ -1,13 +1,23 @@
+import importlib
+import sys
+
 import numpy as np
 import pytest
 
 from multexode import (
+    Add,
+    Const,
+    FuncCall,
     Grid,
+    IntPow,
     IVProblem,
+    Mul,
     NonDifferentiable,
     Overflow,
     Sampled,
+    Sub,
     TrigNode,
+    Var,
     basis,
     companion,
     dyson,
@@ -195,6 +205,50 @@ class TestSolveIvp:
         assert np.all(y.values[x > bs.validity.hi + 1e-12] == 0.0)
         near = x <= 0.49
         assert np.max(np.abs(y.values[near] - (1 - 2 * x[near]))) <= 1e-6
+
+
+# the smooth order-5 problem of the ROADMAP timing table
+ORDER5 = IVProblem(5, ("0.1*x", "-1+0.2*sin(x)", "0.3*x", "0.5*cos(x)", "0.2"), (1, 0, 0.5, -0.2, 0.3))
+
+
+class TestLoweringMemo:
+    def test_memo_keeps_no_arithmetic_row_nobody_asked_for(self, grid2000, monkeypatch):
+        public = importlib.import_module("multexode.lower").lower
+        asked = set()
+
+        def recording(e, ctx):
+            asked.add(e)
+            return public(e, ctx)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("multexode.") and getattr(module, "lower", None) is public:
+                monkeypatch.setattr(module, "lower", recording)
+        _, bs = solve_ivp(ORDER5, grid2000)
+        memo = bs.ctx.memo
+        assert asked <= memo.keys()
+        arithmetic = (Const, Var, Add, Sub, Mul, FuncCall)
+        kept = [e for e in memo.keys() - asked if isinstance(e, arithmetic) or isinstance(e, IntPow) and e.k >= 0]
+        assert kept == []
+
+    def test_transient_rows_repeat_no_costly_work(self, grid2000, monkeypatch):
+        # the counts of a memo that kept every row; a recompute that re-ran a
+        # series, a primitive or a zero-free scan would raise them
+        calls = {}
+        for name, attr in (("lower", "trig_family"), ("lower", "zero_free_interval"),
+                           ("lower", "primitive_values"), ("multex", "primitive_values")):
+            module = importlib.import_module(f"multexode.{name}")
+            fn = getattr(module, attr)
+            key = f"{name}.{attr}"
+            calls[key] = 0
+
+            def counting(*a, _fn=fn, _key=key, **k):
+                calls[_key] += 1
+                return _fn(*a, **k)
+
+            monkeypatch.setattr(module, attr, counting)
+        solve_ivp(ORDER5, grid2000)
+        assert calls == {"lower.trig_family": 12, "lower.zero_free_interval": 22,
+                         "lower.primitive_values": 12, "multex.primitive_values": 235}
 
 
 class TestSchrodingerPreset:
