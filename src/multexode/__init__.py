@@ -8,7 +8,7 @@ and cross-checks everything against an iterated-integral series oracle and a
 classical fixed-step integrator.
 """
 
-from .auxiliary import AuxChain, CoeffVector, apply_scriptD, build_aux_chain, extract_aux_ode
+from .auxiliary import AuxChain, CoeffVector, apply_scriptD, build_aux_chain, extract_aux_ode, lower_chain
 from .coeffexpr import (
     AuxDeriv,
     AuxFn,
@@ -60,7 +60,7 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxChain", "CoeffVector", "apply_scriptD", "build_aux_chain", "extract_aux_ode",
+    "AuxChain", "CoeffVector", "apply_scriptD", "build_aux_chain", "extract_aux_ode", "lower_chain",
     "AuxDeriv", "AuxFn", "Add", "Const", "Div", "ExpPrim", "Expr", "FuncCall", "IntPow", "Mul", "Sampled", "Sub",
     "TrigNode", "Var", "differentiate", "simplify", "to_text",
     "ConfigError", "CoverageGap", "DegenerateLeading", "DivisorTooSmall", "ExpressionSyntaxError",

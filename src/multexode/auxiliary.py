@@ -15,6 +15,11 @@ Solved functions are wrapped as AuxFn nodes so later symbolic derivatives cap
 at the order of their defining equation; this keeps every expression in the
 chain free of coefficient derivatives up to order four, matching the closed
 forms that the wrapped recursion reproduces.
+
+The chain depends only on the coefficients, so it is built once, without a
+grid, as pure expressions.  Everything here is symbolic except
+:func:`lower_chain`, the one entry that evaluates a built chain on a
+LowerContext; a chain can be lowered on any number of grids.
 """
 
 from __future__ import annotations
@@ -25,9 +30,8 @@ from math import comb
 from . import coeffexpr as ce
 from .coeffexpr import AuxFn, Const, Expr, TrigNode, ZERO, as_expr
 from .errors import DegenerateLeading
-from .gridfn import DIV_FLOOR, Grid, GridFn, Interval
+from .gridfn import DIV_FLOOR
 from .lower import LowerContext, lower
-from .multex import DEFAULT_TOL, SeriesDiagnostics
 
 
 @dataclass(frozen=True)
@@ -90,17 +94,17 @@ def apply_scriptD(v, numeric: bool = False) -> list:
     return out
 
 
-def extract_aux_ode(a: CoeffVector, beta, ctx: LowerContext | None = None, numeric: bool = False):
+def extract_aux_ode(a: CoeffVector, beta, numeric: bool = False):
     """Extract the auxiliary equation carried by a vector.
 
     Contracts (a0..an) with the derivative matrix applied to u * beta and
     collects the coefficient g_s of each u^(s), expanding every D^k(u beta_m)
     by the Leibniz rule sum_s C(k, s) u^(s) D^(k-s) beta_m over one derivative
-    table of beta.  Normalizing by the leading coefficient returns (order m,
-    [b1..bm]) for u^(m) = b1 u^(m-1) + ... + bm u.  Raises DegenerateLeading
-    when the extracted order is below what the vector's support promises or
-    the leading coefficient vanishes at 0 (the latter check requires a
-    context to evaluate on the grid).
+    table of beta.  Normalizing by the leading coefficient g_m returns
+    (order m, [b1..bm], g_m) for u^(m) = b1 u^(m-1) + ... + bm u.  Raises
+    DegenerateLeading when the extracted order is below what the vector's
+    support promises; whether g_m vanishes at 0 is checked when the chain is
+    lowered.
     """
     beta = [as_expr(c) for c in beta]
     size = len(beta)
@@ -128,112 +132,101 @@ def extract_aux_ode(a: CoeffVector, beta, ctx: LowerContext | None = None, numer
             f"extracted order {order} does not match the expected order {expected}"
         )
     lead = g[order]
-    if ctx is not None:
-        lead_val = abs(lower(lead, ctx).at_zero())
-        if lead_val <= DIV_FLOOR:
-            raise DegenerateLeading(
-                f"leading coefficient magnitude {lead_val:.3e} at 0 is not above {DIV_FLOOR:.1e}"
-            )
-    elif lead == ZERO:
-        raise DegenerateLeading("leading coefficient is identically zero")
-
     b = [ce.simplify(ce.div(ce.mul(Const(-1), g[order - i]), lead)) for i in range(1, order + 1)]
-    return order, b
+    return order, b, lead
 
 
-def solve_unit_ivp(order: int, b, ctx: LowerContext, name: str) -> Expr:
+def solve_unit_ivp(order: int, b, name: str, numeric: bool = False):
     """Closed expression for the unit solution of u^(m) = b1 u^(m-1) + ... + bm u
-    with u(0) = 1 and all lower initial derivatives zero.
+    with u(0) = 1 and all lower initial derivatives zero, and the leading
+    coefficients its construction left to check.
 
-    Order 1 is an exponential of a primitive, order 2 the index-2 trig
-    operator of the standard pair, and higher orders recurse through a fresh
-    auxiliary chain on the same context.
+    Order 1 is an exponential of a primitive and order 2 the index-2 trig
+    operator of the standard pair, neither with a leading coefficient; higher
+    orders recurse through a fresh auxiliary chain, whose leads they return.
     """
     b = [as_expr(c) for c in b]
     if order == 1:
-        return ce.expprim(b[0], 1)
+        return ce.expprim(b[0], 1), ()
     if order == 2:
         down = ce.expprim(b[0], -1)
         up = ce.expprim(b[0], 1)
-        return TrigNode((ce.mul(b[1], down), up), 2)
-    sub = _build_chain(CoeffVector.from_rhs(b), ctx, prefix=f"{name}.")
-    return TrigNode(sub.phi, sub.n)
+        return TrigNode((ce.mul(b[1], down), up), 2), ()
+    sub = _build_chain(CoeffVector.from_rhs(b), numeric, prefix=f"{name}.")
+    return TrigNode(sub.phi, sub.n), sub.leads
 
 
-@dataclass
+@dataclass(frozen=True)
 class AuxChain:
-    """The solved auxiliary functions of one problem, with realizations.
+    """The solved auxiliary functions of one problem, as expressions.
 
-    phi[k-1] is the k-th auxiliary function as an expression (wrapped with its
-    defining equation for k >= 2); phi_fns holds the grid realizations;
-    beta[0] is the starting unit vector and each later entry the vector that
-    produced the next extraction.  validity is the reported neighbourhood of
-    0, already shrunk by one grid cell on every side the zero-free scans
-    trimmed.
+    phi[k-1] is the k-th auxiliary function (wrapped with its defining
+    equation for k >= 2).  leads holds, in build order, the leading
+    coefficient of every extracted equation, nested chains included; each
+    must not vanish at the anchor node of the grid the chain is lowered on.
     """
 
     n: int
     a: CoeffVector
     phi: tuple
-    phi_fns: tuple
-    beta: tuple
-    validity: Interval
-    ctx: LowerContext
-    diagnostics: dict
+    leads: tuple
 
 
-def _series_diag_for(expr: Expr, ctx: LowerContext) -> SeriesDiagnostics | None:
-    real = expr.realization if isinstance(expr, AuxFn) else expr
-    if isinstance(real, TrigNode):
-        return ctx.trig_diagnostics.get(real.fs)
-    return None
-
-
-def _build_chain(a: CoeffVector, ctx: LowerContext, prefix: str = "phi") -> AuxChain:
+def _build_chain(a: CoeffVector, numeric: bool, prefix: str = "phi") -> AuxChain:
     n = a.n
     if n < 2:
         raise ValueError("auxiliary chains start at order 2")
-    numeric = ctx.numeric_diff
 
-    betas = [tuple([ZERO] * n + [ce.ONE])]
-    cur = list(betas[0])
+    cur = [ZERO] * n + [ce.ONE]
     phis: dict[int, Expr] = {}
-    fns: dict[int, GridFn] = {}
+    leads = []
     for k in range(n, 1, -1):
-        order, b = extract_aux_ode(a, cur, ctx, numeric)
+        order, b, lead = extract_aux_ode(a, cur, numeric)
         if order != k - 1:
             raise DegenerateLeading(
                 f"auxiliary equation for stage {k} has order {order}, expected {k - 1}"
             )
         name = f"{prefix}{k}" if not prefix.endswith(".") else f"{prefix}phi{k}"
-        realization = solve_unit_ivp(order, b, ctx, name)
-        fn_expr = AuxFn(name, order, tuple(b), realization)
-        phis[k] = fn_expr
-        fns[k] = lower(fn_expr, ctx)
-        cur = apply_scriptD([ce.mul(fn_expr, entry) for entry in cur], numeric)
-        betas.append(tuple(cur))
+        realization, sub_leads = solve_unit_ivp(order, b, name, numeric)
+        leads += [lead, *sub_leads]
+        phis[k] = AuxFn(name, order, tuple(b), realization, numeric)
+        cur = apply_scriptD([ce.mul(phis[k], entry) for entry in cur], numeric)
 
     prod = None
     for k in range(2, n + 1):
         prod = phis[k] if prod is None else ce.mul(prod, phis[k])
-    phi1 = ce.simplify(ce.mul(a.a(n), ce.invert(prod)))
-    phis[1] = phi1
-    fns[1] = lower(phi1, ctx)
-
-    validity = ctx.final_validity()
-    phi = tuple(phis[k] for k in range(1, n + 1))
-    phi_fns = tuple(fns[k] for k in range(1, n + 1))
-    diags = {k: _series_diag_for(phis[k], ctx) for k in range(1, n + 1)}
-    return AuxChain(n, a, phi, phi_fns, tuple(betas), validity, ctx, diags)
+    phis[1] = ce.simplify(ce.mul(a.a(n), ce.invert(prod)))
+    return AuxChain(n, a, tuple(phis[k] for k in range(1, n + 1)), tuple(leads))
 
 
-def build_aux_chain(a: CoeffVector, grid: Grid, tol: float = DEFAULT_TOL, numeric_diff: bool = False) -> AuxChain:
-    """Run the general recursion for the coefficients in ``a`` on ``grid``.
+def build_aux_chain(a: CoeffVector, numeric_diff: bool = False) -> AuxChain:
+    """Run the general recursion for the coefficients in ``a``; no grid is
+    involved.  ``numeric_diff`` lets the symbolic derivatives differentiate
+    sampled tables by finite differences."""
+    return _build_chain(a, numeric_diff)
 
-    Division by auxiliary functions is guarded: wherever a divisor approaches
-    zero the validity interval shrinks and values outside it are zeroed, so
-    the returned realizations are trustworthy exactly on ``chain.validity``.
+
+def lower_chain(chain: AuxChain, ctx: LowerContext):
+    """Evaluate a built chain on a context.
+
+    Checks every recorded leading coefficient at the anchor node
+    (DegenerateLeading when its magnitude is not above DIV_FLOOR), then
+    lowers phi_n, ..., phi_2, phi_1 in build order.  Division by auxiliary
+    functions is guarded: wherever a divisor approaches zero the validity
+    interval shrinks and values outside it are zeroed.  Returns the rows
+    phi_1..phi_n, the series diagnostics of each phi_k keyed by k (None
+    where phi_k is not a trig operator), and ``ctx.final_validity()``, the
+    interval on which the rows are trustworthy.
     """
-    ctx = LowerContext(grid, series_tol=tol, numeric_diff=numeric_diff)
-    return _build_chain(a, ctx)
-
+    for lead in chain.leads:
+        mag = abs(lower(lead, ctx).at_zero())
+        if mag <= DIV_FLOOR:
+            raise DegenerateLeading(
+                f"leading coefficient magnitude {mag:.3e} at 0 is not above {DIV_FLOOR:.1e}"
+            )
+    rows = {k: lower(chain.phi[k - 1], ctx) for k in [*range(chain.n, 1, -1), 1]}
+    diags = {}
+    for k, p in enumerate(chain.phi, start=1):
+        real = p.realization if isinstance(p, AuxFn) else p
+        diags[k] = ctx.trig_diagnostics.get(real.fs) if isinstance(real, TrigNode) else None
+    return tuple(rows[k] for k in range(1, chain.n + 1)), diags, ctx.final_validity()

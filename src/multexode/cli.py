@@ -42,6 +42,7 @@ from .solver import IVProblem, basis, preset_orr_sommerfeld, preset_schrodinger,
 MODES = ("solve", "basis", "compare", "preset:schrodinger", "preset:orr")
 SHARED_KEYS = frozenset(["ic", "interval", "grid", "tol", "compare_tol", "numeric_diff"])
 KEYS = SHARED_KEYS | {"mode", "preset", "n", *(f"a{j}" for j in range(1, 10)), "zeta", "omega"}
+BOOLEANS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
 def ingest_samples(path) -> Sampled:
@@ -181,9 +182,13 @@ def load_config(path, overrides=None) -> ProblemConfig:
                 raise ConfigError(f"{key}: {raw[key]!r} is not a {conv.__name__}") from None
     if cfg.grid_n < 16 or cfg.grid_n % 2:
         raise ConfigError(f"grid: N must be even and >= 16, got {cfg.grid_n}")
-    if cfg.tol <= 0:
-        raise ConfigError("tol: must be positive")
-    cfg.numeric_diff = raw.get("numeric_diff", "false").lower() in ("1", "true", "yes")
+    for key, value in (("tol", cfg.tol), ("compare_tol", cfg.compare_tol)):
+        if not 0 < value < np.inf:
+            raise ConfigError(f"{key}: must be finite and positive, got {value!r}")
+    flag = raw.get("numeric_diff", "false").lower()
+    if flag not in BOOLEANS:
+        raise ConfigError(f"numeric_diff: {raw['numeric_diff']!r} is not one of {', '.join(BOOLEANS)}")
+    cfg.numeric_diff = BOOLEANS[flag]
 
     if mode == "preset:schrodinger":
         if "zeta" not in raw:
@@ -344,10 +349,10 @@ def _run_problem(cfg: ProblemConfig, outdir: Path, fmt: str) -> int:
     max_err = float(errs[i])
     passed = bool(max_err <= cfg.compare_tol)
     aux_diags = None
-    if bs.chain is not None:
+    if bs.aux_diagnostics is not None:
         aux_diags = {
             f"phi{k}": (asdict(d) if d is not None else None)
-            for k, d in sorted(bs.chain.diagnostics.items())
+            for k, d in sorted(bs.aux_diagnostics.items())
         }
     report = {
         "mode": "compare",

@@ -213,20 +213,29 @@ class AuxFn(Expr):
     + bm u; realization is the closed expression the solver produced for it.
     Differentiation of an AuxFn proceeds through AuxDeriv placeholders until
     order m, where the equation's right side is substituted, capping the
-    symbolic derivative depth exactly as the recursion requires.
+    symbolic derivative depth exactly as the recursion requires.  derivs[s-1]
+    is the simplified s-th derivative of the realization (1 <= s < m), what
+    AuxDeriv(self, s) evaluates to; it is made here, once, so that lowering
+    does no symbolic work (``numeric`` as in :func:`differentiate`).
     """
 
-    __slots__ = ("name", "order", "bcoeffs", "realization")
+    __slots__ = ("name", "order", "bcoeffs", "realization", "derivs")
 
-    def __init__(self, name, order, bcoeffs, realization):
+    def __init__(self, name, order, bcoeffs, realization, numeric=False):
         bcoeffs = tuple(as_expr(b) for b in bcoeffs)
         order = int(order)
         if order < 1 or len(bcoeffs) != order:
             raise ValueError("need exactly `order` right-side coefficients")
+        realization = as_expr(realization)
+        derivs, d = [], realization
+        for _ in range(order - 1):
+            d = differentiate(d, numeric)
+            derivs.append(simplify(d))
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "bcoeffs", bcoeffs)
-        object.__setattr__(self, "realization", as_expr(realization))
+        object.__setattr__(self, "realization", realization)
+        object.__setattr__(self, "derivs", tuple(derivs))
 
     def _key(self):
         return (self.name, self.order, self.bcoeffs, self.realization)

@@ -1,6 +1,8 @@
 """Lower expressions to sample rows on a grid.
 
-A LowerContext fixes the grid, series tolerances and the per-solve memo
+Lowering is numeric only: it reads expressions, including the realized
+derivatives an AuxFn carries, and never simplifies or differentiates.  A
+LowerContext fixes the grid, series tolerances and the per-solve memo
 store.  Every node lowers to a plain read-only array, checked finite
 (Overflow at the first bad node), real until a complex constant, a complex
 table or ``sqrt`` enters; the recursion never builds a GridFn.  The memo
@@ -49,14 +51,12 @@ class LowerContext:
     is cheap; make a fresh one per solve.
     """
 
-    def __init__(self, grid: Grid, series_tol: float = DEFAULT_TOL, numeric_diff: bool = False):
+    def __init__(self, grid: Grid, series_tol: float = DEFAULT_TOL):
         self.grid = grid
         self.series_tol = series_tol
-        self.numeric_diff = numeric_diff
         self.validity = grid.interval
         self.memo: dict = {}
         self.trig_diagnostics: dict = {}
-        self.deriv_cache: dict = {}
 
     def shrink_validity(self, interval: Interval):
         try:
@@ -80,16 +80,6 @@ class LowerContext:
                 f"grid cells, below {MIN_VALIDITY_CELLS}"
             )
         return Interval(v.lo + g.h if lo_cut else v.lo, v.hi - g.h if hi_cut else v.hi)
-
-    def realized_derivative(self, fn: ce.AuxFn, s: int) -> ce.Expr:
-        """s-th symbolic derivative of an auxiliary function's realization."""
-        key = (fn, s)
-        if key not in self.deriv_cache:
-            expr = fn.realization
-            for _ in range(s):
-                expr = ce.differentiate(expr, self.numeric_diff)
-            self.deriv_cache[key] = ce.simplify(expr)
-        return self.deriv_cache[key]
 
 
 def _guarded_reciprocal(ctx: LowerContext, den: np.ndarray, power: int) -> np.ndarray:
@@ -178,6 +168,6 @@ def _lower(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
     if isinstance(e, ce.AuxFn):
         return _values(e.realization, ctx)
     if isinstance(e, ce.AuxDeriv):
-        return _values(ctx.realized_derivative(e.fn, e.s), ctx)
+        return _values(e.fn.derivs[e.s - 1], ctx)
     raise TypeError(f"cannot lower {type(e).__name__}")
 

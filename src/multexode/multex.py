@@ -32,7 +32,6 @@ MAX_TERMS = 200  # a safety stop only: tol ends a series, whose terms fall facto
 class SeriesDiagnostics:
     terms_used: int
     last_term_norm: float
-    apriori_bound: float
     converged: bool
 
 
@@ -84,7 +83,7 @@ def _series(fs, tol, classes):
     than 1e3 * tol, the series is considered divergent at this resolution and
     NotConverged is raised carrying the diagnostics.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     grid, rows = _input_rows(fs)
     dtype = np.result_type(*rows)  # real inputs keep the sums real
@@ -95,7 +94,6 @@ def _series(fs, tol, classes):
     last = math.inf
     converged = False
     with np.errstate(over="ignore", invalid="ignore"):
-        g = float(np.max(np.abs(primitive_values(np.max(np.abs(rows), axis=0), grid))))
         while m < MAX_TERMS:
             last = 0.0
             for c in range(classes):
@@ -111,7 +109,7 @@ def _series(fs, tol, classes):
                 converged = True
                 break
     check_finite(sums, grid)  # finite terms can still overflow a sum
-    diag = SeriesDiagnostics(m, last, truncation_bound(g, 1, m), converged)
+    diag = SeriesDiagnostics(m, last, converged)
     if not converged and last > 1e3 * tol:
         name = "multex" if classes == 1 else "trig"
         raise NotConverged(f"{name} series still at {last:.3e} after {m} terms (tol {tol:.1e})", diag)

@@ -1,11 +1,11 @@
 """Independent ground truth for the solver.
 
 Two oracles solve the companion first-order system M' = m M, M(0) = I: the
-iterated-integral (Dyson) series, whose omitted terms are bounded by the same
-factorial tail (``multex.truncation_bound``) that bounds the trig series, and
-a classical fixed-step fourth-order marcher.  They share nothing with the
-trig-operator machinery except the anchored quadrature (series) and the local
-interpolator (marcher), so an error in either path shows up as disagreement.
+iterated-integral (Dyson) series, whose omitted terms are bounded by the
+factorial tail ``multex.truncation_bound``, and a classical fixed-step
+fourth-order marcher.  They share nothing with the trig-operator machinery
+except the anchored quadrature (series) and the local interpolator
+(marcher), so an error in either path shows up as disagreement.
 
 Given initial data ``y0``, ``dyson`` sums the same series for the state
 Y' = m Y, Y(0) = y0 instead, at 1/n of the work of the fundamental matrix;
@@ -89,7 +89,7 @@ def dyson(m: MatrixFn, tol: float = DEFAULT_TOL, y0=None) -> DysonResult:
     terms leave it far above.  The term and tail bounds of the state scale
     with sum |y0_k|, since every state term is the matrix term applied to y0.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     n = m.n
     grid = m.grid

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coeffexpr as ce
-from .auxiliary import AuxChain, CoeffVector, build_aux_chain
+from .auxiliary import AuxChain, CoeffVector, build_aux_chain, lower_chain
 from .coeffexpr import Const, TrigNode, as_expr
 from .errors import NonDifferentiable
 from .gridfn import Grid, GridFn, Interval, linear_combination
@@ -51,6 +51,8 @@ class BasisSet:
 
     psi holds the grid realizations, zeroed outside validity; exprs the
     symbolic trig forms, which is what derivative checks differentiate.
+    diagnostics are the members' series diagnostics and aux_diagnostics
+    those of the chain's auxiliary functions; order 1 has no chain.
     """
 
     n: int
@@ -60,6 +62,7 @@ class BasisSet:
     validity: Interval
     diagnostics: tuple
     chain: AuxChain | None
+    aux_diagnostics: dict | None
     ctx: LowerContext
 
 
@@ -70,8 +73,11 @@ def _member(expr, ctx: LowerContext, validity: Interval) -> GridFn:
     return GridFn._wrap(ctx.grid, vals)
 
 
-def _assemble(phi: tuple, a: CoeffVector, chain, ctx: LowerContext, validity: Interval) -> BasisSet:
-    n = len(phi)
+def _assemble(chain: AuxChain, ctx: LowerContext) -> BasisSet:
+    """Lower the chain on the context and rotate it through the trig
+    operators."""
+    _, aux_diags, validity = lower_chain(chain, ctx)
+    n, phi = chain.n, chain.phi
     members = []
     exprs = []
     diags = []
@@ -82,7 +88,7 @@ def _assemble(phi: tuple, a: CoeffVector, chain, ctx: LowerContext, validity: In
         members.append(_member(expr, ctx, validity))
         exprs.append(expr)
         diags.append(ctx.trig_diagnostics.get(inputs))
-    return BasisSet(n, a, tuple(members), tuple(exprs), validity, tuple(diags), chain, ctx)
+    return BasisSet(n, chain.a, tuple(members), tuple(exprs), validity, tuple(diags), chain, aux_diags, ctx)
 
 
 def basis(a: CoeffVector, grid: Grid, tol: float = DEFAULT_TOL, numeric_diff: bool = False) -> BasisSet:
@@ -97,9 +103,8 @@ def basis(a: CoeffVector, grid: Grid, tol: float = DEFAULT_TOL, numeric_diff: bo
         expr = ce.expprim(a.a(1), 1)
         lower(expr, ctx)  # a dividing coefficient shrinks ctx.validity here
         validity = ctx.final_validity()
-        return BasisSet(1, a, (_member(expr, ctx, validity),), (expr,), validity, (None,), None, ctx)
-    chain = build_aux_chain(a, grid, tol=tol, numeric_diff=numeric_diff)
-    return _assemble(chain.phi, a, chain, chain.ctx, chain.validity)
+        return BasisSet(1, a, (_member(expr, ctx, validity),), (expr,), validity, (None,), None, None, ctx)
+    return _assemble(build_aux_chain(a, numeric_diff=numeric_diff), LowerContext(grid, series_tol=tol))
 
 
 def solve_ivp(problem: IVProblem, grid: Grid, tol: float = DEFAULT_TOL, numeric_diff: bool = False):
@@ -138,11 +143,11 @@ def preset_orr_sommerfeld(a2, a4, grid: Grid, tol: float = DEFAULT_TOL) -> Basis
 
     With the two odd coefficients absent the auxiliary list collapses to
     (a4*C, C^-2, C, 1) where C is the index-2 trig operator of (a2, 1); the
-    four members are its right-shift rotations.
+    four members are its right-shift rotations.  The closed list is a chain
+    whose equations need no leading-coefficient check.
     """
     a2 = parse(a2) if isinstance(a2, str) else as_expr(a2)
     a4 = parse(a4) if isinstance(a4, str) else as_expr(a4)
-    ctx = LowerContext(grid, series_tol=tol)
     c = TrigNode((a2, ce.ONE), 2)
     phi = (
         ce.simplify(ce.mul(a4, c)),
@@ -151,9 +156,7 @@ def preset_orr_sommerfeld(a2, a4, grid: Grid, tol: float = DEFAULT_TOL) -> Basis
         ce.ONE,
     )
     a = CoeffVector((Const(-1), Const(0), a2, Const(0), a4))
-    for p in phi:
-        lower(p, ctx)
-    return _assemble(phi, a, None, ctx, ctx.final_validity())
+    return _assemble(AuxChain(4, a, phi, ()), LowerContext(grid, series_tol=tol))
 
 
 def initial_condition_matrix(bs: BasisSet, numeric_diff: bool = False) -> np.ndarray:

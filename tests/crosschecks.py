@@ -106,11 +106,15 @@ def realization_residual(fn_expr: AuxFn, ctx: LowerContext) -> GridFn:
     """Residual of an auxiliary function's realization in its own equation,
     computed by differentiating the realization (not the capped wrapper)."""
     m = fn_expr.order
+    d = fn_expr.realization
+    derivs = [d]
+    for _ in range(m):
+        d = ce.differentiate(d)
+        derivs.append(ce.simplify(d))
     rhs = ce.ZERO
     for i, b in enumerate(fn_expr.bcoeffs, start=1):
-        term = fn_expr.realization if m - i == 0 else ctx.realized_derivative(fn_expr, m - i)
-        rhs = ce.add(rhs, ce.mul(b, term))
-    return lower(ce.simplify(ce.sub(ctx.realized_derivative(fn_expr, m), rhs)), ctx)
+        rhs = ce.add(rhs, ce.mul(b, derivs[m - i]))
+    return lower(ce.simplify(ce.sub(derivs[m], rhs)), ctx)
 
 
 def first_row_solution(result, initial_values) -> GridFn:

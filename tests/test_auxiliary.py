@@ -1,32 +1,51 @@
+import sys
+from dataclasses import fields, replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from multexode import (
     AuxFn,
     DegenerateLeading,
+    Expr,
     Grid,
+    GridFn,
     IVProblem,
     LowerContext,
     TrigNode,
     ValidityCollapsed,
     Var,
     apply_scriptD,
+    basis,
     build_aux_chain,
     differentiate,
     extract_aux_ode,
     lower,
+    lower_chain,
     parse,
     simplify,
     solve_ivp,
 )
 from multexode.auxiliary import CoeffVector
+from multexode import coeffexpr as ce
 from multexode.coeffexpr import ONE, ZERO, Const, add, mul, sub
+from multexode.multex import DEFAULT_TOL
 
 from crosschecks import closed_form_aux, exp_primitive, realization_residual
 
 
 def coeff_vector(*rhs):
     return CoeffVector.from_rhs(rhs)
+
+
+def lowered_chain(a, grid, tol=DEFAULT_TOL):
+    """The chain of ``a`` lowered on a fresh context of ``grid``: the chain,
+    its rows phi_fns, its validity interval and the context."""
+    chain = build_aux_chain(a)
+    ctx = LowerContext(grid, series_tol=tol)
+    phi_fns, _, validity = lower_chain(chain, ctx)
+    return SimpleNamespace(n=chain.n, a=chain.a, phi=chain.phi, phi_fns=phi_fns, validity=validity, ctx=ctx)
 
 
 class TestApplyScriptD:
@@ -51,13 +70,14 @@ class TestApplyScriptD:
 class TestExtractAuxOde:
     def test_order2_top_equation(self):
         a = coeff_vector("sin(x)", "x^2")
-        order, b = extract_aux_ode(a, [ZERO, ZERO, ONE])
+        order, b, lead = extract_aux_ode(a, [ZERO, ZERO, ONE])
+        assert lead == Const(-1)
         assert order == 1
         assert b == [parse("sin(x)")]
 
     def test_order3_top_equation(self):
         a = coeff_vector("x", "1+x", "2")
-        order, b = extract_aux_ode(a, [ZERO, ZERO, ZERO, ONE])
+        order, b, _ = extract_aux_ode(a, [ZERO, ZERO, ZERO, ONE])
         assert order == 2
         assert b == [parse("x"), parse("1+x")]
 
@@ -68,12 +88,12 @@ class TestExtractAuxOde:
         c_expr = TrigNode((mul(a.a(2), ONE), ONE), 2)  # a1 = 0 so both weights are plain
         c_fn = AuxFn("c", 2, (a.a(1), a.a(2)), c_expr)
         beta = apply_scriptD([ZERO, ZERO, ZERO, mul(c_fn, ONE)])
-        order, b = extract_aux_ode(a, beta)
+        order, b, _ = extract_aux_ode(a, beta)
         assert order == 1
         ctx = LowerContext(grid2000)
         got = lower(b[0], ctx)
         c = lower(c_fn, ctx)
-        dc = lower(ctx.realized_derivative(c_fn, 1), ctx)
+        dc = lower(c_fn.derivs[0], ctx)
         expected = -2.0 * dc.values / c.values
         keep = grid2000.mask(ctx.validity)
         assert np.max(np.abs(got.values[keep] - expected[keep])) < 1e-9
@@ -92,7 +112,7 @@ class TestExtractAuxOde:
         a = coeff_vector("x/4", "cos(x)", "x", "1/2")
         beta = [parse(c) for c in beta]
         u = parse("exp(x/3)*cos(x)")
-        order, b = extract_aux_ode(a, beta)
+        order, b, _ = extract_aux_ode(a, beta)
         derivs = [u]
         for _ in range(order):
             derivs.append(differentiate(derivs[-1]))
@@ -106,17 +126,69 @@ class TestExtractAuxOde:
         ctx = LowerContext(Grid(-1, 1, 400))
         assert np.max(np.abs(lower(lhs, ctx).values - lower(rhs, ctx).values)) <= 1e-12
 
-    def test_degenerate_leading_rejected(self, grid200):
-        a = coeff_vector("1", "1")
-        ctx = LowerContext(grid200)
+    def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateLeading):
-            extract_aux_ode(a, [ZERO, ZERO, Var()], ctx)
+            extract_aux_ode(coeff_vector("1", "1"), [ZERO, ZERO, ZERO])
+
+
+class TestLowerChain:
+    def test_degenerate_leading_rejected(self, grid200):
+        # the leading coefficient -x of this vector's equation vanishes at 0
+        a = coeff_vector("1", "1")
+        _, _, lead = extract_aux_ode(a, [ZERO, ZERO, Var()])
+        chain = replace(build_aux_chain(a), leads=(lead,))
+        with pytest.raises(DegenerateLeading):
+            lower_chain(chain, LowerContext(grid200))
+
+    def test_build_needs_no_grid_and_holds_no_arrays(self):
+        chain = build_aux_chain(coeff_vector("x/4", "cos(x)", "x", "1/2", "sin(x)/3"))
+        assert [f.name for f in fields(chain)] == ["n", "a", "phi", "leads"]
+        assert len(chain.leads) == 11  # 4 outer stages, 7 in the nested chains of orders 4 and 3
+        seen, stack, kinds = set(), [chain.phi, chain.leads, chain.a.coeffs], set()
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            kinds.add(type(obj))
+            if isinstance(obj, tuple):
+                stack.extend(obj)
+            elif isinstance(obj, Expr):
+                slots = (name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ()))
+                stack.extend(getattr(obj, name) for name in slots if name != "_hash")
+        assert not [k for k in kinds if issubclass(k, (np.ndarray, Grid, GridFn, LowerContext))]
+
+    def test_lowering_a_built_chain_does_no_symbolic_work(self, monkeypatch):
+        a = coeff_vector("x/4", "cos(x)", "x", "1/2", "sin(x)/3")
+        grids = (Grid(-1, 1, 200), Grid(-0.5, 0.75, 300), Grid(-0.5, 0.75, 300))
+        refs = []
+        for g in grids:
+            bs = basis(a, g)
+            refs.append(([lower(p, bs.ctx).values for p in bs.chain.phi], bs.validity))
+        chain = build_aux_chain(a)
+        calls = {"simplify": 0, "differentiate": 0}
+        for attr in calls:
+            original = getattr(ce, attr)
+
+            def counting(*args, _fn=original, _attr=attr, **kwargs):
+                calls[_attr] += 1
+                return _fn(*args, **kwargs)
+
+            for name, module in list(sys.modules.items()):
+                if name.startswith("multexode") and getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, counting)
+        # a second grid, then a second context of the same grid
+        for g, (ref_rows, ref_validity) in zip(grids, refs):
+            rows, _, validity = lower_chain(chain, LowerContext(g))
+            assert validity == ref_validity
+            assert all(np.array_equal(r.values, ref) for r, ref in zip(rows, ref_rows))
+        assert calls == {"simplify": 0, "differentiate": 0}
 
 
 class TestChainOrder2:
     def test_matches_exponential_forms(self, grid2000):
         a = coeff_vector("sin(x)", "1+x^2/4")
-        chain = build_aux_chain(a, grid2000)
+        chain = lowered_chain(a, grid2000)
         ctx = LowerContext(grid2000)
         phi2_ref = lower(parse("sin(x)"), ctx)
         e_up = exp_primitive(phi2_ref, 1)
@@ -126,29 +198,29 @@ class TestChainOrder2:
         assert np.max(np.abs(chain.phi_fns[0].values - a2.values * e_dn.values)) <= 1e-9
 
     def test_validity_is_global(self, grid2000):
-        chain = build_aux_chain(coeff_vector("sin(x)", "-4"), grid2000)
+        chain = lowered_chain(coeff_vector("sin(x)", "-4"), grid2000)
         assert chain.validity == grid2000.interval
 
 
 class TestChainInvariants:
     @pytest.mark.parametrize("rhs", [("x", "1+x"), ("0", "-1", "x/2"), ("x/4", "cos(x)", "x", "1/2")])
     def test_unit_values_at_zero(self, grid2000, rhs):
-        chain = build_aux_chain(coeff_vector(*rhs), grid2000)
+        chain = lowered_chain(coeff_vector(*rhs), grid2000)
         for fn in chain.phi_fns[1:]:
             assert abs(fn.at_zero() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("rhs", [("0", "-1", "x/2"), ("x/4", "cos(x)", "x", "1/2")])
     def test_higher_initial_derivatives_vanish(self, grid2000, rhs):
-        chain = build_aux_chain(coeff_vector(*rhs), grid2000)
+        chain = lowered_chain(coeff_vector(*rhs), grid2000)
         for k in range(2, chain.n + 1):
             fn_expr = chain.phi[k - 1]
             for s in range(1, k - 1):
-                d = lower(chain.ctx.realized_derivative(fn_expr, s), chain.ctx)
+                d = lower(fn_expr.derivs[s - 1], chain.ctx)
                 assert abs(d.at_zero()) < 1e-9
 
     @pytest.mark.parametrize("rhs", [("x", "1+x"), ("0", "-1", "x/2"), ("x/4", "cos(x)", "x", "1/2")])
     def test_product_identity(self, grid2000, rhs):
-        chain = build_aux_chain(coeff_vector(*rhs), grid2000)
+        chain = lowered_chain(coeff_vector(*rhs), grid2000)
         prod = np.ones(grid2000.n + 1, dtype=complex)
         for fn in chain.phi_fns:
             prod *= fn.values
@@ -157,18 +229,20 @@ class TestChainInvariants:
         assert np.max(np.abs(prod[keep] - an.values[keep])) <= 1e-8
 
     @pytest.mark.parametrize("rhs", [("0", "-1", "x/2"), ("x/4", "cos(x)", "x", "1/2")])
-    def test_beta_support(self, grid2000, rhs):
-        chain = build_aux_chain(coeff_vector(*rhs), grid2000)
+    def test_beta_support(self, rhs):
+        chain = build_aux_chain(coeff_vector(*rhs))
         n = chain.n
-        # chain.beta[i] is the vector with top occupied position n + 1 - i
-        for i, beta in enumerate(chain.beta):
-            top = n + 1 - i
-            for pos in range(top + 1, n + 2):
-                assert beta[pos - 1] == ZERO
+        # the i-th vector of the recursion, rebuilt from the unit vector and
+        # phi_n, ..., phi_2, has top occupied position n + 1 - i
+        beta = [ZERO] * n + [ONE]
+        for i in range(n):
+            assert beta[n + 1 - i:] == [ZERO] * i
+            if i < n - 1:
+                beta = apply_scriptD([mul(chain.phi[n - 1 - i], entry) for entry in beta])
 
     @pytest.mark.parametrize("rhs", [("0", "-1", "x/2"), ("x/4", "cos(x)", "x", "1/2")])
     def test_realizations_solve_their_equations(self, grid2000, rhs):
-        chain = build_aux_chain(coeff_vector(*rhs), grid2000)
+        chain = lowered_chain(coeff_vector(*rhs), grid2000)
         for k in range(2, chain.n + 1):
             fn_expr = chain.phi[k - 1]
             assert isinstance(fn_expr, AuxFn)
@@ -179,7 +253,7 @@ class TestChainInvariants:
 class TestClosedFormCrossCheck:
     def _compare(self, rhs, grid, tol=1e-7):
         a = coeff_vector(*rhs)
-        general = build_aux_chain(a, grid)
+        general = lowered_chain(a, grid)
         closed = closed_form_aux(a.n, a, grid)
         common = general.validity.intersect(closed.validity)
         keep = grid.mask(common)
@@ -254,11 +328,11 @@ class TestValidity:
         # solution inside four cells of a coarse grid
         g = Grid(-1, 1, 16)
         with pytest.raises(ValidityCollapsed):
-            build_aux_chain(coeff_vector("0", "-42", "1"), g)
+            lowered_chain(coeff_vector("0", "-42", "1"), g)
 
     def test_singular_auxiliary_shrinks_validity(self):
         g = Grid(-1, 1, 2000)
         # a2 = -9: the order-2 auxiliary function is cos 3x, vanishing at pi/6
-        chain = build_aux_chain(coeff_vector("0", "-9", "x"), g)
+        chain = lowered_chain(coeff_vector("0", "-9", "x"), g)
         assert abs(chain.validity.hi - np.pi / 6) < 0.01
         assert abs(chain.validity.lo + np.pi / 6) < 0.01

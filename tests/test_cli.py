@@ -79,6 +79,31 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "setting, key",
+        [
+            ("tol = nan", "tol"),
+            ("tol = inf", "tol"),
+            ("tol = 0", "tol"),
+            ("compare_tol = nan", "compare_tol"),
+            ("compare_tol = inf", "compare_tol"),
+            ("compare_tol = -1e-6", "compare_tol"),
+            ("numeric_diff = ture", "numeric_diff"),
+            ("numeric_diff = on", "numeric_diff"),
+        ],
+    )
+    def test_bad_value_named(self, tmp_path, capsys, setting, key):
+        text = "mode = compare\nn = 2\na1 = 0\na2 = -4\nic = 1, 0\ngrid = 200\n" + setting + "\n"
+        cfg = write(tmp_path / "p.cfg", text)
+        assert run(["compare", "--config", cfg, "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"multexode: {key}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value, flag", [("TRUE", True), ("Yes", True), ("1", True), ("False", False), ("NO", False), ("0", False)])
+    def test_numeric_diff_values(self, tmp_path, value, flag):
+        cfg = load_config(write(tmp_path / "p.cfg", BASIC + f"numeric_diff = {value}\n"))
+        assert cfg.numeric_diff is flag
+
+    @pytest.mark.parametrize(
         "body, ic",
         [("n = 2\na1 = 0\na2 = -4\n", "1, 0"), (ORR, "1, 0, 0, 0"), (SCHRODINGER, "1, 0")],
         ids=["solve", "orr", "schrodinger"],

@@ -1,12 +1,15 @@
 """Source hygiene checks that need no linter."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 from types import ModuleType
 
 import pytest
 
 import multexode
+import multexode.cli  # the tracer wraps cli bindings too
 
 MODULES = sorted(p for p in Path(multexode.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -29,3 +32,23 @@ def test_all_names_resolve_to_public_objects():
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(multexode, n)] == []
     assert [n for n in names if isinstance(getattr(multexode, n), ModuleType)] == []
+
+
+def test_benchmark_tracer_installs_on_the_package():
+    # perfbench/tracing.py wraps named module bindings and raises when one is
+    # gone; a refactor that drops one would otherwise break only the traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    lower_module = sys.modules["multexode.lower"]
+    public_lower = lower_module.lower
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        multexode.solve_ivp(multexode.IVProblem(3, ("0", "x", "1"), (1, 0, 0)), multexode.Grid(-1, 1, 200))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["chain"] == 1 and tracer.calls["solver"] == 1
+    assert tracer.lower_entries > 0
+    assert sys.modules["multexode.auxiliary"].lower is public_lower

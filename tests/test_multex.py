@@ -1,4 +1,3 @@
-import mpmath
 import numpy as np
 import pytest
 
@@ -9,7 +8,6 @@ from multexode import (
     Overflow,
     multex_e,
     trig_family,
-    truncation_bound,
 )
 from multexode.multex import MAX_TERMS
 
@@ -94,6 +92,13 @@ class TestMultexE:
         assert not exc.value.diagnostics.converged
 
     @pytest.mark.parametrize("series", [multex_e, trig_family])
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan")])
+    def test_tol_must_be_positive(self, grid200, series, tol):
+        # a NaN tol would pass a tol <= 0 test and run to the term budget
+        with pytest.raises(ValueError):
+            series([GridFn.const(grid200, 0.5)] * 2, tol=tol)
+
+    @pytest.mark.parametrize("series", [multex_e, trig_family])
     def test_overflowing_term_raises_overflow(self, grid200, series):
         with pytest.raises(Overflow) as exc:
             series([GridFn.const(grid200, 1e200)] * 2)
@@ -118,18 +123,6 @@ class TestMultexE:
 
 
 class TestTrig:
-    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
-    def test_apriori_bound_covers_factorial_tail(self, grid200, c):
-        # G = c on [-1, 1] (up to rounding in the quadrature), so the omitted
-        # tail is e^c minus its partial sum
-        f = GridFn.const(grid200, c)
-        d = trig_family([f, f])[1]
-        with mpmath.workdps(50):
-            partial = mpmath.fsum(mpmath.mpf(c) ** j / mpmath.factorial(j) for j in range(d.terms_used + 1))
-            tail = float(mpmath.exp(c) - partial)
-        assert d.apriori_bound >= tail
-        assert d.apriori_bound == truncation_bound(primitive(f).sup_norm(), 1, d.terms_used)
-
     def test_kronecker_values_at_zero_exact(self, grid200, rng):
         fs = [smooth_gridfn(grid200, rng, complex_part=True) for _ in range(3)]
         fam, _ = trig_family(fs)

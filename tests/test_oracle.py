@@ -142,6 +142,11 @@ class TestDysonState:
         with pytest.raises(ValueError):
             dyson(m, y0=[1.0, 0.0])
 
+    @pytest.mark.parametrize("tol", [0.0, float("nan")])
+    def test_tol_must_be_positive(self, grid200, rng, tol):
+        with pytest.raises(ValueError):
+            dyson(random_matrix(grid200, rng, 3), tol=tol)
+
     def test_matrix_default_unchanged(self, grid200, rng):
         # the identity start summed term by term, as the matrix series always was
         m = random_matrix(grid200, rng, 3, scale=1.5)

@@ -22,6 +22,7 @@ from multexode import (
     companion,
     dyson,
     initial_condition_matrix,
+    lower,
     ode_residual,
     parse,
     preset_orr_sommerfeld,
@@ -132,7 +133,7 @@ class TestSolveIvp:
     def test_real_chain_stays_real_to_the_complex_edge(self, grid200):
         y, bs = solve_ivp(IVProblem(3, ("0.3+x", "-2+x/10", "0.5"), (1, 0, 0)), grid200)
         assert all(v.dtype == np.float64 for v in bs.ctx.memo.values())
-        family, _ = trig_family(list(bs.chain.phi_fns))
+        family, _ = trig_family([lower(p, bs.ctx) for p in bs.chain.phi])
         assert all(t.values.dtype == np.float64 for t in family)
         assert y.values.dtype == np.complex128
         assert all(m.values.dtype == np.complex128 for m in bs.psi)
@@ -248,7 +249,7 @@ class TestLoweringMemo:
             monkeypatch.setattr(module, attr, counting)
         solve_ivp(ORDER5, grid2000)
         assert calls == {"lower.trig_family": 12, "lower.zero_free_interval": 22,
-                         "lower.primitive_values": 12, "multex.primitive_values": 235}
+                         "lower.primitive_values": 12, "multex.primitive_values": 223}
 
 
 class TestSchrodingerPreset:
