@@ -209,15 +209,18 @@ def build_aux_chain(a: CoeffVector, numeric_diff: bool = False) -> AuxChain:
 def lower_chain(chain: AuxChain, ctx: LowerContext):
     """Evaluate a built chain on a context.
 
-    Checks every recorded leading coefficient at the anchor node
-    (DegenerateLeading when its magnitude is not above DIV_FLOOR), then
-    lowers phi_n, ..., phi_2, phi_1 in build order.  Division by auxiliary
-    functions is guarded: wherever a divisor approaches zero the validity
-    interval shrinks and values outside it are zeroed.  Returns the rows
+    Plans the leads and the phi as roots (a caller that lowers more from
+    the chain on the same context plans that before), checks every recorded
+    leading coefficient at the anchor node (DegenerateLeading when its
+    magnitude is not above DIV_FLOOR), then lowers phi_n, ..., phi_2, phi_1
+    in build order.  Division by auxiliary functions is guarded: wherever a
+    divisor approaches zero the validity interval shrinks and values outside
+    it are zeroed.  Returns the rows
     phi_1..phi_n, the series diagnostics of each phi_k keyed by k (None
     where phi_k is not a trig operator), and ``ctx.final_validity()``, the
     interval on which the rows are trustworthy.
     """
+    ctx.plan((*chain.leads, *chain.phi))
     for lead in chain.leads:
         mag = abs(lower(lead, ctx).at_zero())
         if mag <= DIV_FLOOR:

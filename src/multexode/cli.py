@@ -22,6 +22,7 @@ collapsed validity, or a failed comparison.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import re
 import sys
@@ -135,9 +136,12 @@ def _coefficient(raw: str, base: Path, field_name: str):
 
 def _complex(raw: str, field_name: str) -> complex:
     try:
-        return complex(raw.replace(" ", ""))
+        value = complex(raw.replace(" ", ""))
     except ValueError:
         raise ConfigError(f"{field_name}: {raw!r} is not a complex number") from None
+    if not cmath.isfinite(value):
+        raise ConfigError(f"{field_name}: {raw!r} is not finite")
+    return value
 
 
 def load_config(path, overrides=None) -> ProblemConfig:
@@ -168,6 +172,8 @@ def load_config(path, overrides=None) -> ProblemConfig:
             cfg.lo, cfg.hi = float(lo_s), float(hi_s)
         except ValueError:
             raise ConfigError(f"interval: expected LO:HI, got {raw['interval']!r}") from None
+    if not np.isfinite([cfg.lo, cfg.hi]).all():
+        raise ConfigError(f"interval: [{cfg.lo}, {cfg.hi}] is not finite")
     if not cfg.lo < 0 < cfg.hi:
         raise ConfigError(f"interval: [{cfg.lo}, {cfg.hi}] must contain 0 strictly inside")
     for key, attr, conv in (

@@ -245,7 +245,8 @@ def primitive_values(values: np.ndarray, grid: Grid) -> np.ndarray:
     out[..., 0] = 9.0 * t[..., 0] + 19.0 * t[..., 1] - 5.0 * t[..., 2] + t[..., 3]
     out[..., n] = t[..., -4] - 5.0 * t[..., -3] + 19.0 * t[..., -2] + 9.0 * t[..., -1]
     out[..., z] = 0.0
-    np.cumsum(out[..., z:], axis=-1, out=out[..., z:])
+    right = out[..., z:]
+    right.cumsum(axis=-1, out=right)  # the method skips np.cumsum's Python wrapper
     # leftward from 0 the integral is 0 - w[z-1] - w[z-2] - ...
     np.subtract.accumulate(out[..., z::-1], axis=-1, out=out[..., z::-1])
     return out

@@ -5,13 +5,20 @@ derivatives an AuxFn carries, and never simplifies or differentiates.  A
 LowerContext fixes the grid, series tolerances and the per-solve memo
 store.  Every node lowers to a plain read-only array, checked finite
 (Overflow at the first bad node), real until a complex constant, a complex
-table or ``sqrt`` enters; the recursion never builds a GridFn.  The memo
-keeps the rows that integrate, sum a series, read a table or divide;
-arithmetic rows are transient, recomputed from their memoized children when
-reached again.  Lowering one index of a trig family stores every index of
-it, so the family costs a single recurrence pass.
-The public :func:`lower` is the GridFn edge: it stores the row it returns
-and wraps it without a copy.
+table or ``sqrt`` enters; the recursion never builds a GridFn.
+
+Rows live by use count.  :meth:`LowerContext.plan` interns the expressions
+first, so that structurally equal nodes are one node, and counts how many
+times each node's row will be read: once per root read and once per distinct
+parent still to be computed.  Lowering then computes every node exactly
+once, depth first, keeps its row in the memo while reads of it remain and
+drops it after the last one.  The recurrence pass of a trig family keeps
+every planned index of it at once, so the family costs a single pass, and an
+index nobody reads is not kept.
+The public :func:`lower` is the GridFn edge and wraps the memo's row without
+a copy.  A call for a planned node is one of its reads; a call for an
+unplanned node plans it, with every index of its family, by a read that
+stays open, so later calls on the context share the row.
 
 There is one division policy, with the one floor DIV_FLOOR.  A divisor whose
 magnitude at 0 is not above the floor is DivisorTooSmall.  Otherwise the
@@ -35,20 +42,33 @@ from .gridfn import DIV_FLOOR, Grid, GridFn, Interval, _lagrange4, check_finite,
 from .multex import DEFAULT_TOL, trig_family
 
 MIN_VALIDITY_CELLS = 4
-# nodes whose row costs only elementwise arithmetic on its children's rows
-# (IntPow only for k >= 0; a negative power divides)
-_TRANSIENT = (ce.Const, ce.Var, ce.Add, ce.Sub, ce.Mul, ce.FuncCall, ce.IntPow)
+
+_BINARY = frozenset((ce.Add, ce.Sub, ce.Mul, ce.Div))
+# per node type: the scalar its row depends on and the children whose rows
+# it reads, in order; structurally equal nodes have equal parts
+_PARTS = {
+    ce.Const: lambda e: (e.value, ()),
+    ce.Var: lambda e: (None, ()),
+    ce.IntPow: lambda e: (e.k, (e.base,)),
+    ce.ExpPrim: lambda e: (e.sign, (e.child,)),
+    ce.FuncCall: lambda e: (e.name, (e.child,)),
+    ce.TrigNode: lambda e: (e.j, e.fs),
+    ce.Sampled: lambda e: (e.key, ()),
+    ce.AuxFn: lambda e: (None, (e.realization,)),
+    ce.AuxDeriv: lambda e: (None, (e.fn.derivs[e.s - 1],)),
+}
+# nodes whose row is checked already: a child's row, or a series' checked sums
+_CHECKED = frozenset((ce.AuxFn, ce.AuxDeriv, ce.TrigNode))
 
 
 class LowerContext:
-    """Shared state for one solve: grid, tolerances, memo.
+    """Shared state for one solve: grid, tolerances, read counts, memo.
 
-    The memo key is the structural identity of the expression.  It keeps
-    the rows of primitives, trig families, tables, divisions and auxiliary
-    functions, and every row asked for through :func:`lower`; arithmetic
-    rows are transient.  Lowering one trig operator stores its whole family,
-    so every index of one family costs a single recurrence pass.  A context
-    is cheap; make a fresh one per solve.
+    ``uses`` counts the reads of each planned node still to come, keyed by
+    the node's id, and ``memo`` holds the node's row while that count is
+    above zero; both are empty once every planned read is made.  Plan the
+    roots with :meth:`plan` before lowering them.  A context is cheap; make
+    a fresh one per solve.
     """
 
     def __init__(self, grid: Grid, series_tol: float = DEFAULT_TOL):
@@ -56,7 +76,71 @@ class LowerContext:
         self.series_tol = series_tol
         self.validity = grid.interval
         self.memo: dict = {}
+        self.uses: dict = {}
         self.trig_diagnostics: dict = {}
+        self._node = {}  # id of every interned expression -> its node
+        self._shape = {}  # (type, scalar, ids of child nodes) -> node
+        self._reads = {}  # id of a node -> its distinct child nodes
+        self._interned = []  # keeps every interned expression, and so its id, alive
+
+    def plan(self, roots) -> None:
+        """Count the reads that lowering ``roots`` will make: one per root
+        and one per distinct parent still to be computed.  A node counted
+        already gets one more read and its children none, since it is
+        computed once.  Plan before the roots are lowered; counts of several
+        calls add up."""
+        nodes, uses = self._node, self.uses
+        stack = [nodes.get(id(e)) or self._intern(e) for e in roots]
+        while stack:
+            node = stack.pop()
+            left = uses.get(id(node), 0)
+            uses[id(node)] = left + 1
+            if not left:
+                stack.extend(self._reads[id(node)])
+
+    def _intern(self, e: ce.Expr) -> ce.Expr:
+        """The node of an expression not yet interned: the first structurally
+        equal one seen.  Children are interned first, so a shape compares
+        ids, never subtrees."""
+        nodes = self._node
+        t = type(e)
+        if t in _BINARY:  # the commonest nodes, spelled out
+            a = nodes.get(id(e.a)) or self._intern(e.a)
+            b = nodes.get(id(e.b)) or self._intern(e.b)
+            shape, kids = (t, None, id(a), id(b)), ((a,) if a is b else (a, b))
+        else:
+            parts = _PARTS.get(t)
+            if parts is None:
+                raise TypeError(f"cannot lower {t.__name__}")
+            scalar, kids = parts(e)
+            if kids:
+                kids = [nodes.get(id(k)) or self._intern(k) for k in kids]
+                shape = (t, scalar, *map(id, kids))
+                kids = tuple({id(k): k for k in kids}.values())
+            else:
+                shape = (t, scalar)
+        node = self._shape.setdefault(shape, e)
+        if node is e:
+            self._reads[id(e)] = kids
+        nodes[id(e)] = node
+        self._interned.append(e)
+        return node
+
+    def _keep(self, node: ce.Expr, row: np.ndarray) -> None:
+        """Store a computed row; its reads of its children are done."""
+        self.memo[node] = row
+        self._release(self._reads[id(node)])
+
+    def _release(self, nodes) -> None:
+        """One read of each node is done; drop the rows read for the last time."""
+        uses, memo = self.uses, self.memo
+        for node in nodes:
+            left = uses[id(node)] - 1
+            if left:
+                uses[id(node)] = left
+            else:
+                del uses[id(node)]
+                del memo[node]
 
     def shrink_validity(self, interval: Interval):
         try:
@@ -97,46 +181,55 @@ def _guarded_reciprocal(ctx: LowerContext, den: np.ndarray, power: int) -> np.nd
 
 
 def lower(e: ce.Expr, ctx: LowerContext) -> GridFn:
-    """Evaluate an expression on the context's grid, memoized structurally.
+    """Evaluate an expression on the context's grid.
 
     This is the GridFn edge of lowering: the result wraps the memo's
-    read-only array without a copy.  A division may shrink ``ctx.validity``
-    and zero the result outside it, so read ``ctx.validity`` before trusting
-    a node.  Floating-point overflow is silenced here, once for the whole
-    recursion, because every node is checked.
+    read-only array without a copy.  A call for a planned node is one of
+    its reads; an unplanned node is planned here, with every index of its
+    family, by a read that stays open.  A division may shrink
+    ``ctx.validity`` and zero the result outside it, so read
+    ``ctx.validity`` before trusting a node.  Floating-point overflow is
+    silenced here, once for the whole recursion, because every node is
+    checked.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return GridFn._wrap(ctx.grid, ctx.memo.setdefault(e, _values(e, ctx)))
+        node = ctx._node.get(id(e)) or ctx._intern(e)
+        planned = id(node) in ctx.uses
+        if not planned:
+            family = range(1, node.n + 1) if isinstance(node, ce.TrigNode) else ()
+            ctx.plan([node, *(ce.TrigNode(node.fs, j) for j in family if j != node.j)])
+        row = _values(node, ctx)
+        if planned:
+            ctx._release((node,))
+        return GridFn._wrap(ctx.grid, row)
 
 
 def _values(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
-    """The checked, read-only sample row of one expression; Overflow at the
-    first node where it is not finite.  A transient row is not stored: its
-    recompute finds the costly rows below it in the memo, and so repeats no
-    primitive, series, zero-free scan or table read."""
-    hit = ctx.memo.get(e)
-    if hit is not None:
-        return hit
-    out = _lower(e, ctx)
-    check_finite(out, ctx.grid)
-    out.setflags(write=False)
-    if not isinstance(e, _TRANSIENT) or isinstance(e, ce.IntPow) and e.k < 0:
-        ctx.memo[e] = out
-    return out
+    """The checked, read-only sample row of one planned expression;
+    Overflow at the first node where it is not finite."""
+    node = ctx._node[id(e)]
+    row = ctx.memo.get(node)
+    if row is None:
+        row = _lower(node, ctx)
+        if type(node) not in _CHECKED:
+            check_finite(row, ctx.grid)
+            row.setflags(write=False)
+        ctx._keep(node, row)
+    return row
 
 
 def _lower(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
     grid = ctx.grid
-    if isinstance(e, ce.Const):
-        return np.full(grid.n + 1, e.value.real if e.value.imag == 0 else e.value)
-    if isinstance(e, ce.Var):
-        return grid.nodes
+    if isinstance(e, ce.Mul):
+        return _values(e.a, ctx) * _values(e.b, ctx)
     if isinstance(e, ce.Add):
         return _values(e.a, ctx) + _values(e.b, ctx)
     if isinstance(e, ce.Sub):
         return _values(e.a, ctx) - _values(e.b, ctx)
-    if isinstance(e, ce.Mul):
-        return _values(e.a, ctx) * _values(e.b, ctx)
+    if isinstance(e, ce.Const):
+        return np.full(grid.n + 1, e.value.real if e.value.imag == 0 else e.value)
+    if isinstance(e, ce.Var):
+        return grid.nodes
     if isinstance(e, ce.Div):
         num = _values(e.a, ctx)
         # a named operand keeps numpy from multiplying into the temporary in
@@ -155,9 +248,13 @@ def _lower(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
     if isinstance(e, ce.TrigNode):
         inputs = [GridFn._wrap(grid, _values(f, ctx)) for f in e.fs]
         family, ctx.trig_diagnostics[e.fs] = trig_family(inputs, ctx.series_tol)
+        # the other planned indices come from this pass too
+        ids = [id(ctx._node[id(f)]) for f in e.fs]
         for j, member in enumerate(family, start=1):
-            ctx.memo[ce.TrigNode(e.fs, j)] = member.values
-        return ctx.memo[e]
+            sibling = ctx._shape.get((ce.TrigNode, j, *ids))
+            if j != e.j and sibling is not None and id(sibling) in ctx.uses and sibling not in ctx.memo:
+                ctx._keep(sibling, member.values)
+        return family[e.j - 1].values
     if isinstance(e, ce.Sampled):
         if e.xs[0] > grid.lo + 1e-12 or e.xs[-1] < grid.hi - 1e-12:
             raise CoverageGap(
@@ -170,4 +267,3 @@ def _lower(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
     if isinstance(e, ce.AuxDeriv):
         return _values(e.fn.derivs[e.s - 1], ctx)
     raise TypeError(f"cannot lower {type(e).__name__}")
-

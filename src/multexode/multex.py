@@ -100,7 +100,7 @@ def _series(fs, tol, classes):
                 m += 1
                 s = primitive_values(rows[(m - 1) % len(rows)] * s, grid)
                 mags = np.abs(s)
-                norm = float(np.max(mags))
+                norm = float(mags.max())  # the method skips np.max's Python wrapper
                 if not math.isfinite(norm):
                     check_finite(mags, grid)  # Overflow at the term's first bad node
                 sums[c] += s

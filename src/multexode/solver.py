@@ -10,6 +10,7 @@ fourth-order hydrodynamic-stability form y'''' = a2 y'' + a4 y.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ class IVProblem:
             raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
         if len(ivs) != self.n:
             raise ValueError(f"expected {self.n} initial values, got {len(ivs)}")
+        if not all(cmath.isfinite(v) for v in ivs):
+            raise ValueError(f"initial values must be finite, got {ivs}")
 
 
 @dataclass
@@ -66,29 +69,26 @@ class BasisSet:
     ctx: LowerContext
 
 
-def _member(expr, ctx: LowerContext, validity: Interval) -> GridFn:
-    """Lowered basis member as a complex copy, zeroed outside validity."""
-    vals = lower(expr, ctx).values.astype(complex)
-    vals[~ctx.grid.mask(validity)] = 0.0
-    return GridFn._wrap(ctx.grid, vals)
+def _member(row: GridFn, validity: Interval) -> GridFn:
+    """A lowered basis member as a complex copy, zeroed outside validity."""
+    vals = row.values.astype(complex)
+    vals[~row.grid.mask(validity)] = 0.0
+    return GridFn._wrap(row.grid, vals)
 
 
 def _assemble(chain: AuxChain, ctx: LowerContext) -> BasisSet:
     """Lower the chain on the context and rotate it through the trig
-    operators."""
-    _, aux_diags, validity = lower_chain(chain, ctx)
+    operators.  The members are planned with the chain, so every row is
+    computed once and dropped after its last read."""
     n, phi = chain.n, chain.phi
-    members = []
-    exprs = []
-    diags = []
-    for k in range(1, n + 1):
-        # rotate k-1 steps right; the rotation sends index (k-2) mod n + 1 to n
-        inputs = phi[-(k - 1):] + phi[:-(k - 1)]
-        expr = TrigNode(inputs, (k - 2) % n + 1)
-        members.append(_member(expr, ctx, validity))
-        exprs.append(expr)
-        diags.append(ctx.trig_diagnostics.get(inputs))
-    return BasisSet(n, chain.a, tuple(members), tuple(exprs), validity, tuple(diags), chain, aux_diags, ctx)
+    # rotate k-1 steps right; the rotation sends index (k-2) mod n + 1 to n
+    rotations = [phi[-(k - 1):] + phi[:-(k - 1)] for k in range(1, n + 1)]
+    exprs = tuple(TrigNode(fs, (k - 2) % n + 1) for k, fs in enumerate(rotations, start=1))
+    ctx.plan(exprs)
+    _, aux_diags, validity = lower_chain(chain, ctx)
+    members = tuple(_member(lower(e, ctx), validity) for e in exprs)
+    diags = tuple(ctx.trig_diagnostics.get(fs) for fs in rotations)
+    return BasisSet(n, chain.a, members, exprs, validity, diags, chain, aux_diags, ctx)
 
 
 def basis(a: CoeffVector, grid: Grid, tol: float = DEFAULT_TOL, numeric_diff: bool = False) -> BasisSet:
@@ -101,9 +101,10 @@ def basis(a: CoeffVector, grid: Grid, tol: float = DEFAULT_TOL, numeric_diff: bo
     if n == 1:
         ctx = LowerContext(grid, series_tol=tol)
         expr = ce.expprim(a.a(1), 1)
-        lower(expr, ctx)  # a dividing coefficient shrinks ctx.validity here
+        ctx.plan([expr])
+        row = lower(expr, ctx)  # a dividing coefficient shrinks ctx.validity here
         validity = ctx.final_validity()
-        return BasisSet(1, a, (_member(expr, ctx, validity),), (expr,), validity, (None,), None, None, ctx)
+        return BasisSet(1, a, (_member(row, validity),), (expr,), validity, (None,), None, None, ctx)
     return _assemble(build_aux_chain(a, numeric_diff=numeric_diff), LowerContext(grid, series_tol=tol))
 
 

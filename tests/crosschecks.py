@@ -98,6 +98,7 @@ def closed_form_aux(n: int, a, grid, tol=DEFAULT_TOL) -> SimpleNamespace:
         psi2 = ce.mul(ce.mul(up, ce.intpow(psi3, -2)), ce.intpow(psi4, -3))
         psi1 = ce.mul(ce.mul(ce.mul(a.a(4), down), psi3), ce.intpow(psi4, 2))
         phi = (ce.simplify(psi1), ce.simplify(psi2), psi3, psi4)
+    ctx.plan(phi)  # together, so the rows the phi share are computed once
     phi_fns = tuple(lower(p, ctx) for p in phi)
     return SimpleNamespace(phi_fns=phi_fns, validity=ctx.final_validity())
 

@@ -89,12 +89,21 @@ class TestConfig:
             ("compare_tol = -1e-6", "compare_tol"),
             ("numeric_diff = ture", "numeric_diff"),
             ("numeric_diff = on", "numeric_diff"),
+            ("ic = nan, 0", "ic"),
+            ("ic = inf, 0", "ic"),
+            ("interval = -inf:1", "interval"),
+            ("omega = nan", "omega"),
         ],
     )
     def test_bad_value_named(self, tmp_path, capsys, setting, key):
-        text = "mode = compare\nn = 2\na1 = 0\na2 = -4\nic = 1, 0\ngrid = 200\n" + setting + "\n"
-        cfg = write(tmp_path / "p.cfg", text)
-        assert run(["compare", "--config", cfg, "--output", str(tmp_path / "out")]) == 1
+        if key == "omega":
+            command, lines = "preset", ["preset = schrodinger", "zeta = 1", "ic = 1, 0", "grid = 200"]
+        else:
+            command, lines = "compare", ["mode = compare", "n = 2", "a1 = 0", "a2 = -4", "ic = 1, 0", "grid = 200"]
+        # the setting replaces a line of the same key
+        lines = [line for line in lines if line.split(" = ")[0] != key] + [setting]
+        cfg = write(tmp_path / "p.cfg", "\n".join(lines) + "\n")
+        assert run([command, "--config", cfg, "--output", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"multexode: {key}: ")
         assert not (tmp_path / "out").exists()
 

@@ -51,4 +51,7 @@ def test_benchmark_tracer_installs_on_the_package():
         tracer.uninstall()
     assert tracer.calls["chain"] == 1 and tracer.calls["solver"] == 1
     assert tracer.lower_entries > 0
+    # the traced self-test needs both on coarse-sweep: memo hits at the
+    # public lower, and the GridFn that linear_combination builds
+    assert tracer.lower_hits > 0 and tracer.calls["gridfn_init"] > 0
     assert sys.modules["multexode.auxiliary"].lower is public_lower

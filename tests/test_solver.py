@@ -1,23 +1,16 @@
 import importlib
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from multexode import (
-    Add,
-    Const,
-    FuncCall,
     Grid,
-    IntPow,
     IVProblem,
-    Mul,
     NonDifferentiable,
     Overflow,
     Sampled,
-    Sub,
     TrigNode,
-    Var,
     basis,
     companion,
     dyson,
@@ -35,6 +28,15 @@ from multexode.auxiliary import CoeffVector
 
 from conftest import smooth_gridfn
 from crosschecks import first_row_solution
+
+
+def lowered_rows(monkeypatch) -> list:
+    """Every row lowering computes from here on, in order."""
+    lower_module = importlib.import_module("multexode.lower")
+    inner = lower_module._lower
+    rows = []
+    monkeypatch.setattr(lower_module, "_lower", lambda e, ctx: rows.append(inner(e, ctx)) or rows[-1])
+    return rows
 
 
 def cumint(vals, xs):
@@ -130,22 +132,25 @@ class TestSolveIvp:
         y, bs = solve_ivp(p, grid200)
         assert np.array_equal(y.values, bs.psi[0].values)
 
-    def test_real_chain_stays_real_to_the_complex_edge(self, grid200):
+    def test_real_chain_stays_real_to_the_complex_edge(self, grid200, monkeypatch):
+        rows = lowered_rows(monkeypatch)
         y, bs = solve_ivp(IVProblem(3, ("0.3+x", "-2+x/10", "0.5"), (1, 0, 0)), grid200)
-        assert all(v.dtype == np.float64 for v in bs.ctx.memo.values())
+        assert rows and all(v.dtype == np.float64 for v in rows)
         family, _ = trig_family([lower(p, bs.ctx) for p in bs.chain.phi])
         assert all(t.values.dtype == np.float64 for t in family)
         assert y.values.dtype == np.complex128
         assert all(m.values.dtype == np.complex128 for m in bs.psi)
 
-    def test_real_table_matches_the_complex_table(self):
+    def test_real_table_matches_the_complex_table(self, monkeypatch):
         # the same table given real and complex: the real chain stays real
         # and differs from the complex one only in rounding
         g = Grid(-1, 1, 2000)
         xs = np.linspace(-1.25, 1.25, 2501)
         ys = -1 + 0.2 * np.cos(xs)
-        real, cplx = (basis(CoeffVector.from_rhs(("x/4", Sampled(xs, v), "1/2")), g) for v in (ys, ys + 0j))
-        assert all(v.dtype == np.float64 for v in real.ctx.memo.values())
+        rows = lowered_rows(monkeypatch)
+        real = basis(CoeffVector.from_rhs(("x/4", Sampled(xs, ys), "1/2")), g)
+        assert rows and all(v.dtype == np.float64 for v in rows)
+        cplx = basis(CoeffVector.from_rhs(("x/4", Sampled(xs, ys + 0j), "1/2")), g)
         for m_real, m_cplx in zip(real.psi, cplx.psi):
             assert np.max(np.abs(m_real.values - m_cplx.values)) <= 1e-15
 
@@ -153,6 +158,11 @@ class TestSolveIvp:
         p = IVProblem(3, ("0", "-40+3*x", "1"), (1, 0.3, -0.2))
         with pytest.raises(Overflow):
             solve_ivp(p, Grid(-0.75, 0.75, 400), tol=1e-13)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+    def test_non_finite_initial_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            IVProblem(2, ("0", "-4"), (1, bad))
 
     def test_huge_initial_data_overflow_is_typed(self, grid2000):
         p = IVProblem(2, ("0", "-4"), (1.7e308, 1.7e308))
@@ -213,27 +223,33 @@ ORDER5 = IVProblem(5, ("0.1*x", "-1+0.2*sin(x)", "0.3*x", "0.5*cos(x)", "0.2"), 
 
 
 class TestLoweringMemo:
-    def test_memo_keeps_no_arithmetic_row_nobody_asked_for(self, grid2000, monkeypatch):
-        public = importlib.import_module("multexode.lower").lower
-        asked = set()
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda g: solve_ivp(ORDER5, g)[1],
+            lambda g: basis(CoeffVector.from_rhs(("1/(x-0.5)",)), g),
+            lambda g: basis(CoeffVector.from_rhs(("x/4", "cos(x)", "x/2")), g),
+            lambda g: preset_orr_sommerfeld("cos(x)/2", "x/2", g),
+            lambda g: preset_schrodinger("2 + sin(x)", 1.0, g),
+        ],
+        ids=["solve_ivp", "basis_order1", "basis", "orr", "schrodinger"],
+    )
+    def test_memo_is_empty_after_a_solve(self, grid2000, make):
+        # every row is dropped after its last planned read
+        ctx = make(grid2000).ctx
+        assert ctx.memo == {} and ctx.uses == {}
 
-        def recording(e, ctx):
-            asked.add(e)
-            return public(e, ctx)
+    def test_each_node_is_lowered_once(self, grid2000, monkeypatch):
+        lower_module = importlib.import_module("multexode.lower")
+        inner = lower_module._lower
+        lowered = []
+        monkeypatch.setattr(lower_module, "_lower", lambda e, ctx: lowered.append(e) or inner(e, ctx))
+        solve_ivp(ORDER5, grid2000)
+        assert lowered and len(lowered) == len(set(lowered))
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("multexode.") and getattr(module, "lower", None) is public:
-                monkeypatch.setattr(module, "lower", recording)
-        _, bs = solve_ivp(ORDER5, grid2000)
-        memo = bs.ctx.memo
-        assert asked <= memo.keys()
-        arithmetic = (Const, Var, Add, Sub, Mul, FuncCall)
-        kept = [e for e in memo.keys() - asked if isinstance(e, arithmetic) or isinstance(e, IntPow) and e.k >= 0]
-        assert kept == []
-
-    def test_transient_rows_repeat_no_costly_work(self, grid2000, monkeypatch):
-        # the counts of a memo that kept every row; a recompute that re-ran a
-        # series, a primitive or a zero-free scan would raise them
+    def test_costly_calls_of_an_order5_solve(self, grid2000, monkeypatch):
+        # a row computed twice that re-ran a series, a primitive or a
+        # zero-free scan would raise these counts
         calls = {}
         for name, attr in (("lower", "trig_family"), ("lower", "zero_free_interval"),
                            ("lower", "primitive_values"), ("multex", "primitive_values")):
@@ -250,6 +266,18 @@ class TestLoweringMemo:
         solve_ivp(ORDER5, grid2000)
         assert calls == {"lower.trig_family": 12, "lower.zero_free_interval": 22,
                          "lower.primitive_values": 12, "multex.primitive_values": 223}
+
+    def test_peak_memory_of_an_order5_solve(self, grid2000):
+        # rows live only between their first and last read: the traced peak
+        # stays within 30 complex rows (about 60 when the memo kept them)
+        solve_ivp(ORDER5, grid2000)
+        tracemalloc.start()
+        try:
+            solve_ivp(ORDER5, grid2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * (grid2000.n + 1) * 16
 
 
 class TestSchrodingerPreset:
