@@ -50,8 +50,6 @@ from .solver import (
     BasisSet,
     IVProblem,
     basis,
-    initial_condition_matrix,
-    ode_residual,
     preset_orr_sommerfeld,
     preset_schrodinger,
     solve_ivp,
@@ -70,6 +68,5 @@ __all__ = [
     "SeriesDiagnostics", "multex_e", "trig_family", "truncation_bound",
     "DysonResult", "MatrixFn", "companion", "dyson", "rk4",
     "parse",
-    "BasisSet", "IVProblem", "basis", "initial_condition_matrix", "ode_residual", "preset_orr_sommerfeld",
-    "preset_schrodinger", "solve_ivp",
+    "BasisSet", "IVProblem", "basis", "preset_orr_sommerfeld", "preset_schrodinger", "solve_ivp",
 ]

@@ -69,6 +69,8 @@ def ingest_samples(path) -> Sampled:
             continue  # header row
         if len(vals) not in (2, 3):
             raise ConfigError(f"{path}: line {ln} has {len(vals)} columns, expected 2 or 3")
+        if not all(cmath.isfinite(v) for v in vals):
+            raise ConfigError(f"{path}: line {ln} has a value that is not finite")
         rows.append(vals + [0.0] * (3 - len(vals)))
     if len(rows) < 4:
         raise ConfigError(f"{path}: need at least 4 sample rows")

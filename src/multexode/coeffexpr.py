@@ -70,6 +70,8 @@ def as_expr(v) -> Expr:
     if isinstance(v, Expr):
         return v
     if isinstance(v, (int, float, complex, np.integer, np.floating, np.complexfloating)):
+        if not cmath.isfinite(v):
+            raise ValueError(f"a number in an expression must be finite, got {v!r}")
         return Const(complex(v))
     raise TypeError(f"cannot interpret {v!r} as an expression")
 

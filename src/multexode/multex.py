@@ -9,8 +9,10 @@ dimensions; the trig operator at index j sums the dimensions congruent to j
 mod n (dimension 0 belongs to class n, so the operator family at x = 0 is a
 Kronecker delta in j).
 
-Both sums come from one loop over plain sample rows; the values returned
-are wrapped as GridFn without a copy.  A term that is not finite raises
+Both sums come from one loop over plain sample rows, which can also carry
+the rotations of the inputs side by side, one primitive per step for the
+whole stack; each class sum is a row of its own, wrapped as GridFn without
+a copy.  A term that is not finite raises
 Overflow at its first non-finite node.
 """
 
@@ -71,25 +73,33 @@ def truncation_bound(g_integral: float, n: int, terms: int) -> float:
             return total
 
 
-def _series(fs, tol, classes):
-    """Class sums of the simplex integrals: dimension m >= 1 goes to class
-    (m-1) mod classes and dimension 0 to the last class.
+def _series(fs, tol, classes, stack=1):
+    """Class sums of the simplex integrals of a stack of particles.
+
+    Particle i starts on input i mod n and takes the next input at each
+    step, so its terms are the simplex integrals of the inputs rotated i
+    steps to the left.  At step m the term of particle (-m) mod stack goes to
+    class (m-1) mod classes, and dimension 0 to the last class.  With one
+    particle this sums dimension m >= 1 of the inputs into class
+    (m-1) mod classes; with stack = classes = n, class (k-2) mod n is index
+    (k-2) mod n + 1 of the inputs rotated k-1 steps to the right.
 
     Terms are taken one full cycle of classes at a time, so every class
     receives its next contribution before the stopping test, which compares
-    the largest term of the last cycle against tol.  The budget MAX_TERMS is
-    checked once per cycle, so a family of n inputs may take up to
-    MAX_TERMS + n - 1 terms.  If the budget runs out with that term still more
-    than 1e3 * tol, the series is considered divergent at this resolution and
-    NotConverged is raised carrying the diagnostics.
+    the largest term of the last cycle, over the whole stack, against tol.
+    The budget MAX_TERMS is checked once per cycle, so a family of n inputs
+    may take up to MAX_TERMS + n - 1 terms.  If the budget runs out with that
+    term still more than 1e3 * tol, the series is considered divergent at
+    this resolution and NotConverged is raised carrying the diagnostics.
+    Every class sum is a row of its own.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     grid, rows = _input_rows(fs)
     dtype = np.result_type(*rows)  # real inputs keep the sums real
-    sums = np.zeros((classes, grid.n + 1), dtype=dtype)
+    sums = [np.zeros(grid.n + 1, dtype=dtype) for _ in range(classes)]
     sums[-1] += 1.0  # dimension 0 belongs to the last class
-    s = np.ones(grid.n + 1, dtype=dtype)
+    s = np.ones((stack, grid.n + 1), dtype=dtype)
     m = 0
     last = math.inf
     converged = False
@@ -98,17 +108,21 @@ def _series(fs, tol, classes):
             last = 0.0
             for c in range(classes):
                 m += 1
-                s = primitive_values(rows[(m - 1) % len(rows)] * s, grid)
-                mags = np.abs(s)
-                norm = float(mags.max())  # the method skips np.max's Python wrapper
-                if not math.isfinite(norm):
-                    check_finite(mags, grid)  # Overflow at the term's first bad node
-                sums[c] += s
-                last = max(last, norm)
+                for i, term in enumerate(s):  # in place, the input as first operand
+                    np.multiply(rows[(i + m - 1) % len(rows)], term, out=term)
+                s = primitive_values(s, grid)
+                for term in s:
+                    mags = np.abs(term)
+                    norm = float(mags.max())  # the method skips np.max's Python wrapper
+                    if not math.isfinite(norm):
+                        check_finite(mags, grid)  # Overflow at the term's first bad node
+                    last = max(last, norm)
+                sums[c] += s[-m % stack]
             if last <= tol:
                 converged = True
                 break
-    check_finite(sums, grid)  # finite terms can still overflow a sum
+    for v in sums:
+        check_finite(v, grid)  # finite terms can still overflow a sum
     diag = SeriesDiagnostics(m, last, converged)
     if not converged and last > 1e3 * tol:
         name = "multex" if classes == 1 else "trig"
@@ -123,8 +137,13 @@ def multex_e(fs, tol: float = DEFAULT_TOL):
     return total, diag
 
 
-def trig_family(fs, tol: float = DEFAULT_TOL):
+def trig_family(fs, tol: float = DEFAULT_TOL, stack: int = 1):
     """All n trig operators of one input list (the dimensions congruent to j
-    mod n), sharing one recurrence pass."""
-    return _series(fs, tol, len(fs))
+    mod n), sharing one recurrence pass.
+
+    With ``stack = n`` the pass instead carries all n right rotations of the
+    inputs at once and returns, at position (k-2) mod n, index (k-2) mod n + 1
+    of the inputs rotated k-1 steps: the n basis members of an auxiliary
+    chain.  The diagnostics are the whole stack's."""
+    return _series(fs, tol, len(fs), stack)
 

@@ -4,8 +4,11 @@ The k-th basis member of an order-n problem is the trig operator applied to
 the auxiliary functions rotated k-1 steps to the right, at the index that the
 rotation sends to n.  Member k then satisfies y^(j-1)(0) = delta_{jk}, so the
 initial-value solution is the linear combination weighted by the initial
-data.  Presets cover the impedance-form wave equation (order 2) and the
-fourth-order hydrodynamic-stability form y'''' = a2 y'' + a4 y.
+data.  A solve plans and lowers only the chain's leads and auxiliary
+functions; the n members then come from one stacked series pass over the
+lowered rows, in which each rotation is one particle, so no member is ever
+built as an expression.  Presets cover the impedance-form wave equation
+(order 2) and the fourth-order hydrodynamic-stability form y'''' = a2 y'' + a4 y.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .coeffexpr import Const, TrigNode, as_expr
 from .errors import NonDifferentiable
 from .gridfn import Grid, GridFn, Interval, linear_combination
 from .lower import LowerContext, lower
-from .multex import DEFAULT_TOL
+from .multex import DEFAULT_TOL, trig_family
 from .parser import parse
 
 
@@ -52,21 +55,19 @@ class IVProblem:
 class BasisSet:
     """The n fundamental solutions with unit initial data at 0.
 
-    psi holds the grid realizations, zeroed outside validity; exprs the
-    symbolic trig forms, which is what derivative checks differentiate.
-    diagnostics are the members' series diagnostics and aux_diagnostics
-    those of the chain's auxiliary functions; order 1 has no chain.
+    psi holds the grid realizations, zeroed outside validity.  diagnostics
+    are the members' series diagnostics, one record of the stacked pass
+    shared by every member, and aux_diagnostics those of the chain's
+    auxiliary functions; order 1 has no chain.
     """
 
     n: int
     a: CoeffVector
     psi: tuple
-    exprs: tuple
     validity: Interval
     diagnostics: tuple
     chain: AuxChain | None
     aux_diagnostics: dict | None
-    ctx: LowerContext
 
 
 def _member(row: GridFn, validity: Interval) -> GridFn:
@@ -78,17 +79,12 @@ def _member(row: GridFn, validity: Interval) -> GridFn:
 
 def _assemble(chain: AuxChain, ctx: LowerContext) -> BasisSet:
     """Lower the chain on the context and rotate it through the trig
-    operators.  The members are planned with the chain, so every row is
-    computed once and dropped after its last read."""
-    n, phi = chain.n, chain.phi
-    # rotate k-1 steps right; the rotation sends index (k-2) mod n + 1 to n
-    rotations = [phi[-(k - 1):] + phi[:-(k - 1)] for k in range(1, n + 1)]
-    exprs = tuple(TrigNode(fs, (k - 2) % n + 1) for k, fs in enumerate(rotations, start=1))
-    ctx.plan(exprs)
-    _, aux_diags, validity = lower_chain(chain, ctx)
-    members = tuple(_member(lower(e, ctx), validity) for e in exprs)
-    diags = tuple(ctx.trig_diagnostics.get(fs) for fs in rotations)
-    return BasisSet(n, chain.a, members, exprs, validity, diags, chain, aux_diags, ctx)
+    operators: one stacked pass over the lowered rows gives every member."""
+    rows, aux_diags, validity = lower_chain(chain, ctx)
+    family, diag = trig_family(rows, ctx.series_tol, stack=chain.n)
+    # position (k-2) mod n holds member k
+    members = tuple(_member(family[(k - 2) % chain.n], validity) for k in range(1, chain.n + 1))
+    return BasisSet(chain.n, chain.a, members, validity, (diag,) * chain.n, chain, aux_diags)
 
 
 def basis(a: CoeffVector, grid: Grid, tol: float = DEFAULT_TOL, numeric_diff: bool = False) -> BasisSet:
@@ -104,7 +100,7 @@ def basis(a: CoeffVector, grid: Grid, tol: float = DEFAULT_TOL, numeric_diff: bo
         ctx.plan([expr])
         row = lower(expr, ctx)  # a dividing coefficient shrinks ctx.validity here
         validity = ctx.final_validity()
-        return BasisSet(1, a, (_member(row, validity),), (expr,), validity, (None,), None, None, ctx)
+        return BasisSet(1, a, (_member(row, validity),), validity, (None,), None, None)
     return _assemble(build_aux_chain(a, numeric_diff=numeric_diff), LowerContext(grid, series_tol=tol))
 
 
@@ -123,6 +119,8 @@ def preset_schrodinger(zeta, omega, grid: Grid, tol: float = DEFAULT_TOL, numeri
     requires zeta to be positive and expression-differentiable (sampled
     impedance profiles need the numeric-differentiation opt-in).
     """
+    if not cmath.isfinite(complex(omega)):
+        raise ValueError(f"omega must be finite, got {omega!r}")
     zeta = parse(zeta) if isinstance(zeta, str) else as_expr(zeta)
     probe = LowerContext(grid)
     zvals = lower(zeta, probe).values[grid.mask(probe.validity)]
@@ -158,31 +156,3 @@ def preset_orr_sommerfeld(a2, a4, grid: Grid, tol: float = DEFAULT_TOL) -> Basis
     )
     a = CoeffVector((Const(-1), Const(0), a2, Const(0), a4))
     return _assemble(AuxChain(4, a, phi, ()), LowerContext(grid, series_tol=tol))
-
-
-def initial_condition_matrix(bs: BasisSet, numeric_diff: bool = False) -> np.ndarray:
-    """Matrix of j-1-st derivatives of each member at 0; identity when the
-    basis is healthy.  Row 1 is exact by construction; higher rows lower the
-    symbolic derivatives and read the anchor node."""
-    n = bs.n
-    out = np.zeros((n, n), dtype=complex)
-    for k in range(1, n + 1):
-        d = bs.exprs[k - 1]
-        out[0, k - 1] = lower(d, bs.ctx).at_zero()
-        for j in range(2, n + 1):
-            d = ce.simplify(ce.differentiate(d, numeric_diff))
-            out[j - 1, k - 1] = lower(d, bs.ctx).at_zero()
-    return out
-
-
-def ode_residual(bs: BasisSet, k: int, numeric_diff: bool = False) -> GridFn:
-    """Residual of member k in the original equation, via symbolic derivatives."""
-    n = bs.n
-    expr = bs.exprs[k - 1]
-    derivs = [expr]
-    for _ in range(n):
-        derivs.append(ce.simplify(ce.differentiate(derivs[-1], numeric_diff)))
-    res = derivs[n]
-    for j in range(1, n + 1):
-        res = ce.sub(res, ce.mul(bs.a.a(j), derivs[n - j]))
-    return lower(ce.simplify(res), bs.ctx)

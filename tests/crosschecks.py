@@ -118,6 +118,59 @@ def realization_residual(fn_expr: AuxFn, ctx: LowerContext) -> GridFn:
     return lower(ce.simplify(ce.sub(derivs[m], rhs)), ctx)
 
 
+def member_exprs(bs):
+    """The basis members as expressions: member k is the trig operator of the
+    auxiliary functions rotated k-1 steps right, at index (k-2) mod n + 1;
+    order 1's one member is the exponential of the primitive of a1."""
+    if bs.chain is None:
+        return (ce.expprim(bs.a.a(1), 1),)
+    n, phi = bs.n, bs.chain.phi
+    return tuple(TrigNode(phi[n - k + 1 :] + phi[: n - k + 1], (k - 2) % n + 1) for k in range(1, n + 1))
+
+
+def rotation_members(bs, tol=DEFAULT_TOL) -> SimpleNamespace:
+    """The basis members lowered one rotation at a time, each by its own
+    trig-family pass on one planned context, zeroed outside the validity
+    interval they leave: a reference for the stacked pass of the solver."""
+    grid = bs.psi[0].grid
+    ctx = LowerContext(grid, series_tol=tol)
+    exprs = member_exprs(bs)
+    ctx.plan(exprs)
+    rows = [lower(e, ctx).values.astype(complex) for e in exprs]
+    validity = ctx.final_validity()
+    for row in rows:
+        row[~grid.mask(validity)] = 0.0
+    return SimpleNamespace(rows=rows, validity=validity)
+
+
+def initial_condition_matrix(bs, numeric_diff: bool = False) -> np.ndarray:
+    """Matrix of j-1-st derivatives of each member at 0; identity when the
+    basis is healthy.  Lowers the member expressions and their symbolic
+    derivatives on a context of their own and reads the anchor node."""
+    n = bs.n
+    ctx = LowerContext(bs.psi[0].grid)
+    out = np.zeros((n, n), dtype=complex)
+    for k, d in enumerate(member_exprs(bs), start=1):
+        out[0, k - 1] = lower(d, ctx).at_zero()
+        for j in range(2, n + 1):
+            d = ce.simplify(ce.differentiate(d, numeric_diff))
+            out[j - 1, k - 1] = lower(d, ctx).at_zero()
+    return out
+
+
+def ode_residual(bs, k: int, numeric_diff: bool = False) -> GridFn:
+    """Residual of member k in the original equation, via symbolic
+    derivatives of its expression, lowered on a context of its own."""
+    n = bs.n
+    derivs = [member_exprs(bs)[k - 1]]
+    for _ in range(n):
+        derivs.append(ce.simplify(ce.differentiate(derivs[-1], numeric_diff)))
+    res = derivs[n]
+    for j in range(1, n + 1):
+        res = ce.sub(res, ce.mul(bs.a.a(j), derivs[n - j]))
+    return lower(ce.simplify(res), LowerContext(bs.psi[0].grid))
+
+
 def first_row_solution(result, initial_values) -> GridFn:
     """The scalar solution of a fundamental-matrix Dyson result: row 0 of M
     combined with the initial data."""

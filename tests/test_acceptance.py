@@ -14,7 +14,6 @@ from multexode import (
     basis,
     companion,
     dyson,
-    initial_condition_matrix,
     preset_orr_sommerfeld,
     preset_schrodinger,
     rk4,
@@ -28,7 +27,7 @@ from multexode.coeffexpr import Const, FuncCall, IntPow, Var, add, mul, simplify
 from multexode.lower import LowerContext, lower
 
 from conftest import smooth_gridfn
-from crosschecks import closed_form_aux, exp_primitive, matrix_from_gridfns, trig_equiv_check
+from crosschecks import closed_form_aux, exp_primitive, initial_condition_matrix, matrix_from_gridfns, trig_equiv_check
 from test_solver import phi_series_solution
 
 

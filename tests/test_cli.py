@@ -191,6 +191,16 @@ class TestIngest:
         table.write_text("\n".join(f"{x},{np.cos(x)}{imag}" for x in np.linspace(-1.5, 1.5, 101)))
         assert ingest_samples(table).ys.dtype == np.float64
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_named(self, tmp_path, capsys, bad):
+        table = tmp_path / "bad.csv"
+        xs = np.linspace(-1.5, 1.5, 101)
+        table.write_text("x,value\n" + "\n".join(f"{x},{bad if i == 5 else np.cos(x)}" for i, x in enumerate(xs)))
+        cfg = write(tmp_path / "p.cfg", f"n = 2\na1 = 0\na2 = @{table}\nic = 1, 0\n")
+        assert run(["solve", "--config", cfg, "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "bad.csv" in err and "line 7" in err and "not finite" in err
+
     def test_complex_column(self, tmp_path, grid200):
         xs = np.linspace(-1.5, 1.5, 2001)
         table = tmp_path / "cx.csv"

@@ -9,6 +9,7 @@ from multexode import (
     Const,
     ExpPrim,
     FuncCall,
+    Grid,
     IntPow,
     LowerContext,
     Mul,
@@ -22,7 +23,7 @@ from multexode import (
     simplify,
     to_text,
 )
-from multexode.coeffexpr import ONE, X, ZERO, add, mul
+from multexode.coeffexpr import ONE, X, ZERO, add, as_expr, mul
 
 from multexode import GridFn
 
@@ -37,6 +38,16 @@ class TestStructure:
         e = Const(2)
         with pytest.raises(AttributeError):
             e.value = 3
+
+
+    @pytest.mark.parametrize(
+        "bad",
+        [float("nan"), float("inf"), complex(1, float("-inf")), np.float64("nan")],
+        ids=["nan", "inf", "-infj", "np_nan"],
+    )
+    def test_non_finite_number_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            as_expr(bad)
 
 
 class TestSimplify:
@@ -166,6 +177,12 @@ class TestLower:
         ref, _ = family([lower(f, LowerContext(grid200)) for f in fs])
         for j, row in got.items():
             assert np.array_equal(row, ref[j - 1].values)
+
+    def test_kept_trig_index_holds_no_sibling(self):
+        # a kept index is a row of its own, not a view into the family's block
+        g = Grid(-1, 1, 2000)
+        row = lower(TrigNode((Const(-4), ONE, X), 2), LowerContext(g)).values
+        assert row.base is None and row.shape == (g.n + 1,)
 
     def test_recursion_builds_no_gridfn(self, grid200, monkeypatch):
         built = []

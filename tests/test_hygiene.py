@@ -46,10 +46,14 @@ def test_benchmark_tracer_installs_on_the_package():
     tracer = tracing.Tracer()
     tracer.install()
     try:
+        # the stacked pass of the members is traced where the solver calls it
+        assert hasattr(sys.modules["multexode.solver"].trig_family, "__wrapped__")
         multexode.solve_ivp(multexode.IVProblem(3, ("0", "x", "1"), (1, 0, 0)), multexode.Grid(-1, 1, 200))
     finally:
         tracer.uninstall()
     assert tracer.calls["chain"] == 1 and tracer.calls["solver"] == 1
+    # one family in the chain and one stacked pass for the three members
+    assert tracer.calls["trig_family"] == 2
     assert tracer.lower_entries > 0
     # the traced self-test needs both on coarse-sweep: memo hits at the
     # public lower, and the GridFn that linear_combination builds

@@ -7,16 +7,15 @@ import pytest
 from multexode import (
     Grid,
     IVProblem,
+    LowerContext,
     NonDifferentiable,
     Overflow,
     Sampled,
-    TrigNode,
     basis,
     companion,
     dyson,
-    initial_condition_matrix,
     lower,
-    ode_residual,
+    lower_chain,
     parse,
     preset_orr_sommerfeld,
     preset_schrodinger,
@@ -27,7 +26,7 @@ from multexode import (
 from multexode.auxiliary import CoeffVector
 
 from conftest import smooth_gridfn
-from crosschecks import first_row_solution
+from crosschecks import first_row_solution, initial_condition_matrix, ode_residual, rotation_members
 
 
 def lowered_rows(monkeypatch) -> list:
@@ -79,23 +78,41 @@ def phi_series_solution(alpha_fn, beta_fn, xs, blocks=40):
     return y, gamma
 
 
+def assert_members_match_each_rotation(bs):
+    """Every member of the stacked pass equals, bit for bit, the trig
+    operator of its own rotation lowered by a pass of its own."""
+    ref = rotation_members(bs)
+    assert ref.validity == bs.validity
+    for member, row in zip(bs.psi, ref.rows, strict=True):
+        assert member.values.tobytes() == row.tobytes()
+
+
+# the smooth coefficients of the ROADMAP timing table and complex ones;
+# order n takes the first n
+SMOOTH = ("0.1*x", "-1+0.2*sin(x)", "0.3*x", "0.5*cos(x)", "0.2")
+SMOOTH_COMPLEX = ("0.1*x+0.05*i", "-1+0.2*i*sin(x)", "0.3*x", "0.5*cos(x)-0.1*i", "0.2+0.1*i")
+
+
 class TestBasisStructure:
+    # member k is index (k-2) mod n + 1 of the chain rotated k-1 steps right
     def test_order3_rotations(self, grid200):
-        a = CoeffVector.from_rhs(("0", "x", "1"))
-        bs = basis(a, grid200)
-        phi = bs.chain.phi
-        assert bs.exprs[0] == TrigNode((phi[0], phi[1], phi[2]), 3)
-        assert bs.exprs[1] == TrigNode((phi[2], phi[0], phi[1]), 1)
-        assert bs.exprs[2] == TrigNode((phi[1], phi[2], phi[0]), 2)
+        assert_members_match_each_rotation(basis(CoeffVector.from_rhs(("0", "x", "1")), grid200))
 
     def test_order4_rotations(self, grid200):
-        a = CoeffVector.from_rhs(("0", "x/2", "0", "1/2"))
-        bs = basis(a, grid200)
-        p = bs.chain.phi
-        assert bs.exprs[0] == TrigNode((p[0], p[1], p[2], p[3]), 4)
-        assert bs.exprs[1] == TrigNode((p[3], p[0], p[1], p[2]), 1)
-        assert bs.exprs[2] == TrigNode((p[2], p[3], p[0], p[1]), 2)
-        assert bs.exprs[3] == TrigNode((p[1], p[2], p[3], p[0]), 3)
+        assert_members_match_each_rotation(basis(CoeffVector.from_rhs(("0", "x/2", "0", "1/2")), grid200))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            *(lambda g, n=n, c=c: basis(CoeffVector.from_rhs(c[:n]), g)
+              for n in (2, 3, 4, 5) for c in (SMOOTH, SMOOTH_COMPLEX)),
+            lambda g: preset_orr_sommerfeld("cos(x)/2", "x/2", g),
+            lambda g: basis(CoeffVector.from_rhs(("1/(x-0.7)", "x", "1")), g),
+        ],
+        ids=[f"order{n}_{t}" for n in (2, 3, 4, 5) for t in ("real", "complex")] + ["orr", "dividing_order3"],
+    )
+    def test_stacked_pass_matches_each_rotation(self, grid2000, make):
+        assert_members_match_each_rotation(make(grid2000))
 
     def test_value_row_is_exact_kronecker(self, grid200):
         a = CoeffVector.from_rhs(("x", "1", "sin(x)"))
@@ -115,8 +132,6 @@ class TestInitialConditionMatrix:
 class TestResidual:
     @pytest.mark.parametrize("rhs", [("sin(x)", "1+x"), ("0", "x", "1"), ("x/4", "cos(x)", "x/2", "1/2")])
     def test_members_solve_the_equation(self, grid2000, rhs):
-        from multexode import LowerContext, lower
-
         bs = basis(CoeffVector.from_rhs(rhs), grid2000)
         coeff_sup = 1.0
         ctx = LowerContext(grid2000)
@@ -136,8 +151,10 @@ class TestSolveIvp:
         rows = lowered_rows(monkeypatch)
         y, bs = solve_ivp(IVProblem(3, ("0.3+x", "-2+x/10", "0.5"), (1, 0, 0)), grid200)
         assert rows and all(v.dtype == np.float64 for v in rows)
-        family, _ = trig_family([lower(p, bs.ctx) for p in bs.chain.phi])
-        assert all(t.values.dtype == np.float64 for t in family)
+        phi, _, _ = lower_chain(bs.chain, LowerContext(grid200))
+        for stack in (1, 3):  # a chain family and the stacked pass of the members
+            family, _ = trig_family(phi, stack=stack)
+            assert all(t.values.dtype == np.float64 for t in family)
         assert y.values.dtype == np.complex128
         assert all(m.values.dtype == np.complex128 for m in bs.psi)
 
@@ -163,6 +180,11 @@ class TestSolveIvp:
     def test_non_finite_initial_value_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             IVProblem(2, ("0", "-4"), (1, bad))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            IVProblem(2, (bad, 1), (1, 0))
 
     def test_huge_initial_data_overflow_is_typed(self, grid2000):
         p = IVProblem(2, ("0", "-4"), (1.7e308, 1.7e308))
@@ -219,7 +241,7 @@ class TestSolveIvp:
 
 
 # the smooth order-5 problem of the ROADMAP timing table
-ORDER5 = IVProblem(5, ("0.1*x", "-1+0.2*sin(x)", "0.3*x", "0.5*cos(x)", "0.2"), (1, 0, 0.5, -0.2, 0.3))
+ORDER5 = IVProblem(5, SMOOTH, (1, 0, 0.5, -0.2, 0.3))
 
 
 class TestLoweringMemo:
@@ -234,10 +256,18 @@ class TestLoweringMemo:
         ],
         ids=["solve_ivp", "basis_order1", "basis", "orr", "schrodinger"],
     )
-    def test_memo_is_empty_after_a_solve(self, grid2000, make):
-        # every row is dropped after its last planned read
-        ctx = make(grid2000).ctx
-        assert ctx.memo == {} and ctx.uses == {}
+    def test_memo_is_empty_after_a_solve(self, grid2000, make, monkeypatch):
+        # every row is dropped after its last planned read; the solve's
+        # context is the last one made (the Schrödinger probe's comes first)
+        contexts = []
+
+        def recording(*args, **kwargs):
+            contexts.append(LowerContext(*args, **kwargs))
+            return contexts[-1]
+
+        monkeypatch.setattr(importlib.import_module("multexode.solver"), "LowerContext", recording)
+        make(grid2000)
+        assert contexts[-1].memo == {} and contexts[-1].uses == {}
 
     def test_each_node_is_lowered_once(self, grid2000, monkeypatch):
         lower_module = importlib.import_module("multexode.lower")
@@ -251,7 +281,7 @@ class TestLoweringMemo:
         # a row computed twice that re-ran a series, a primitive or a
         # zero-free scan would raise these counts
         calls = {}
-        for name, attr in (("lower", "trig_family"), ("lower", "zero_free_interval"),
+        for name, attr in (("lower", "trig_family"), ("solver", "trig_family"), ("lower", "zero_free_interval"),
                            ("lower", "primitive_values"), ("multex", "primitive_values")):
             module = importlib.import_module(f"multexode.{name}")
             fn = getattr(module, attr)
@@ -264,8 +294,9 @@ class TestLoweringMemo:
 
             monkeypatch.setattr(module, attr, counting)
         solve_ivp(ORDER5, grid2000)
-        assert calls == {"lower.trig_family": 12, "lower.zero_free_interval": 22,
-                         "lower.primitive_values": 12, "multex.primitive_values": 223}
+        # the chain's families, then one stacked pass for all five members
+        assert calls == {"lower.trig_family": 7, "solver.trig_family": 1, "lower.zero_free_interval": 22,
+                         "lower.primitive_values": 12, "multex.primitive_values": 143}
 
     def test_peak_memory_of_an_order5_solve(self, grid2000):
         # rows live only between their first and last read: the traced peak
@@ -316,6 +347,11 @@ class TestSchrodingerPreset:
         near = grid2000.nodes <= 0.45
         for k in range(2):
             assert np.max(np.abs(bs.psi[k].values - steps[0, k])[near]) <= 1e-8
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_frequency_rejected(self, grid200, bad):
+        with pytest.raises(ValueError, match="finite"):
+            preset_schrodinger("2 + sin(x)", bad, grid200)
 
     def test_nonpositive_impedance_rejected(self, grid200):
         with pytest.raises(ValueError):
