@@ -10,14 +10,22 @@ itself, and derivatives of a solved auxiliary function stop at the order of
 its defining equation, where the equation's right side is substituted
 instead of differentiating further.
 
+Nodes are hash-consed: every node is interned when it is built, so
+structurally equal expressions are one object, equality and hashing are
+identity, and the shared derivative chains of the auxiliary recursion form a
+DAG rather than copies of a tree.  A node leaves the intern table when
+nothing references it.
+
 Simplification is deliberately small: constant folding, 0/1 absorption and
-flattening of +/* chains.  Nothing here attempts general computer algebra.
+flattening of +/* chains, memoised on each node.  Nothing here attempts
+general computer algebra.
 """
 
 from __future__ import annotations
 
 import cmath
 import hashlib
+import weakref
 
 import numpy as np
 
@@ -36,34 +44,38 @@ _FUNC_EVAL = {
 
 
 class Expr:
-    """Base class for expression nodes.  Nodes are immutable and hashable."""
+    """Base class for expression nodes.
 
-    __slots__ = ("_hash",)
+    Nodes are immutable and interned: each class builds its nodes in
+    ``__new__`` through one table of live nodes, keyed by the type, the
+    scalars and the ids of the children, so equality and hashing are the
+    inherited identity.  A node holds its children, so the ids in a live key
+    name live objects.  ``_simple`` memoises :func:`simplify`.
+    """
+
+    __slots__ = ("_simple", "__weakref__")
 
     def __setattr__(self, *a):
         raise AttributeError("expressions are immutable")
 
-    def _key(self):
-        raise NotImplementedError
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((type(self).__name__,) + self._key()))
-            return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other):
-            return False
-        if hash(self) != hash(other):
-            return False
-        return self._key() == other._key()
-
     def __repr__(self):
         return f"{type(self).__name__}({to_text(self)})"
+
+
+_NODES = weakref.WeakValueDictionary()
+_set = object.__setattr__
+
+
+def _interned(cls, key, *fields):
+    """The live node of ``key``, or a new ``cls`` node with ``fields`` in the
+    order of ``cls.__slots__``."""
+    node = _NODES.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            _set(node, name, value)
+        _NODES[key] = node
+    return node
 
 
 def as_expr(v) -> Expr:
@@ -79,29 +91,38 @@ def as_expr(v) -> Expr:
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value):
-        object.__setattr__(self, "value", complex(value))
-
-    def _key(self):
-        return (self.value,)
+    def __new__(cls, value):  # the commonest nodes with the binary ones, spelled out
+        value = complex(value)
+        key = (cls, value)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+            _set(node, "value", value)
+        return node
 
 
 class Var(Expr):
     __slots__ = ()
 
-    def _key(self):
-        return ()
+    def __new__(cls):
+        return _interned(cls, (cls,))
 
 
 class _Binary(Expr):
     __slots__ = ("a", "b")
 
-    def __init__(self, a, b):
-        object.__setattr__(self, "a", as_expr(a))
-        object.__setattr__(self, "b", as_expr(b))
-
-    def _key(self):
-        return (self.a, self.b)
+    def __new__(cls, a, b):
+        if not isinstance(a, Expr):
+            a = as_expr(a)
+        if not isinstance(b, Expr):
+            b = as_expr(b)
+        key = (cls, id(a), id(b))
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+            _set(node, "a", a)
+            _set(node, "b", b)
+        return node
 
 
 class Add(_Binary):
@@ -123,12 +144,10 @@ class Div(_Binary):
 class IntPow(Expr):
     __slots__ = ("base", "k")
 
-    def __init__(self, base, k):
-        object.__setattr__(self, "base", as_expr(base))
-        object.__setattr__(self, "k", int(k))
-
-    def _key(self):
-        return (self.base, self.k)
+    def __new__(cls, base, k):
+        base = as_expr(base)
+        k = int(k)
+        return _interned(cls, (cls, k, id(base)), base, k)
 
 
 class ExpPrim(Expr):
@@ -136,27 +155,22 @@ class ExpPrim(Expr):
 
     __slots__ = ("child", "sign")
 
-    def __init__(self, child, sign):
+    def __new__(cls, child, sign):
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        object.__setattr__(self, "child", as_expr(child))
-        object.__setattr__(self, "sign", int(sign))
-
-    def _key(self):
-        return (self.child, self.sign)
+        child = as_expr(child)
+        sign = int(sign)
+        return _interned(cls, (cls, sign, id(child)), child, sign)
 
 
 class FuncCall(Expr):
     __slots__ = ("name", "child")
 
-    def __init__(self, name, child):
+    def __new__(cls, name, child):
         if name not in FUNC_NAMES:
             raise ValueError(f"unknown function {name!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "child", as_expr(child))
-
-    def _key(self):
-        return (self.name, self.child)
+        child = as_expr(child)
+        return _interned(cls, (cls, name, id(child)), name, child)
 
 
 class TrigNode(Expr):
@@ -164,34 +178,30 @@ class TrigNode(Expr):
 
     __slots__ = ("fs", "j")
 
-    def __init__(self, fs, j):
+    def __new__(cls, fs, j):
         fs = tuple(as_expr(f) for f in fs)
         j = int(j)
         if not fs:
             raise ValueError("trig node needs at least one input")
         if not 1 <= j <= len(fs):
             raise ValueError(f"index j = {j} out of range 1..{len(fs)}")
-        object.__setattr__(self, "fs", fs)
-        object.__setattr__(self, "j", j)
+        return _interned(cls, (cls, j, *map(id, fs)), fs, j)
 
     @property
     def n(self):
         return len(self.fs)
 
-    def _key(self):
-        return (self.fs, self.j)
-
 
 class Sampled(Expr):
     """A data table (xs, values) interpolated onto the grid at lowering.
 
-    Identity (equality, hashing) is by content digest so tables can be large
-    without making tree comparisons expensive.
+    A table is interned by its content digest ``key``, so tables can be
+    large without making node construction expensive.
     """
 
     __slots__ = ("xs", "ys", "key")
 
-    def __init__(self, xs, ys, key=None):
+    def __new__(cls, xs, ys, key=None):
         xs = np.array(xs, dtype=float)
         ys = np.array(ys, dtype=np.result_type(np.asarray(ys), float))  # a real table stays real
         if xs.ndim != 1 or xs.shape != ys.shape:
@@ -200,12 +210,7 @@ class Sampled(Expr):
         ys.setflags(write=False)
         if key is None:
             key = hashlib.sha1(xs.tobytes() + ys.tobytes()).hexdigest()[:16]
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "key", key)
-
-    def _key(self):
-        return (self.key,)
+        return _interned(cls, (cls, key), xs, ys, key)
 
 
 class AuxFn(Expr):
@@ -217,30 +222,29 @@ class AuxFn(Expr):
     order m, where the equation's right side is substituted, capping the
     symbolic derivative depth exactly as the recursion requires.  derivs[s-1]
     is the simplified s-th derivative of the realization (1 <= s < m), what
-    AuxDeriv(self, s) evaluates to; it is made here, once, so that lowering
-    does no symbolic work (``numeric`` as in :func:`differentiate`).
+    AuxDeriv(self, s) evaluates to; a new node makes them once, so that
+    lowering does no symbolic work (``numeric`` as in :func:`differentiate`,
+    and part of the node's key).
     """
 
     __slots__ = ("name", "order", "bcoeffs", "realization", "derivs")
 
-    def __init__(self, name, order, bcoeffs, realization, numeric=False):
+    def __new__(cls, name, order, bcoeffs, realization, numeric=False):
         bcoeffs = tuple(as_expr(b) for b in bcoeffs)
         order = int(order)
         if order < 1 or len(bcoeffs) != order:
             raise ValueError("need exactly `order` right-side coefficients")
         realization = as_expr(realization)
+        name = str(name)
+        key = (cls, name, order, *map(id, bcoeffs), id(realization), bool(numeric))
+        node = _NODES.get(key)
+        if node is not None:
+            return node
         derivs, d = [], realization
         for _ in range(order - 1):
             d = differentiate(d, numeric)
             derivs.append(simplify(d))
-        object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "bcoeffs", bcoeffs)
-        object.__setattr__(self, "realization", realization)
-        object.__setattr__(self, "derivs", tuple(derivs))
-
-    def _key(self):
-        return (self.name, self.order, self.bcoeffs, self.realization)
+        return _interned(cls, key, name, order, bcoeffs, realization, tuple(derivs))
 
 
 class AuxDeriv(Expr):
@@ -248,18 +252,13 @@ class AuxDeriv(Expr):
 
     __slots__ = ("fn", "s")
 
-    def __init__(self, fn, s):
+    def __new__(cls, fn, s):
         if not isinstance(fn, AuxFn):
             raise TypeError("AuxDeriv wraps an AuxFn")
         s = int(s)
         if not 1 <= s <= fn.order - 1:
             raise ValueError(f"derivative order {s} outside 1..{fn.order - 1}")
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "s", s)
-
-    def _key(self):
-        return (self.fn, self.s)
-
+        return _interned(cls, (cls, s, id(fn)), fn, s)
 
 
 ZERO = Const(0)
@@ -391,12 +390,27 @@ def _flatten(e: Expr, cls):
     return out
 
 
+_SELF = object()  # the memo of a node that simplifies to itself
+
+
 def simplify(e: Expr) -> Expr:
     """Bottom-up constant folding, 0/1 absorption, and +/* flattening.
 
     Flattened chains are rebuilt left-associated with any folded constant
-    first, which is also the canonical order the printer emits.
+    first, which is also the canonical order the printer emits.  The result
+    is memoised on the node, so each node is simplified once; a node that
+    simplifies to itself keeps a marker, not a reference to itself.
     """
+    try:
+        out = e._simple
+    except AttributeError:
+        out = _simplify(e)
+        _set(e, "_simple", _SELF if out is e else out)
+        return out
+    return e if out is _SELF else out
+
+
+def _simplify(e: Expr) -> Expr:
     if isinstance(e, (Const, Var, Sampled)):
         return e
     if isinstance(e, (Add, Mul)):

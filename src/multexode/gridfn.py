@@ -157,7 +157,7 @@ class GridFn:
 
     An immutable sampled value that crosses the public boundary: it carries
     its grid and one read-only row of samples and defines no arithmetic.  The
-    constructors store complex samples; lowering and the series wrap their
+    constructor stores complex samples; lowering and the series wrap their
     rows as they are, real until a complex value enters.  Do pointwise
     algebra on ``.values`` and wrap the result, or build an expression and
     ``lower`` it, which guards division.  Evaluation between nodes
@@ -178,22 +178,6 @@ class GridFn:
         arr.setflags(write=False)
         self.grid = grid
         self.values = arr
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def const(cls, grid: Grid, c) -> "GridFn":
-        return cls(grid, np.full(grid.n + 1, complex(c)))
-
-    @classmethod
-    def var(cls, grid: Grid) -> "GridFn":
-        return cls(grid, grid.nodes.astype(complex))
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "GridFn":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=complex))
-
-    # -- basics --------------------------------------------------------
 
     @classmethod
     def _wrap(cls, grid: Grid, values: np.ndarray) -> "GridFn":

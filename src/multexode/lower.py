@@ -7,9 +7,10 @@ store.  Every node lowers to a plain read-only array, checked finite
 (Overflow at the first bad node), real until a complex constant, a complex
 table or ``sqrt`` enters; the recursion never builds a GridFn.
 
-Rows live by use count.  :meth:`LowerContext.plan` interns the expressions
-first, so that structurally equal nodes are one node, and counts how many
-times each node's row will be read: once per root read and once per distinct
+Rows live by use count.  Expressions are interned when they are built, so
+structurally equal nodes are one object already; :meth:`LowerContext.plan`
+does no interning and only counts, on the nodes themselves, how many times
+each node's row will be read: once per root read and once per distinct
 parent still to be computed.  Lowering then computes every node exactly
 once, depth first, keeps its row in the memo while reads of it remain and
 drops it after the last one.  The recurrence pass of a trig family keeps
@@ -42,33 +43,37 @@ from .gridfn import DIV_FLOOR, Grid, GridFn, Interval, _lagrange4, check_finite,
 from .multex import DEFAULT_TOL, trig_family
 
 MIN_VALIDITY_CELLS = 4
-
-_BINARY = frozenset((ce.Add, ce.Sub, ce.Mul, ce.Div))
-# per node type: the scalar its row depends on and the children whose rows
-# it reads, in order; structurally equal nodes have equal parts
-_PARTS = {
-    ce.Const: lambda e: (e.value, ()),
-    ce.Var: lambda e: (None, ()),
-    ce.IntPow: lambda e: (e.k, (e.base,)),
-    ce.ExpPrim: lambda e: (e.sign, (e.child,)),
-    ce.FuncCall: lambda e: (e.name, (e.child,)),
-    ce.TrigNode: lambda e: (e.j, e.fs),
-    ce.Sampled: lambda e: (e.key, ()),
-    ce.AuxFn: lambda e: (None, (e.realization,)),
-    ce.AuxDeriv: lambda e: (None, (e.fn.derivs[e.s - 1],)),
-}
 # nodes whose row is checked already: a child's row, or a series' checked sums
 _CHECKED = frozenset((ce.AuxFn, ce.AuxDeriv, ce.TrigNode))
+
+
+def _reads(e: ce.Expr) -> tuple:
+    """The distinct nodes whose rows the row of ``e`` is computed from."""
+    if isinstance(e, (ce.Add, ce.Sub, ce.Mul, ce.Div)):
+        return (e.a,) if e.a is e.b else (e.a, e.b)
+    if isinstance(e, (ce.Const, ce.Var, ce.Sampled)):
+        return ()
+    if isinstance(e, ce.IntPow):
+        return (e.base,)
+    if isinstance(e, (ce.ExpPrim, ce.FuncCall)):
+        return (e.child,)
+    if isinstance(e, ce.TrigNode):
+        return tuple(dict.fromkeys(e.fs))
+    if isinstance(e, ce.AuxFn):
+        return (e.realization,)
+    if isinstance(e, ce.AuxDeriv):
+        return (e.fn.derivs[e.s - 1],)
+    raise TypeError(f"cannot lower {type(e).__name__}")
 
 
 class LowerContext:
     """Shared state for one solve: grid, tolerances, read counts, memo.
 
-    ``uses`` counts the reads of each planned node still to come, keyed by
-    the node's id, and ``memo`` holds the node's row while that count is
-    above zero; both are empty once every planned read is made.  Plan the
-    roots with :meth:`plan` before lowering them.  A context is cheap; make
-    a fresh one per solve.
+    ``uses`` counts the reads of each planned node still to come, and
+    ``memo`` holds the node's row while that count is above zero; both are
+    keyed by the (interned) node and are empty once every planned read is
+    made.  Plan the roots with :meth:`plan` before lowering them.  A context
+    is cheap; make a fresh one per solve.
     """
 
     def __init__(self, grid: Grid, series_tol: float = DEFAULT_TOL):
@@ -78,68 +83,37 @@ class LowerContext:
         self.memo: dict = {}
         self.uses: dict = {}
         self.trig_diagnostics: dict = {}
-        self._node = {}  # id of every interned expression -> its node
-        self._shape = {}  # (type, scalar, ids of child nodes) -> node
-        self._reads = {}  # id of a node -> its distinct child nodes
-        self._interned = []  # keeps every interned expression, and so its id, alive
 
     def plan(self, roots) -> None:
         """Count the reads that lowering ``roots`` will make: one per root
         and one per distinct parent still to be computed.  A node counted
         already gets one more read and its children none, since it is
-        computed once.  Plan before the roots are lowered; counts of several
+        computed once.  Nodes are interned, so the counts are keyed by the
+        nodes themselves.  Plan before the roots are lowered; counts of several
         calls add up."""
-        nodes, uses = self._node, self.uses
-        stack = [nodes.get(id(e)) or self._intern(e) for e in roots]
+        uses = self.uses
+        stack = list(roots)
         while stack:
             node = stack.pop()
-            left = uses.get(id(node), 0)
-            uses[id(node)] = left + 1
+            left = uses.get(node, 0)
+            uses[node] = left + 1
             if not left:
-                stack.extend(self._reads[id(node)])
-
-    def _intern(self, e: ce.Expr) -> ce.Expr:
-        """The node of an expression not yet interned: the first structurally
-        equal one seen.  Children are interned first, so a shape compares
-        ids, never subtrees."""
-        nodes = self._node
-        t = type(e)
-        if t in _BINARY:  # the commonest nodes, spelled out
-            a = nodes.get(id(e.a)) or self._intern(e.a)
-            b = nodes.get(id(e.b)) or self._intern(e.b)
-            shape, kids = (t, None, id(a), id(b)), ((a,) if a is b else (a, b))
-        else:
-            parts = _PARTS.get(t)
-            if parts is None:
-                raise TypeError(f"cannot lower {t.__name__}")
-            scalar, kids = parts(e)
-            if kids:
-                kids = [nodes.get(id(k)) or self._intern(k) for k in kids]
-                shape = (t, scalar, *map(id, kids))
-                kids = tuple({id(k): k for k in kids}.values())
-            else:
-                shape = (t, scalar)
-        node = self._shape.setdefault(shape, e)
-        if node is e:
-            self._reads[id(e)] = kids
-        nodes[id(e)] = node
-        self._interned.append(e)
-        return node
+                stack.extend(_reads(node))
 
     def _keep(self, node: ce.Expr, row: np.ndarray) -> None:
         """Store a computed row; its reads of its children are done."""
         self.memo[node] = row
-        self._release(self._reads[id(node)])
+        self._release(_reads(node))
 
     def _release(self, nodes) -> None:
         """One read of each node is done; drop the rows read for the last time."""
         uses, memo = self.uses, self.memo
         for node in nodes:
-            left = uses[id(node)] - 1
+            left = uses[node] - 1
             if left:
-                uses[id(node)] = left
+                uses[node] = left
             else:
-                del uses[id(node)]
+                del uses[node]
                 del memo[node]
 
     def shrink_validity(self, interval: Interval):
@@ -150,20 +124,25 @@ class LowerContext:
 
     def final_validity(self) -> Interval:
         """The validity interval with one more grid cell off every side a
-        division cut; the interval a solve reports.  ValidityCollapsed when
-        it spans fewer than MIN_VALIDITY_CELLS grid cells."""
+        division cut; the interval a solve reports.  Its edges are grid
+        nodes, taken by index.  ValidityCollapsed when the margin would move
+        an edge past 0 or the interval spans fewer than MIN_VALIDITY_CELLS
+        grid cells."""
         v = self.validity
         g = self.grid
-        lo_cut = v.lo > g.lo
-        hi_cut = v.hi < g.hi
-        # the running interval ends on nodes, so this counts cells exactly
-        cells = round(v.width / g.h) - lo_cut - hi_cut
-        if cells < MIN_VALIDITY_CELLS:
+        # the running interval ends on nodes, so this finds their indices exactly
+        lo = round((v.lo - g.lo) / g.h) + (v.lo > g.lo)
+        hi = round((v.hi - g.lo) / g.h) - (v.hi < g.hi)
+        if not lo <= g.zero_index <= hi:
             raise ValidityCollapsed(
-                f"validity interval [{v.lo:.4g}, {v.hi:.4g}] less its margin spans {cells} "
+                f"validity interval [{v.lo:.4g}, {v.hi:.4g}] less its margin no longer contains 0"
+            )
+        if hi - lo < MIN_VALIDITY_CELLS:
+            raise ValidityCollapsed(
+                f"validity interval [{v.lo:.4g}, {v.hi:.4g}] less its margin spans {hi - lo} "
                 f"grid cells, below {MIN_VALIDITY_CELLS}"
             )
-        return Interval(v.lo + g.h if lo_cut else v.lo, v.hi - g.h if hi_cut else v.hi)
+        return Interval(float(g.nodes[lo]), float(g.nodes[hi]))
 
 
 def _guarded_reciprocal(ctx: LowerContext, den: np.ndarray, power: int) -> np.ndarray:
@@ -193,28 +172,26 @@ def lower(e: ce.Expr, ctx: LowerContext) -> GridFn:
     checked.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        node = ctx._node.get(id(e)) or ctx._intern(e)
-        planned = id(node) in ctx.uses
+        planned = e in ctx.uses
         if not planned:
-            family = range(1, node.n + 1) if isinstance(node, ce.TrigNode) else ()
-            ctx.plan([node, *(ce.TrigNode(node.fs, j) for j in family if j != node.j)])
-        row = _values(node, ctx)
+            family = range(1, e.n + 1) if isinstance(e, ce.TrigNode) else ()
+            ctx.plan([e, *(ce.TrigNode(e.fs, j) for j in family if j != e.j)])
+        row = _values(e, ctx)
         if planned:
-            ctx._release((node,))
+            ctx._release((e,))
         return GridFn._wrap(ctx.grid, row)
 
 
 def _values(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
     """The checked, read-only sample row of one planned expression;
     Overflow at the first node where it is not finite."""
-    node = ctx._node[id(e)]
-    row = ctx.memo.get(node)
+    row = ctx.memo.get(e)
     if row is None:
-        row = _lower(node, ctx)
-        if type(node) not in _CHECKED:
+        row = _lower(e, ctx)
+        if type(e) not in _CHECKED:
             check_finite(row, ctx.grid)
             row.setflags(write=False)
-        ctx._keep(node, row)
+        ctx._keep(e, row)
     return row
 
 
@@ -249,10 +226,9 @@ def _lower(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
         inputs = [GridFn._wrap(grid, _values(f, ctx)) for f in e.fs]
         family, ctx.trig_diagnostics[e.fs] = trig_family(inputs, ctx.series_tol)
         # the other planned indices come from this pass too
-        ids = [id(ctx._node[id(f)]) for f in e.fs]
         for j, member in enumerate(family, start=1):
-            sibling = ctx._shape.get((ce.TrigNode, j, *ids))
-            if j != e.j and sibling is not None and id(sibling) in ctx.uses and sibling not in ctx.memo:
+            sibling = ce.TrigNode(e.fs, j)
+            if sibling is not e and sibling in ctx.uses and sibling not in ctx.memo:
                 ctx._keep(sibling, member.values)
         return family[e.j - 1].values
     if isinstance(e, ce.Sampled):

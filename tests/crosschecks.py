@@ -24,6 +24,21 @@ from multexode.gridfn import check_finite, linear_combination, primitive_values
 from multexode.multex import DEFAULT_TOL
 
 
+def const_fn(grid, c) -> GridFn:
+    """The constant c on the grid, as complex samples."""
+    return GridFn(grid, np.full(grid.n + 1, complex(c)))
+
+
+def var_fn(grid) -> GridFn:
+    """The variable x on the grid, as complex samples."""
+    return GridFn(grid, grid.nodes.astype(complex))
+
+
+def from_callable(grid, fn) -> GridFn:
+    """fn sampled at the grid's nodes, as complex samples."""
+    return GridFn(grid, np.asarray(fn(grid.nodes), dtype=complex))
+
+
 def primitive(f: GridFn) -> GridFn:
     """Anchored primitive: the integral of f from 0 to every node."""
     return GridFn(f.grid, primitive_values(f.values, f.grid))

@@ -1,0 +1,174 @@
+"""Bit-identity probes: print one SHA-256 per probe of the package's outputs.
+
+Run it from the root of a checkout, once before and once after a change,
+and compare the two listings with ``diff``:
+
+    python tests/probes.py > probes-before.txt
+    python tests/probes.py > probes-after.txt
+    diff probes-before.txt probes-after.txt
+
+A probe hashes the sample bytes of a solution and of every basis member, the
+validity interval (exact float bits) and the series diagnostics; a probe that
+raises hashes the error's type and message; a CLI probe hashes the exit code
+and every output file, by name and bytes.  The script is not a test module,
+so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
+
+import crosschecks  # noqa: E402
+from multexode import Grid, IVProblem, Sampled, basis, preset_orr_sommerfeld, preset_schrodinger, solve_ivp  # noqa: E402
+from multexode.auxiliary import CoeffVector  # noqa: E402
+from multexode.cli import run as cli_run  # noqa: E402
+
+REAL = ("0.1*x", "-1+0.2*sin(x)", "0.3*x", "0.5*cos(x)", "0.2")
+COMPLEX = ("0.1*x + 0.05*i", "-1+0.2*sin(x)", "0.3*i*x", "0.5*cos(x)", "0.2 - 0.1*i*x")
+IC = (1.0, 0.3, -0.2, 0.1, 0.05)
+SIZES = (2000, 20000)
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        if isinstance(p, np.ndarray):
+            h.update(str(p.dtype).encode())
+            h.update(np.ascontiguousarray(p).tobytes())
+        elif isinstance(p, float):
+            h.update(p.hex().encode())
+        else:
+            h.update(repr(p).encode())
+    return h.hexdigest()
+
+
+def _basis_parts(bs):
+    return [*(m.values for m in bs.psi), bs.validity.lo, bs.validity.hi, bs.diagnostics, bs.aux_diagnostics]
+
+
+def _run(fn):
+    try:
+        return fn()
+    except Exception as exc:  # every outcome is hashed, failures included
+        return ("error", type(exc).__name__, str(exc))
+
+
+def _hash(out) -> str:
+    if isinstance(out, tuple) and out[0] in ("error", "cli"):
+        return _digest(*out)
+    if isinstance(out, tuple):  # solve_ivp's (solution, basis)
+        y, bs = out
+        return _digest(y.values, *_basis_parts(bs))
+    if isinstance(out, np.ndarray):
+        return _digest(out)
+    if hasattr(out, "values"):  # a GridFn
+        return _digest(out.values)
+    return _digest(*_basis_parts(out))
+
+
+def _solve(coeffs, grid, tol=None, ic=IC, numeric_diff=False):
+    kw = {} if tol is None else {"tol": tol}
+    return lambda: solve_ivp(IVProblem(len(coeffs), coeffs, ic[: len(coeffs)]), grid, numeric_diff=numeric_diff, **kw)
+
+
+def _basis(coeffs, grid):
+    return lambda: basis(CoeffVector.from_rhs(coeffs), grid)
+
+
+def library_probes():
+    for n in range(1, 6):
+        for kind, coeffs in (("real", REAL), ("complex", COMPLEX)):
+            for size in SIZES:
+                yield f"solve_ivp/order{n}/{kind}/N{size}", _solve(coeffs[:n], Grid(-1, 1, size))
+    for size in SIZES:
+        g = Grid(-1, 1, size)
+        yield f"basis/dividing_order3/N{size}", _basis(("0", "-20+2*x", "1"), g)
+        yield f"basis/order4/N{size}", _basis(REAL[:4], g)
+        yield f"orr/plain/N{size}", lambda g=g: preset_orr_sommerfeld("-1+x", "1/2", g)
+        yield f"orr/dividing_a4/N{size}", lambda g=g: preset_orr_sommerfeld("-1+x", "1/(x-0.6)", g)
+        yield f"schrodinger/N{size}", lambda g=g: preset_schrodinger("2+x", 1.5, g)
+    for a2 in ("-40+3*x", "-40"):
+        for size in (1500, 2000, 8000):
+            for tol in (1e-12, 1e-13):
+                g = Grid(-0.75, 0.75, size)
+                yield f"shrinking/a2={a2}/N{size}/tol{tol:g}", _solve(("0", a2, "1"), g, tol=tol, ic=(1, 0.3, -0.2))
+    g = Grid(-1, 1, 2000)
+    for n in range(1, 5):
+        rest = REAL[1:n]
+        yield f"pole_a1/order{n}", _solve(("1/(x-0.5)", *rest), g)
+        yield f"pole_an/order{n}", _solve((*REAL[: n - 1], "1/(x+0.4)"), g)
+    # a pole one cell or one and a half cells from the anchor, on either side
+    for text in ("1/(x-0.001)", "1/(x-0.0015)", "1/(x+0.001)"):
+        yield f"pole_near_anchor/a1={text}", _solve((text, "1"), g, ic=(1, 0))
+    xs = np.linspace(-1.2, 1.2, 241)
+    tables = {"real": Sampled(xs, 0.3 * np.cos(xs)), "complex": Sampled(xs, 0.3 * np.cos(xs) + 0.1j * xs)}
+    for n in range(3, 6):
+        for kind, table in tables.items():
+            for numeric in (False, True):
+                coeffs = (table, *REAL[1:n])
+                yield f"table/order{n}/{kind}/numeric{int(numeric)}", _solve(coeffs, g, numeric_diff=numeric)
+    yield "error/collapse", _solve(("1/((x-0.003)*(x+0.003))", "1"), g, ic=(1, 0))
+    yield "error/divisor_too_small", _solve(("1/x", "1"), g, ic=(1, 0))
+    yield "error/overflow", _solve(("1000", "1"), Grid(-20, 20, 2000), ic=(1, 0))
+    yield "error/huge_ic", _solve(("0", "-1"), g, ic=(1e308, 1e308))
+    yield "order4_stiff/solve_ivp", _solve(("0", "-3000", "0", "-200*x"), g)
+    yield "order4_stiff/orr", lambda: preset_orr_sommerfeld("-3000", "-200*x", g)
+    for n in range(2, 5):
+        bs = _run(_basis(REAL[:n], g))
+        yield f"initial_condition_matrix/order{n}", lambda bs=bs: crosschecks.initial_condition_matrix(bs)
+        yield f"ode_residual/order{n}", lambda bs=bs, n=n: crosschecks.ode_residual(bs, n)
+
+
+CLI_PROBLEMS = {
+    "order2": "n = 2\na1 = 0.1*x\na2 = -4\nic = 1, 0\n",
+    "order3": "n = 3\na1 = 0.1*x\na2 = -1+0.2*sin(x)\na3 = 0.3*x\nic = 1, 0.3, -0.2\n",
+    "order4": "n = 4\na1 = 0.1*x\na2 = -1+0.2*sin(x)\na3 = 0.3*x\na4 = 0.5*cos(x)\nic = 1, 0.3, -0.2, 0.1\n",
+    "dividing_order3": "n = 3\na1 = 0\na2 = -20+2*x\na3 = 1\nic = 1, 0.3, -0.2\n",
+}
+CLI_PRESETS = {
+    "schrodinger": "preset = schrodinger\nzeta = 2+x\nomega = 1.5\n",
+    "orr": "preset = orr\na2 = -1+x\na4 = 1/2\n",
+}
+
+
+def cli_probes(tmp: Path):
+    runs = []
+    for name, text in CLI_PROBLEMS.items():
+        for command in ("solve", "basis", "compare"):
+            mode = "" if command == "solve" else f"mode = {command}\n"
+            runs.append((f"{command}/{name}", command, mode + text))
+    runs += [(f"preset/{name}", "preset", text) for name, text in CLI_PRESETS.items()]
+    for label, command, text in runs:
+        for fmt in ("csv", "json"):
+            cfg = tmp / f"{label.replace('/', '_')}.cfg"
+            cfg.write_text(text + "grid = 2000\n")
+            out = tmp / f"out_{label.replace('/', '_')}_{fmt}"
+
+            def probe(command=command, cfg=cfg, out=out, fmt=fmt):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = cli_run([command, "--config", str(cfg), "--output", str(out), "--format", fmt])
+                files = sorted(out.iterdir()) if out.exists() else []
+                return ("cli", code, *((f.name, f.read_bytes()) for f in files))
+
+            yield f"cli/{label}/{fmt}", probe
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, make in [*library_probes(), *cli_probes(Path(tmp))]:
+            out = _run(make)
+            print(name, _hash(out))
+
+
+if __name__ == "__main__":
+    main()

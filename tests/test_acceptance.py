@@ -9,7 +9,6 @@ import pytest
 
 from multexode import (
     Grid,
-    GridFn,
     IVProblem,
     basis,
     companion,
@@ -27,7 +26,15 @@ from multexode.coeffexpr import Const, FuncCall, IntPow, Var, add, mul, simplify
 from multexode.lower import LowerContext, lower
 
 from conftest import smooth_gridfn
-from crosschecks import closed_form_aux, exp_primitive, initial_condition_matrix, matrix_from_gridfns, trig_equiv_check
+from crosschecks import (
+    closed_form_aux,
+    const_fn,
+    exp_primitive,
+    from_callable,
+    initial_condition_matrix,
+    matrix_from_gridfns,
+    trig_equiv_check,
+)
 from test_solver import phi_series_solution
 
 
@@ -60,7 +67,7 @@ def smooth_coeff_expr(rng, grid, bound=2.0, complex_part=False):
 class TestAcceptance:
     def test_01_exponential_reduction(self):
         g = Grid(-1, 1, 2000)
-        f = GridFn.from_callable(g, np.sin)
+        f = from_callable(g, np.sin)
         from multexode import multex_e
 
         e, diag = multex_e([f, f, f], tol=1e-12)
@@ -71,7 +78,7 @@ class TestAcceptance:
 
     def test_02_trig_reduction(self):
         g = Grid(-1, 1, 2000)
-        one = GridFn.const(g, 1.0)
+        one = const_fn(g, 1.0)
         fam, _ = trig_family([one, one], tol=1e-12)
         err_h = max(
             np.max(np.abs(fam[1].values - np.cosh(g.nodes))),

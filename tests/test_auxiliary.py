@@ -1,3 +1,4 @@
+import gc
 import sys
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -154,8 +155,9 @@ class TestLowerChain:
             if isinstance(obj, tuple):
                 stack.extend(obj)
             elif isinstance(obj, Expr):
+                # the simplify memo may be unset, and the weakref slot is the intern table's
                 slots = (name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ()))
-                stack.extend(getattr(obj, name) for name in slots if name != "_hash")
+                stack.extend(getattr(obj, name) for name in slots if name not in ("_simple", "__weakref__"))
         assert not [k for k in kinds if issubclass(k, (np.ndarray, Grid, GridFn, LowerContext))]
 
     def test_lowering_a_built_chain_does_no_symbolic_work(self, monkeypatch):
@@ -328,6 +330,21 @@ class TestValidity:
         assert bs.validity.lo == pytest.approx(-0.02, abs=1e-12)
         assert bs.validity.hi == pytest.approx(0.02, abs=1e-12)
 
+    @pytest.mark.parametrize("pole", ["0.001", "-0.001"], ids=["right", "left"])
+    def test_margin_never_moves_an_edge_past_zero(self, pole):
+        # a pole one cell from the anchor ends the zero-free run at 0, and the
+        # margin would move that edge to the other side of 0
+        with pytest.raises(ValidityCollapsed, match="no longer contains 0"):
+            solve_ivp(IVProblem(2, (f"1/(x-({pole}))", "1"), (1, 0)), Grid(-1, 1, 2000))
+
+    @pytest.mark.parametrize("pole, side", [("0.0015", "hi"), ("-0.0015", "lo")], ids=["right", "left"])
+    def test_edge_the_margin_brings_to_zero_is_zero(self, pole, side):
+        g = Grid(-1, 1, 2000)
+        y, bs = solve_ivp(IVProblem(2, (f"1/(x-({pole}))", "1"), (1, 0)), g)
+        assert getattr(bs.validity, side) == 0.0
+        assert bs.validity.lo in g.nodes and bs.validity.hi in g.nodes
+        assert y.at_zero() == 1
+
     def test_collapse_detected_on_coarse_grid(self):
         # strong negative stiffness pushes the first zero of the order-2
         # solution inside four cells of a coarse grid
@@ -341,3 +358,47 @@ class TestValidity:
         chain = lowered_chain(coeff_vector("0", "-9", "x"), g)
         assert abs(chain.validity.hi - np.pi / 6) < 0.01
         assert abs(chain.validity.lo + np.pi / 6) < 0.01
+
+
+# an order-5 equation whose constants no other test uses, so that none of its
+# nodes is alive, or simplified, before a test here builds it
+FRESH5 = ("0.0173*x", "-1.0371+0.2113*sin(x)", "0.3119*x", "0.5107*cos(x)", "0.2029")
+
+
+class TestInterning:
+    def test_two_builds_share_every_node(self):
+        first = build_aux_chain(coeff_vector(*FRESH5))
+        second = build_aux_chain(coeff_vector(*FRESH5))
+        assert all(p is q for p, q in zip(first.phi, second.phi, strict=True))
+        assert all(p is q for p, q in zip(first.leads, second.leads, strict=True))
+        # equality is identity: comparing two chains runs no Python code
+        events = []
+        sys.setprofile(lambda frame, event, arg: events.append(event) if event == "call" else None)
+        try:
+            same = first.phi[4] == second.phi[4]
+            other = first.phi[4] == first.phi[3]
+        finally:
+            sys.setprofile(None)
+        assert same and not other and events == []
+
+    def test_a_dropped_solve_leaves_no_node_behind(self):
+        table = ce._NODES
+        gc.disable()  # so that only reference counts free the nodes
+        try:
+            before = set(table.keys())
+            y, bs = solve_ivp(IVProblem(5, FRESH5, (1, 0, 0, 0, 0)), Grid(-1, 1, 200))
+            assert bs.chain.phi[4] in table.values()
+            del y, bs
+            assert set(table.keys()) <= before
+        finally:
+            gc.enable()
+
+    def test_an_order5_build_simplifies_each_node_once(self, monkeypatch):
+        for node in list(ce._NODES.values()):  # forget every memo, so the count is the build's own
+            if hasattr(node, "_simple"):
+                object.__delattr__(node, "_simple")
+        bodies = []
+        inner = ce._simplify
+        monkeypatch.setattr(ce, "_simplify", lambda e: bodies.append(e) or inner(e))
+        build_aux_chain(coeff_vector(*FRESH5[:4], "0.2031"))  # no other test builds this one
+        assert len({id(e) for e in bodies}) == len(bodies) == 316

@@ -14,7 +14,7 @@ from multexode import (
 from multexode.gridfn import _lagrange4, primitive_values
 
 from conftest import smooth_gridfn
-from crosschecks import exp_primitive, primitive, simplicial
+from crosschecks import const_fn, exp_primitive, from_callable, primitive, simplicial, var_fn
 
 
 def zero_free_by_scan(v, grid, floor):
@@ -82,7 +82,7 @@ class TestGrid:
         assert abs((g.hi - g.lo) - 1.35) < 1e-12
 
     def test_interpolation_is_cubic_accurate(self, grid2000):
-        f = GridFn.from_callable(grid2000, np.cos)
+        f = from_callable(grid2000, np.cos)
         xq = np.linspace(-0.99, 0.99, 313) + 1e-4
         assert np.max(np.abs(f(xq) - np.cos(xq))) < 1e-10
 
@@ -97,22 +97,22 @@ class TestGrid:
                 assert np.array_equal(stacked[i, k], _lagrange4(xs, ys[i, k], xq))
 
     def test_scalar_evaluation_returns_numpy_scalar(self, grid200):
-        f = GridFn.from_callable(grid200, lambda x: np.exp(1j * x))
+        f = from_callable(grid200, lambda x: np.exp(1j * x))
         assert type(f(0.3)) is np.complex128
 
 
 class TestPrimitive:
     def test_constant_integrates_to_x(self):
         g = Grid(-1, 1, 200)
-        p = primitive(GridFn.const(g, 1.0))
+        p = primitive(const_fn(g, 1.0))
         assert np.max(np.abs(p.values - g.nodes)) < 1e-13
 
     def test_zero_integrates_to_zero(self, grid200):
-        p = primitive(GridFn.const(grid200, 0.0))
+        p = primitive(const_fn(grid200, 0.0))
         assert np.all(p.values == 0)
 
     def test_cos_integrates_to_sin(self, grid2000):
-        p = primitive(GridFn.from_callable(grid2000, np.cos))
+        p = primitive(from_callable(grid2000, np.cos))
         assert np.max(np.abs(p.values - np.sin(grid2000.nodes))) <= 1e-10
 
     def test_anchor_is_exact(self, grid200, rng):
@@ -121,7 +121,7 @@ class TestPrimitive:
 
     def test_signed_for_negative_x(self, grid2000):
         # integral from 0 to x of cos is sin(x), negative for x < 0
-        p = primitive(GridFn.from_callable(grid2000, np.cos))
+        p = primitive(from_callable(grid2000, np.cos))
         left = grid2000.nodes < 0
         assert np.max(np.abs(p.values[left] - np.sin(grid2000.nodes[left]))) <= 1e-10
 
@@ -137,7 +137,7 @@ class TestPrimitive:
         errs = []
         for n in (200, 400, 800):
             g = Grid(-1, 1, n)
-            p = primitive(GridFn.from_callable(g, lambda x: np.exp(x) * np.cos(3 * x)))
+            p = primitive(from_callable(g, lambda x: np.exp(x) * np.cos(3 * x)))
             exact = (np.exp(g.nodes) * (np.cos(3 * g.nodes) + 3 * np.sin(3 * g.nodes)) - 1.0) / 10.0
             errs.append(np.max(np.abs(p.values - exact)))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -163,7 +163,7 @@ class TestPrimitive:
 
     def test_no_overflow_before_the_integral_overflows(self):
         # the primitive reaches 20 * 8e306 = 1.6e308, just below the float max
-        s = simplicial([GridFn.const(Grid(-20, 20, 16), 8e306)], 1)
+        s = simplicial([const_fn(Grid(-20, 20, 16), 8e306)], 1)
         assert s.sup_norm() == pytest.approx(1.6e308, rel=1e-12)
 
 
@@ -178,11 +178,11 @@ class TestAlgebra:
 class TestExpPrimitive:
     def test_constant_exponent(self, grid200):
         for sign in (1, -1):
-            e = exp_primitive(GridFn.const(grid200, 0.7), sign)
+            e = exp_primitive(const_fn(grid200, 0.7), sign)
             assert np.max(np.abs(e.values - np.exp(sign * 0.7 * grid200.nodes))) < 1e-12
 
     def test_zero_gives_one(self, grid200):
-        e = exp_primitive(GridFn.const(grid200, 0.0), 1)
+        e = exp_primitive(const_fn(grid200, 0.0), 1)
         assert np.all(e.values == 1.0)
 
     def test_log_derivative_inversion(self, grid2000):
@@ -199,30 +199,30 @@ class TestExpPrimitive:
 
     def test_overflow_carries_node(self, grid200):
         with pytest.raises(Overflow) as exc:
-            exp_primitive(GridFn.const(grid200, 1e4), 1)
+            exp_primitive(const_fn(grid200, 1e4), 1)
         assert exc.value.x > 0
 
 
 class TestZeroFreeInterval:
     def test_linear_function_scan(self):
         g = Grid(-2, 2, 400)
-        f = GridFn.from_callable(g, lambda x: 1.0 + x)
+        f = from_callable(g, lambda x: 1.0 + x)
         iv = zero_free_interval(f.values, g, 0.1)
         assert abs(iv.lo - (-0.9)) <= 2 * g.h
         assert iv.hi == 2.0
 
     def test_constant_full_interval(self, grid200):
-        iv = zero_free_interval(GridFn.const(grid200, 1.0).values, grid200, 0.5)
+        iv = zero_free_interval(const_fn(grid200, 1.0).values, grid200, 0.5)
         assert iv == Interval(grid200.lo, grid200.hi)
 
     def test_cos_stops_at_quarter_period(self):
         g = Grid(-3, 3, 600)
-        iv = zero_free_interval(GridFn.from_callable(g, np.cos).values, g, 0.0)
+        iv = zero_free_interval(from_callable(g, np.cos).values, g, 0.0)
         assert abs(iv.lo + np.pi / 2) <= 2 * g.h
         assert abs(iv.hi - np.pi / 2) <= 2 * g.h
 
     def test_precondition_checked(self, grid200):
-        x = GridFn.var(grid200)
+        x = var_fn(grid200)
         with pytest.raises(ValueError):
             zero_free_interval(x.values, grid200, 0.1)
 

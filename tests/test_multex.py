@@ -12,7 +12,7 @@ from multexode import (
 from multexode.multex import MAX_TERMS
 
 from conftest import smooth_gridfn
-from crosschecks import exp_primitive, primitive, sign_table, simplicial, trig_equiv_check
+from crosschecks import const_fn, exp_primitive, from_callable, primitive, sign_table, simplicial, trig_equiv_check, var_fn
 
 
 def brute_simplex_2d(f1, f2, x, m=2000):
@@ -30,20 +30,20 @@ def brute_simplex_2d(f1, f2, x, m=2000):
 
 class TestSimplicial:
     def test_dimension_zero_is_one(self, grid200):
-        one = GridFn.const(grid200, 1.0)
+        one = const_fn(grid200, 1.0)
         s0 = simplicial([one], 0)
         assert np.all(s0.values == 1.0)
 
     def test_constant_iterated_integral(self):
         g = Grid(-1, 1, 400)
         c = 1.3
-        s3 = simplicial([GridFn.const(g, c)], 3)
+        s3 = simplicial([const_fn(g, c)], 3)
         assert np.max(np.abs(s3.values - (c * g.nodes) ** 3 / 6.0)) < 1e-12
 
     def test_against_brute_force_simplex(self):
         g = Grid(-1, 1, 2000)
-        x_fn = GridFn.var(g)
-        one = GridFn.const(g, 1.0)
+        x_fn = var_fn(g)
+        one = const_fn(g, 1.0)
         s2 = simplicial([x_fn, one], 2)
         for x in (0.3, 0.75, 1.0):
             expected = brute_simplex_2d(lambda s: s, lambda s: np.ones_like(s), x)
@@ -53,7 +53,7 @@ class TestSimplicial:
     def test_negative_branch_sign(self):
         # for odd dimension and even integrands the value is odd in x
         g = Grid(-1, 1, 400)
-        c = GridFn.from_callable(g, lambda x: np.cos(x))
+        c = from_callable(g, lambda x: np.cos(x))
         s3 = simplicial([c], 3)
         z = g.zero_index
         assert np.max(np.abs(s3.values[:z] + s3.values[2 * z : z : -1])) < 1e-12
@@ -61,22 +61,22 @@ class TestSimplicial:
 
 class TestMultexE:
     def test_equal_inputs_give_exponential(self, grid2000):
-        f = GridFn.from_callable(grid2000, np.sin)
+        f = from_callable(grid2000, np.sin)
         e, diag = multex_e([f, f, f], tol=1e-12)
         ref = exp_primitive(f, 1)
         assert np.max(np.abs(e.values - ref.values)) <= 10 * 1e-12
         assert diag.converged
 
     def test_zero_inputs(self, grid200):
-        z = GridFn.const(grid200, 0.0)
+        z = const_fn(grid200, 0.0)
         e, diag = multex_e([z, z])
         assert np.all(e.values == 1.0)
         assert diag.terms_used == 1
 
     def test_even_part_solves_second_order(self, grid2000):
         # gamma = even-dimension sums of (alpha, 1); gamma'' = alpha gamma
-        alpha = GridFn.from_callable(grid2000, lambda x: 1.0 + x**2)
-        gamma = trig_family([alpha, GridFn.const(grid2000, 1.0)])[0][1]
+        alpha = from_callable(grid2000, lambda x: 1.0 + x**2)
+        gamma = trig_family([alpha, const_fn(grid2000, 1.0)])[0][1]
         h = grid2000.h
         v = gamma.values
         d2 = (-v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1] - v[4:]) / (12 * h * h)
@@ -85,7 +85,7 @@ class TestMultexE:
 
     def test_not_converged_raises_with_diagnostics(self, grid200):
         # the terms (100 x)^m / m! of exp(100 x) still exceed 1e22 at m = MAX_TERMS
-        big = GridFn.const(grid200, 100.0)
+        big = const_fn(grid200, 100.0)
         with pytest.raises(NotConverged) as exc:
             multex_e([big], tol=1e-12)
         assert exc.value.diagnostics.terms_used == MAX_TERMS
@@ -96,12 +96,12 @@ class TestMultexE:
     def test_tol_must_be_positive(self, grid200, series, tol):
         # a NaN tol would pass a tol <= 0 test and run to the term budget
         with pytest.raises(ValueError):
-            series([GridFn.const(grid200, 0.5)] * 2, tol=tol)
+            series([const_fn(grid200, 0.5)] * 2, tol=tol)
 
     @pytest.mark.parametrize("series", [multex_e, trig_family])
     def test_overflowing_term_raises_overflow(self, grid200, series):
         with pytest.raises(Overflow) as exc:
-            series([GridFn.const(grid200, 1e200)] * 2)
+            series([const_fn(grid200, 1e200)] * 2)
         assert exc.value.x in grid200.nodes
 
     @pytest.mark.parametrize("series", [multex_e, trig_family])
@@ -109,14 +109,14 @@ class TestMultexE:
         # S^1 = 4.4e306 x reaches 1.65e308 at the right end and S^3 adds
         # 8.5e307 to the same class there, while every term stays finite
         g = Grid(-2.5, 37.5, 16)
-        fs = [GridFn.const(g, 4.4e306), GridFn.const(g, 5e-310)]
+        fs = [const_fn(g, 4.4e306), const_fn(g, 5e-310)]
         assert all(np.all(np.isfinite(simplicial(fs, j).values)) for j in range(5))
         with pytest.raises(Overflow):
             series(fs)
 
     def test_budget_reached_near_tolerance_returns_unconverged(self, grid200):
         # the last of MAX_TERMS terms lands between tol and 1e3 tol: flagged, not fatal
-        _, diag = multex_e([GridFn.const(grid200, 70.5)], tol=1e-9)
+        _, diag = multex_e([const_fn(grid200, 70.5)], tol=1e-9)
         assert diag.terms_used == MAX_TERMS
         assert not diag.converged
         assert 1e-9 < diag.last_term_norm <= 1e-6
@@ -130,15 +130,15 @@ class TestTrig:
             assert t.at_zero() == (1.0 if j == 3 else 0.0)
 
     def test_cosh_sinh(self, grid2000):
-        one = GridFn.const(grid2000, 1.0)
+        one = const_fn(grid2000, 1.0)
         fam, _ = trig_family([one, one])
         assert np.max(np.abs(fam[1].values - np.cosh(grid2000.nodes))) <= 1e-9
         assert np.max(np.abs(fam[0].values - np.sinh(grid2000.nodes))) <= 1e-9
 
     def test_cosine_reduction(self, grid2000):
         omega = 2.0
-        a2 = GridFn.const(grid2000, -(omega**2))
-        one = GridFn.const(grid2000, 1.0)
+        a2 = const_fn(grid2000, -(omega**2))
+        one = const_fn(grid2000, 1.0)
         c = trig_family([a2, one])[0][1]
         assert np.max(np.abs(c.values - np.cos(omega * grid2000.nodes))) <= 1e-8
 
@@ -165,8 +165,8 @@ class TestTrig:
 
     def test_even_inputs_branch_parity(self, grid200):
         # for inputs even in x, dimension j terms satisfy S(-x) = (-1)^j S(x)
-        c = GridFn.from_callable(grid200, np.cos)
-        q = GridFn.from_callable(grid200, lambda x: 1.0 / (1.0 + x**2))
+        c = from_callable(grid200, np.cos)
+        q = from_callable(grid200, lambda x: 1.0 / (1.0 + x**2))
         z = grid200.zero_index
         for j in (1, 2, 3, 4):
             s = simplicial([c, q], j).values
@@ -176,7 +176,7 @@ class TestTrig:
     def test_term_decay_factorial_domination(self, grid200, rng):
         fs = [smooth_gridfn(grid200, rng, scale=2.0) for _ in range(2)]
         big_g = max(f.sup_norm() for f in fs) * (grid200.hi - grid200.lo)
-        s = GridFn.const(grid200, 1.0)
+        s = const_fn(grid200, 1.0)
         bound = 1.0
         for j in range(1, 25):
             s = primitive(GridFn(grid200, fs[(j - 1) % 2].values * s.values))
@@ -193,7 +193,7 @@ class TestSignTable:
                 assert t[j - 1, k - 1] == expected
 
     def test_two_definitions_agree_n2(self, grid200):
-        one = GridFn.const(grid200, 1.0)
+        one = const_fn(grid200, 1.0)
         assert trig_equiv_check((one, one)) <= 1e-12
 
     def test_two_definitions_agree_n3_random(self, grid200, rng):
@@ -201,7 +201,7 @@ class TestSignTable:
         assert trig_equiv_check(fs) <= 1e-9
 
     def test_zero_inputs_no_discrepancy(self, grid200):
-        z = GridFn.const(grid200, 0.0)
+        z = const_fn(grid200, 0.0)
         assert trig_equiv_check((z, z)) == 0.0
 
     def test_one_input_rejected(self, grid200, rng):
