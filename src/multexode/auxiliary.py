@@ -9,7 +9,9 @@ collecting coefficients of u, u', u'', ...; the extraction expands each
 D^k(u beta_m) by the Leibniz rule over one table of derivatives of the
 vector, the same table that applying the matrix reads.  The solved function
 feeds the next vector, and the remaining index-1 function is fixed by
-requiring the product of all of them to equal an.
+requiring the product of all of them to equal an.  The lead of each
+extracted equation, -beta_top, is the negated product of unit solutions, so
+it is -1 at the anchor; the guarded division by it is its only check.
 
 Solved functions are wrapped as AuxFn nodes so later symbolic derivatives cap
 at the order of their defining equation; this keeps every expression in the
@@ -30,7 +32,6 @@ from math import comb
 from . import coeffexpr as ce
 from .coeffexpr import AuxFn, Const, Expr, TrigNode, ZERO, as_expr
 from .errors import DegenerateLeading
-from .gridfn import DIV_FLOOR
 from .lower import LowerContext, lower
 
 
@@ -101,10 +102,10 @@ def extract_aux_ode(a: CoeffVector, beta, numeric: bool = False):
     collects the coefficient g_s of each u^(s), expanding every D^k(u beta_m)
     by the Leibniz rule sum_s C(k, s) u^(s) D^(k-s) beta_m over one derivative
     table of beta.  Normalizing by the leading coefficient g_m returns
-    (order m, [b1..bm], g_m) for u^(m) = b1 u^(m-1) + ... + bm u.  Raises
+    (order m, [b1..bm], g_m) for u^(m) = b1 u^(m-1) + ... + bm u; each b_i
+    divides by g_m, so lowering guards against its zeros.  Raises
     DegenerateLeading when the extracted order is below what the vector's
-    support promises; whether g_m vanishes at 0 is checked when the chain is
-    lowered.
+    support promises.
     """
     beta = [as_expr(c) for c in beta]
     size = len(beta)
@@ -138,22 +139,21 @@ def extract_aux_ode(a: CoeffVector, beta, numeric: bool = False):
 
 def solve_unit_ivp(order: int, b, name: str, numeric: bool = False):
     """Closed expression for the unit solution of u^(m) = b1 u^(m-1) + ... + bm u
-    with u(0) = 1 and all lower initial derivatives zero, and the leading
-    coefficients its construction left to check.
+    with u(0) = 1 and all lower initial derivatives zero.
 
     Order 1 is an exponential of a primitive and order 2 the index-2 trig
-    operator of the standard pair, neither with a leading coefficient; higher
-    orders recurse through a fresh auxiliary chain, whose leads they return.
+    operator of the standard pair; higher orders recurse through a fresh
+    auxiliary chain.
     """
     b = [as_expr(c) for c in b]
     if order == 1:
-        return ce.expprim(b[0], 1), ()
+        return ce.expprim(b[0], 1)
     if order == 2:
         down = ce.expprim(b[0], -1)
         up = ce.expprim(b[0], 1)
-        return TrigNode((ce.mul(b[1], down), up), 2), ()
+        return TrigNode((ce.mul(b[1], down), up), 2)
     sub = _build_chain(CoeffVector.from_rhs(b), numeric, prefix=f"{name}.")
-    return TrigNode(sub.phi, sub.n), sub.leads
+    return TrigNode(sub.phi, sub.n)
 
 
 @dataclass(frozen=True)
@@ -161,15 +161,12 @@ class AuxChain:
     """The solved auxiliary functions of one problem, as expressions.
 
     phi[k-1] is the k-th auxiliary function (wrapped with its defining
-    equation for k >= 2).  leads holds, in build order, the leading
-    coefficient of every extracted equation, nested chains included; each
-    must not vanish at the anchor node of the grid the chain is lowered on.
+    equation for k >= 2).
     """
 
     n: int
     a: CoeffVector
     phi: tuple
-    leads: tuple
 
 
 def _build_chain(a: CoeffVector, numeric: bool, prefix: str = "phi") -> AuxChain:
@@ -179,24 +176,18 @@ def _build_chain(a: CoeffVector, numeric: bool, prefix: str = "phi") -> AuxChain
 
     cur = [ZERO] * n + [ce.ONE]
     phis: dict[int, Expr] = {}
-    leads = []
     for k in range(n, 1, -1):
-        order, b, lead = extract_aux_ode(a, cur, numeric)
-        if order != k - 1:
-            raise DegenerateLeading(
-                f"auxiliary equation for stage {k} has order {order}, expected {k - 1}"
-            )
+        # the vector's top entry is at index k, so extract_aux_ode checks order k - 1
+        order, b, _ = extract_aux_ode(a, cur, numeric)
         name = f"{prefix}{k}" if not prefix.endswith(".") else f"{prefix}phi{k}"
-        realization, sub_leads = solve_unit_ivp(order, b, name, numeric)
-        leads += [lead, *sub_leads]
-        phis[k] = AuxFn(name, order, tuple(b), realization, numeric)
+        phis[k] = AuxFn(name, order, tuple(b), solve_unit_ivp(order, b, name, numeric), numeric)
         cur = apply_scriptD([ce.mul(phis[k], entry) for entry in cur], numeric)
 
     prod = None
     for k in range(2, n + 1):
         prod = phis[k] if prod is None else ce.mul(prod, phis[k])
     phis[1] = ce.simplify(ce.mul(a.a(n), ce.invert(prod)))
-    return AuxChain(n, a, tuple(phis[k] for k in range(1, n + 1)), tuple(leads))
+    return AuxChain(n, a, tuple(phis[k] for k in range(1, n + 1)))
 
 
 def build_aux_chain(a: CoeffVector, numeric_diff: bool = False) -> AuxChain:
@@ -209,25 +200,19 @@ def build_aux_chain(a: CoeffVector, numeric_diff: bool = False) -> AuxChain:
 def lower_chain(chain: AuxChain, ctx: LowerContext):
     """Evaluate a built chain on a context.
 
-    Plans the leads and the phi as roots (a caller that lowers more from
-    the chain on the same context plans that before), checks every recorded
-    leading coefficient at the anchor node (DegenerateLeading when its
-    magnitude is not above DIV_FLOOR), then lowers phi_n, ..., phi_2, phi_1
-    in build order.  Division by auxiliary functions is guarded: wherever a
-    divisor approaches zero the validity interval shrinks and values outside
-    it are zeroed.  Returns the rows
+    Plans the phi as roots (a caller that lowers more from the chain on the
+    same context plans that before), then lowers phi_2, phi_3, ..., phi_n
+    and last phi_1.  Division by auxiliary functions and by the leads is
+    guarded: wherever a divisor approaches zero the validity interval
+    shrinks and values outside it are zeroed.  Returns the rows
     phi_1..phi_n, the series diagnostics of each phi_k keyed by k (None
     where phi_k is not a trig operator), and ``ctx.final_validity()``, the
     interval on which the rows are trustworthy.
     """
-    ctx.plan((*chain.leads, *chain.phi))
-    for lead in chain.leads:
-        mag = abs(lower(lead, ctx).at_zero())
-        if mag <= DIV_FLOOR:
-            raise DegenerateLeading(
-                f"leading coefficient magnitude {mag:.3e} at 0 is not above {DIV_FLOOR:.1e}"
-            )
-    rows = {k: lower(chain.phi[k - 1], ctx) for k in [*range(chain.n, 1, -1), 1]}
+    ctx.plan(chain.phi)
+    # phi_2's equation reads every phi_k with k >= 3, so their own calls
+    # find the row in the memo
+    rows = {k: lower(chain.phi[k - 1], ctx) for k in [*range(2, chain.n + 1), 1]}
     diags = {}
     for k, p in enumerate(chain.phi, start=1):
         real = p.realization if isinstance(p, AuxFn) else p

@@ -54,7 +54,7 @@ class NotConverged(MultexodeError):
 
 
 class DegenerateLeading(MultexodeError):
-    """The leading coefficient of an extracted auxiliary equation vanishes at 0."""
+    """An extracted auxiliary equation's order is below what its vector promises."""
 
 
 class ValidityCollapsed(MultexodeError):

@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import Overflow, ValidityCollapsed
 
-# the one division floor, shared by lowering's guarded division and the
-# leading-coefficient check of the auxiliary chain
+# the one division floor of lowering's guarded division
 DIV_FLOOR = 1e-8
 
 

@@ -17,9 +17,10 @@ drops it after the last one.  The recurrence pass of a trig family keeps
 every planned index of it at once, so the family costs a single pass, and an
 index nobody reads is not kept.
 The public :func:`lower` is the GridFn edge and wraps the memo's row without
-a copy.  A call for a planned node is one of its reads; a call for an
-unplanned node plans it, with every index of its family, by a read that
-stays open, so later calls on the context share the row.
+a copy.  A call for a planned root is one of its root reads; any other call,
+a node inside a planned root included, plans the node, with every index of
+its family, by a read that stays open, so later calls on the context share
+the row and no read a parent was planned for is taken.
 
 There is one division policy, with the one floor DIV_FLOOR.  A divisor whose
 magnitude at 0 is not above the floor is DivisorTooSmall.  Otherwise the
@@ -69,11 +70,12 @@ def _reads(e: ce.Expr) -> tuple:
 class LowerContext:
     """Shared state for one solve: grid, tolerances, read counts, memo.
 
-    ``uses`` counts the reads of each planned node still to come, and
-    ``memo`` holds the node's row while that count is above zero; both are
-    keyed by the (interned) node and are empty once every planned read is
-    made.  Plan the roots with :meth:`plan` before lowering them.  A context
-    is cheap; make a fresh one per solve.
+    ``uses`` counts the reads of each planned node still to come,
+    ``root_reads`` those of them that are :func:`lower` calls for a planned
+    root, and ``memo`` holds the node's row while its count is above zero;
+    all are keyed by the (interned) node and are empty once every planned
+    read is made.  Plan the roots with :meth:`plan` before lowering them.
+    A context is cheap; make a fresh one per solve.
     """
 
     def __init__(self, grid: Grid, series_tol: float = DEFAULT_TOL):
@@ -82,6 +84,7 @@ class LowerContext:
         self.validity = grid.interval
         self.memo: dict = {}
         self.uses: dict = {}
+        self.root_reads: dict = {}
         self.trig_diagnostics: dict = {}
 
     def plan(self, roots) -> None:
@@ -89,8 +92,16 @@ class LowerContext:
         and one per distinct parent still to be computed.  A node counted
         already gets one more read and its children none, since it is
         computed once.  Nodes are interned, so the counts are keyed by the
-        nodes themselves.  Plan before the roots are lowered; counts of several
+        nodes themselves.  The read per root is the one a :func:`lower` call
+        for it makes.  Plan before the roots are lowered; counts of several
         calls add up."""
+        roots = list(roots)
+        for root in roots:
+            self.root_reads[root] = self.root_reads.get(root, 0) + 1
+        self._count(roots)
+
+    def _count(self, roots) -> None:
+        """Add the reads of ``roots`` and their subtrees to ``uses``."""
         uses = self.uses
         stack = list(roots)
         while stack:
@@ -163,19 +174,21 @@ def lower(e: ce.Expr, ctx: LowerContext) -> GridFn:
     """Evaluate an expression on the context's grid.
 
     This is the GridFn edge of lowering: the result wraps the memo's
-    read-only array without a copy.  A call for a planned node is one of
-    its reads; an unplanned node is planned here, with every index of its
-    family, by a read that stays open.  A division may shrink
+    read-only array without a copy.  A call for a planned root is one of
+    its root reads; any other node is planned here, with every index of
+    its family, by a read that stays open.  A division may shrink
     ``ctx.validity`` and zero the result outside it, so read
     ``ctx.validity`` before trusting a node.  Floating-point overflow is
     silenced here, once for the whole recursion, because every node is
     checked.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        planned = e in ctx.uses
-        if not planned:
+        planned = ctx.root_reads.pop(e, 0)
+        if planned > 1:
+            ctx.root_reads[e] = planned - 1
+        elif not planned:
             family = range(1, e.n + 1) if isinstance(e, ce.TrigNode) else ()
-            ctx.plan([e, *(ce.TrigNode(e.fs, j) for j in family if j != e.j)])
+            ctx._count([e, *(ce.TrigNode(e.fs, j) for j in family if j != e.j)])
         row = _values(e, ctx)
         if planned:
             ctx._release((e,))

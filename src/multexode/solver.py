@@ -4,10 +4,10 @@ The k-th basis member of an order-n problem is the trig operator applied to
 the auxiliary functions rotated k-1 steps to the right, at the index that the
 rotation sends to n.  Member k then satisfies y^(j-1)(0) = delta_{jk}, so the
 initial-value solution is the linear combination weighted by the initial
-data.  A solve plans and lowers only the chain's leads and auxiliary
-functions; the n members then come from one stacked series pass over the
-lowered rows, in which each rotation is one particle, so no member is ever
-built as an expression.  Presets cover the impedance-form wave equation
+data.  A solve plans and lowers only the chain's auxiliary functions; the
+n members then come from one stacked series pass over the lowered rows, in
+which each rotation is one particle, so no member is ever built as an
+expression.  Presets cover the impedance-form wave equation
 (order 2) and the fourth-order hydrodynamic-stability form y'''' = a2 y'' + a4 y.
 """
 
@@ -142,8 +142,7 @@ def preset_orr_sommerfeld(a2, a4, grid: Grid, tol: float = DEFAULT_TOL) -> Basis
 
     With the two odd coefficients absent the auxiliary list collapses to
     (a4*C, C^-2, C, 1) where C is the index-2 trig operator of (a2, 1); the
-    four members are its right-shift rotations.  The closed list is a chain
-    whose equations need no leading-coefficient check.
+    four members are its right-shift rotations.
     """
     a2 = parse(a2) if isinstance(a2, str) else as_expr(a2)
     a4 = parse(a4) if isinstance(a4, str) else as_expr(a4)
@@ -155,4 +154,4 @@ def preset_orr_sommerfeld(a2, a4, grid: Grid, tol: float = DEFAULT_TOL) -> Basis
         ce.ONE,
     )
     a = CoeffVector((Const(-1), Const(0), a2, Const(0), a4))
-    return _assemble(AuxChain(4, a, phi, ()), LowerContext(grid, series_tol=tol))
+    return _assemble(AuxChain(4, a, phi), LowerContext(grid, series_tol=tol))

@@ -37,6 +37,14 @@ REAL = ("0.1*x", "-1+0.2*sin(x)", "0.3*x", "0.5*cos(x)", "0.2")
 COMPLEX = ("0.1*x + 0.05*i", "-1+0.2*sin(x)", "0.3*i*x", "0.5*cos(x)", "0.2 - 0.1*i*x")
 IC = (1.0, 0.3, -0.2, 0.1, 0.05)
 SIZES = (2000, 20000)
+DIVIDING_CHAINS = (
+    ("order3_a1_pole", ("1/(x-0.5)", "-40+3*x", "1"), (-1, 1)),
+    ("order4_nested", ("0", "x", "0", "1/(x+0.3)"), (-1, 1)),
+    ("order5_a5_pole", (*REAL[:4], "1/(x-0.45)"), (-1, 1)),
+    ("order5_complex", ("0.1*x + 0.05*i", "-30+2*x", "0.3*i*x", "1/(x+0.35)", "0.2 - 0.1*i*x"), (-1, 1)),
+    ("order4_shrinking", ("0", "-40+3*x", "1", "0.2"), (-0.75, 0.75)),
+    ("order5_a1_pole", ("1/(1+3*x)", "-25", "x", "1", "0.1"), (-1, 1)),
+)
 
 
 def _digest(*parts) -> str:
@@ -110,6 +118,10 @@ def library_probes():
     # a pole one cell or one and a half cells from the anchor, on either side
     for text in ("1/(x-0.001)", "1/(x-0.0015)", "1/(x+0.001)"):
         yield f"pole_near_anchor/a1={text}", _solve((text, "1"), g, ic=(1, 0))
+    # dividing chains whose cut comes from a lead or from a nested chain
+    for name, coeffs, grid in DIVIDING_CHAINS:
+        for size in (2000, 8000):
+            yield f"dividing_chain/{name}/N{size}", _solve(coeffs, Grid(*grid, size))
     xs = np.linspace(-1.2, 1.2, 241)
     tables = {"real": Sampled(xs, 0.3 * np.cos(xs)), "complex": Sampled(xs, 0.3 * np.cos(xs) + 0.1j * xs)}
     for n in range(3, 6):

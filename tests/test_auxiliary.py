@@ -1,6 +1,6 @@
 import gc
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +16,6 @@ from multexode import (
     LowerContext,
     TrigNode,
     ValidityCollapsed,
-    Var,
     apply_scriptD,
     basis,
     build_aux_chain,
@@ -132,20 +131,46 @@ class TestExtractAuxOde:
             extract_aux_ode(coeff_vector("1", "1"), [ZERO, ZERO, ZERO])
 
 
+def stage_leads(a, phi):
+    """The lead extract_aux_ode returns at every stage of the chain with
+    coefficients ``a`` and functions ``phi``, nested chains included, each
+    with the product phi_n*...*phi_{k+1} of the functions solved before it."""
+    cur, prod, out = [ZERO] * a.n + [ONE], ONE, []
+    for k in range(a.n, 1, -1):
+        order, _, lead = extract_aux_ode(a, cur)
+        out.append((lead, prod))
+        fn = phi[k - 1]
+        if order >= 3:
+            out += stage_leads(CoeffVector.from_rhs(fn.bcoeffs), fn.realization.fs)
+        cur = apply_scriptD([mul(fn, entry) for entry in cur])
+        prod = mul(fn, prod)
+    return out
+
+
 class TestLowerChain:
-    def test_degenerate_leading_rejected(self, grid200):
-        # the leading coefficient -x of this vector's equation vanishes at 0
-        a = coeff_vector("1", "1")
-        _, _, lead = extract_aux_ode(a, [ZERO, ZERO, Var()])
-        chain = replace(build_aux_chain(a), leads=(lead,))
-        with pytest.raises(DegenerateLeading):
-            lower_chain(chain, LowerContext(grid200))
+    @pytest.mark.parametrize(
+        "rhs, count",
+        [
+            (("0.1*x", "-1+0.2*sin(x)", "0.3*x", "0.5*cos(x)", "0.2"), 11),  # nested chains of orders 4 and 3
+            (("0", "x", "0", "1/(x+0.3)"), 5),  # a nested chain of order 3
+            (("1/(x-0.5)", "-40+3*x", "1"), 2),
+        ],
+        ids=["order5", "order4_dividing", "order3_dividing"],
+    )
+    def test_every_lead_is_minus_one_at_the_anchor(self, grid200, rhs, count):
+        # the lead of each stage is -beta_top, the negated product of unit
+        # solutions, so the chain needs no check of its own at the anchor
+        a = coeff_vector(*rhs)
+        leads = stage_leads(a, build_aux_chain(a).phi)
+        assert len(leads) == count
+        for lead, prod in leads:
+            assert lead is simplify(mul(Const(-1), prod))
+            assert lower(lead, LowerContext(grid200)).at_zero() == -1
 
     def test_build_needs_no_grid_and_holds_no_arrays(self):
         chain = build_aux_chain(coeff_vector("x/4", "cos(x)", "x", "1/2", "sin(x)/3"))
-        assert [f.name for f in fields(chain)] == ["n", "a", "phi", "leads"]
-        assert len(chain.leads) == 11  # 4 outer stages, 7 in the nested chains of orders 4 and 3
-        seen, stack, kinds = set(), [chain.phi, chain.leads, chain.a.coeffs], set()
+        assert [f.name for f in fields(chain)] == ["n", "a", "phi"]
+        seen, stack, kinds = set(), [chain.phi, chain.a.coeffs], set()
         while stack:
             obj = stack.pop()
             if id(obj) in seen:
@@ -363,6 +388,9 @@ class TestValidity:
 # an order-5 equation whose constants no other test uses, so that none of its
 # nodes is alive, or simplified, before a test here builds it
 FRESH5 = ("0.0173*x", "-1.0371+0.2113*sin(x)", "0.3119*x", "0.5107*cos(x)", "0.2029")
+# and one that shares no coefficient with FRESH5, so that a FRESH5 chain still
+# alive (say, in a failed test's traceback) shares no stage with its build
+ONCE5 = ("0.0179*x", "-1.0377+0.2117*sin(x)", "0.3121*x", "0.5111*cos(x)", "0.2031")
 
 
 class TestInterning:
@@ -370,7 +398,6 @@ class TestInterning:
         first = build_aux_chain(coeff_vector(*FRESH5))
         second = build_aux_chain(coeff_vector(*FRESH5))
         assert all(p is q for p, q in zip(first.phi, second.phi, strict=True))
-        assert all(p is q for p, q in zip(first.leads, second.leads, strict=True))
         # equality is identity: comparing two chains runs no Python code
         events = []
         sys.setprofile(lambda frame, event, arg: events.append(event) if event == "call" else None)
@@ -400,5 +427,5 @@ class TestInterning:
         bodies = []
         inner = ce._simplify
         monkeypatch.setattr(ce, "_simplify", lambda e: bodies.append(e) or inner(e))
-        build_aux_chain(coeff_vector(*FRESH5[:4], "0.2031"))  # no other test builds this one
+        build_aux_chain(coeff_vector(*ONCE5))
         assert len({id(e) for e in bodies}) == len(bodies) == 316

@@ -12,6 +12,7 @@ from multexode import (
     Overflow,
     Sampled,
     basis,
+    build_aux_chain,
     companion,
     dyson,
     lower,
@@ -24,6 +25,7 @@ from multexode import (
     trig_family,
 )
 from multexode.auxiliary import CoeffVector
+from multexode.coeffexpr import expprim, mul
 
 from conftest import smooth_gridfn
 from crosschecks import first_row_solution, initial_condition_matrix, ode_residual, rotation_members
@@ -267,7 +269,28 @@ class TestLoweringMemo:
 
         monkeypatch.setattr(importlib.import_module("multexode.solver"), "LowerContext", recording)
         make(grid2000)
-        assert contexts[-1].memo == {} and contexts[-1].uses == {}
+        assert contexts[-1].memo == {} and contexts[-1].uses == {} and contexts[-1].root_reads == {}
+
+    @pytest.mark.parametrize("case", ["expression", "chain"])
+    def test_a_call_inside_a_planned_root_takes_none_of_its_reads(self, grid200, case):
+        # lowering a node that a planned root reads, before the root, is an
+        # unplanned call: the parent's read of it stays, and so do the rows
+        if case == "expression":
+            child = parse("sin(x) + 2")
+            inner, roots = [child], [mul(child, expprim(child, 1))]
+        else:
+            phi = build_aux_chain(CoeffVector.from_rhs(SMOOTH)).phi
+            inner, roots = [phi[2].realization], list(phi)
+        ctx = LowerContext(grid200)
+        ctx.plan(roots)
+        got = [lower(e, ctx).values for e in inner + roots]
+        fresh = []
+        for e in inner + roots:
+            ref = LowerContext(grid200)
+            ref.plan([e])
+            fresh.append(lower(e, ref).values)
+        assert all(np.array_equal(a, b) for a, b in zip(got, fresh, strict=True))
+        assert ctx.root_reads == {}
 
     def test_each_node_is_lowered_once(self, grid2000, monkeypatch):
         lower_module = importlib.import_module("multexode.lower")
