@@ -18,21 +18,23 @@ at the order of their defining equation; this keeps every expression in the
 chain free of coefficient derivatives up to order four, matching the closed
 forms that the wrapped recursion reproduces.
 
-The chain depends only on the coefficients, so it is built once, without a
-grid, as pure expressions.  Everything here is symbolic except
-:func:`lower_chain`, the one entry that evaluates a built chain on a
-LowerContext; a chain can be lowered on any number of grids.
+The chain depends only on the coefficients, so it is built once per process
+(:func:`build_aux_chain` keeps it for later solves), without a grid, as pure
+expressions.  Everything here is symbolic except :func:`lower_chain`, the
+one entry that evaluates a built chain on a LowerContext; a chain can be
+lowered on any number of grids.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from math import comb
 
 from . import coeffexpr as ce
-from .coeffexpr import AuxFn, Const, Expr, TrigNode, ZERO, as_expr
+from .coeffexpr import AuxDeriv, AuxFn, Const, Expr, Sampled, TrigNode, ZERO, as_expr
 from .errors import DegenerateLeading
-from .lower import LowerContext, lower
+from .lower import LowerContext, _reads, lower
 
 
 @dataclass(frozen=True)
@@ -190,11 +192,45 @@ def _build_chain(a: CoeffVector, numeric: bool, prefix: str = "phi") -> AuxChain
     return AuxChain(n, a, tuple(phis[k] for k in range(1, n + 1)))
 
 
+# build_aux_chain's memo, least recently used first: key -> (chain, size)
+_CHAINS: OrderedDict = OrderedDict()
+_CHAIN_BUDGET = 8192  # expression nodes, about 3 MB at ~350 B per node
+
+
+def _chain_size(chain: AuxChain) -> int:
+    """The distinct nodes reached from the chain's phi and coefficients; a
+    table also counts its arrays at 350 B per node."""
+    seen, size, stack = set(), 0, [*chain.phi, *chain.a.coeffs]
+    while stack:
+        e = stack.pop()
+        if e not in seen:
+            seen.add(e)
+            size += 1 + (e.xs.nbytes + e.ys.nbytes) // 350 if isinstance(e, Sampled) else 1
+            held = (*e.bcoeffs, *e.derivs) if isinstance(e, AuxFn) else (e.fn,) if isinstance(e, AuxDeriv) else ()
+            stack += (*held, *_reads(e))
+    return size
+
+
 def build_aux_chain(a: CoeffVector, numeric_diff: bool = False) -> AuxChain:
     """Run the general recursion for the coefficients in ``a``; no grid is
     involved.  ``numeric_diff`` lets the symbolic derivatives differentiate
-    sampled tables by finite differences."""
-    return _build_chain(a, numeric_diff)
+    sampled tables by finite differences.
+
+    The chain is built once per process: it is kept under the interned
+    coefficients and ``numeric_diff``, least recently used out first, within
+    ``_CHAIN_BUDGET`` nodes.  A larger chain and a build that raises are not
+    kept; ``_CHAINS.clear()`` frees every kept chain."""
+    key = (a.coeffs, bool(numeric_diff))
+    if key in _CHAINS:
+        _CHAINS.move_to_end(key)
+        return _CHAINS[key][0]
+    chain = _build_chain(a, numeric_diff)
+    size = _chain_size(chain)
+    if size <= _CHAIN_BUDGET:
+        _CHAINS[key] = (chain, size)
+        while sum(s for _, s in _CHAINS.values()) > _CHAIN_BUDGET:
+            _CHAINS.popitem(last=False)
+    return chain
 
 
 def lower_chain(chain: AuxChain, ctx: LowerContext):

@@ -12,6 +12,11 @@ validity interval (exact float bits) and the series diagnostics; a probe that
 raises hashes the error's type and message; a CLI probe hashes the exit code
 and every output file, by name and bytes.  The script is not a test module,
 so pytest does not collect it.
+
+Every probe runs twice in one process.  The listing is the first pass; the
+second runs with the chains of the first still in ``build_aux_chain``'s
+memo and prints ``MISMATCH <probe>`` for any hash that differs from the
+first, so a memoised chain must reproduce a fresh build bit for bit.
 """
 
 from __future__ import annotations
@@ -175,11 +180,20 @@ def cli_probes(tmp: Path):
             yield f"cli/{label}/{fmt}", probe
 
 
-def main():
+def _hashes():
     with tempfile.TemporaryDirectory() as tmp:
         for name, make in [*library_probes(), *cli_probes(Path(tmp))]:
-            out = _run(make)
-            print(name, _hash(out))
+            yield name, _hash(_run(make))
+
+
+def main():
+    first = {}
+    for name, digest in _hashes():
+        first[name] = digest
+        print(name, digest)
+    for name, digest in _hashes():
+        if digest != first[name]:
+            print("MISMATCH", name)
 
 
 if __name__ == "__main__":
