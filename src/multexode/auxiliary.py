@@ -211,6 +211,16 @@ def _chain_size(chain: AuxChain) -> int:
     return size
 
 
+def _remember(memo: OrderedDict, key, value, size: int, budget: int) -> None:
+    """Keep ``value`` as the most recently used entry of an LRU memo of
+    ``(value, size)`` pairs, evicting the least recently used until the sizes
+    fit ``budget``; a value over the budget alone is not kept."""
+    if size <= budget:
+        memo[key] = (value, size)
+        while sum(s for _, s in memo.values()) > budget:
+            memo.popitem(last=False)
+
+
 def build_aux_chain(a: CoeffVector, numeric_diff: bool = False) -> AuxChain:
     """Run the general recursion for the coefficients in ``a``; no grid is
     involved.  ``numeric_diff`` lets the symbolic derivatives differentiate
@@ -225,11 +235,7 @@ def build_aux_chain(a: CoeffVector, numeric_diff: bool = False) -> AuxChain:
         _CHAINS.move_to_end(key)
         return _CHAINS[key][0]
     chain = _build_chain(a, numeric_diff)
-    size = _chain_size(chain)
-    if size <= _CHAIN_BUDGET:
-        _CHAINS[key] = (chain, size)
-        while sum(s for _, s in _CHAINS.values()) > _CHAIN_BUDGET:
-            _CHAINS.popitem(last=False)
+    _remember(_CHAINS, key, chain, _chain_size(chain), _CHAIN_BUDGET)
     return chain
 
 

@@ -7,19 +7,23 @@ initial-value solution is the linear combination weighted by the initial
 data.  A solve plans and lowers only the chain's auxiliary functions; the
 n members then come from one stacked series pass over the lowered rows, in
 which each rotation is one particle, so no member is ever built as an
-expression.  Presets cover the impedance-form wave equation
-(order 2) and the fourth-order hydrodynamic-stability form y'''' = a2 y'' + a4 y.
+expression.  The lowered rows depend on the chain, the grid and the series
+tolerance but never on the initial data, so they are kept per process and a
+repeat solve runs only the stacked pass.  Presets cover the impedance-form
+wave equation (order 2) and the fourth-order hydrodynamic-stability form
+y'''' = a2 y'' + a4 y.
 """
 
 from __future__ import annotations
 
 import cmath
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import coeffexpr as ce
-from .auxiliary import AuxChain, CoeffVector, build_aux_chain, lower_chain
+from .auxiliary import AuxChain, CoeffVector, _chain_size, _remember, build_aux_chain, lower_chain
 from .coeffexpr import Const, TrigNode, as_expr
 from .errors import NonDifferentiable
 from .gridfn import Grid, GridFn, Interval, linear_combination
@@ -77,14 +81,34 @@ def _member(row: GridFn, validity: Interval) -> GridFn:
     return GridFn._wrap(row.grid, vals)
 
 
+# _assemble's memo, least recently used first:
+# (chain, grid, series_tol) -> ((rows, aux_diags, validity), size)
+_LOWERED: OrderedDict = OrderedDict()
+_LOWERED_BUDGET = 6 << 20  # bytes: the rows, and 350 B per chain node a key keeps alive
+
+
 def _assemble(chain: AuxChain, ctx: LowerContext) -> BasisSet:
-    """Lower the chain on the context and rotate it through the trig
-    operators: one stacked pass over the lowered rows gives every member."""
-    rows, aux_diags, validity = lower_chain(chain, ctx)
+    """Lower the chain on the fresh context and rotate it through the trig
+    operators: one stacked pass over the lowered rows gives every member.
+
+    What ``lower_chain`` returns is kept per process under the chain, the
+    grid and the series tolerance, least recently used out first, within
+    ``_LOWERED_BUDGET`` bytes, so a repeat solve lowers nothing.  A larger
+    entry and a lowering that raises are not kept; ``_LOWERED.clear()``
+    frees every kept entry."""
+    key = (chain, ctx.grid, ctx.series_tol)
+    if key in _LOWERED:
+        _LOWERED.move_to_end(key)
+        rows, aux_diags, validity = _LOWERED[key][0]
+    else:
+        rows, aux_diags, validity = lower_chain(chain, ctx)
+        size = sum(r.values.nbytes for r in rows) + 350 * _chain_size(chain)
+        _remember(_LOWERED, key, (rows, aux_diags, validity), size, _LOWERED_BUDGET)
     family, diag = trig_family(rows, ctx.series_tol, stack=chain.n)
     # position (k-2) mod n holds member k
     members = tuple(_member(family[(k - 2) % chain.n], validity) for k in range(1, chain.n + 1))
-    return BasisSet(chain.n, chain.a, members, validity, (diag,) * chain.n, chain, aux_diags)
+    # each caller gets its own dict, so editing it leaves the kept one alone
+    return BasisSet(chain.n, chain.a, members, validity, (diag,) * chain.n, chain, dict(aux_diags))
 
 
 def basis(a: CoeffVector, grid: Grid, tol: float = DEFAULT_TOL, numeric_diff: bool = False) -> BasisSet:

@@ -15,8 +15,10 @@ so pytest does not collect it.
 
 Every probe runs twice in one process.  The listing is the first pass; the
 second runs with the chains of the first still in ``build_aux_chain``'s
-memo and prints ``MISMATCH <probe>`` for any hash that differs from the
-first, so a memoised chain must reproduce a fresh build bit for bit.
+memo and their lowered rows still in the solver's, so it replays both, and
+prints ``MISMATCH <probe>`` for any hash that differs from the first: a
+memoised chain and its kept rows must reproduce a fresh build and lowering
+bit for bit.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from multexode import (
     solve_ivp,
 )
 from multexode import auxiliary as aux
+from multexode import solver
 from multexode.auxiliary import CoeffVector
 from multexode import coeffexpr as ce
 from multexode.coeffexpr import ONE, ZERO, Const, add, mul, sub
@@ -192,11 +193,11 @@ class TestLowerChain:
         a = coeff_vector("x/4", "cos(x)", "x", "1/2", "sin(x)/3")
         grids = (Grid(-1, 1, 200), Grid(-0.5, 0.75, 300), Grid(-0.5, 0.75, 300))
         refs = []
-        solver = sys.modules["multexode.solver"]
         inner = solver.lower_chain
         for g in grids:
             # the rows and validity basis gives, as its call of lower_chain returns them
             seen = []
+            solver._LOWERED.clear()  # so that basis lowers on every grid
             monkeypatch.setattr(solver, "lower_chain", lambda chain, ctx: seen.append(inner(chain, ctx)) or seen[-1])
             bs = basis(a, g)
             refs.append(([r.values for r in seen[0][0]], bs.validity))
@@ -415,6 +416,7 @@ class TestInterning:
     def test_a_dropped_solve_leaves_no_node_behind(self):
         table = ce._NODES
         aux._CHAINS.clear()
+        solver._LOWERED.clear()
         gc.disable()  # so that only reference counts free the nodes
         try:
             before = set(table.keys())
@@ -422,9 +424,10 @@ class TestInterning:
             assert bs.chain.phi[4] in table.values()
             made = set(table.keys()) - before
             del y, bs
-            # the memo holds the chain, and with it every node the solve made
+            # the memos hold the chain, and with it every node the solve made
             assert made and made <= set(table.keys())
             aux._CHAINS.clear()
+            solver._LOWERED.clear()
             assert set(table.keys()) <= before
         finally:
             gc.enable()

@@ -11,6 +11,7 @@ from multexode import (
     NonDifferentiable,
     Overflow,
     Sampled,
+    ValidityCollapsed,
     basis,
     build_aux_chain,
     companion,
@@ -24,6 +25,8 @@ from multexode import (
     solve_ivp,
     trig_family,
 )
+from multexode import auxiliary as aux
+from multexode import solver as solver_module
 from multexode.auxiliary import CoeffVector
 from multexode.coeffexpr import expprim, mul
 
@@ -293,6 +296,7 @@ class TestLoweringMemo:
         assert ctx.root_reads == {}
 
     def test_each_node_is_lowered_once(self, grid2000, monkeypatch):
+        solver_module._LOWERED.clear()  # so that the solve lowers
         lower_module = importlib.import_module("multexode.lower")
         inner = lower_module._lower
         lowered = []
@@ -303,6 +307,7 @@ class TestLoweringMemo:
     def test_costly_calls_of_an_order5_solve(self, grid2000, monkeypatch):
         # a row computed twice that re-ran a series, a primitive or a
         # zero-free scan would raise these counts
+        solver_module._LOWERED.clear()  # so that the solve lowers
         calls = {}
         for name, attr in (("lower", "trig_family"), ("solver", "trig_family"), ("lower", "zero_free_interval"),
                            ("lower", "primitive_values"), ("multex", "primitive_values")):
@@ -325,6 +330,7 @@ class TestLoweringMemo:
         # rows live only between their first and last read: the traced peak
         # stays within 30 complex rows (about 60 when the memo kept them)
         solve_ivp(ORDER5, grid2000)
+        solver_module._LOWERED.clear()  # so that the traced solve lowers
         tracemalloc.start()
         try:
             solve_ivp(ORDER5, grid2000)
@@ -332,6 +338,117 @@ class TestLoweringMemo:
         finally:
             tracemalloc.stop()
         assert peak <= 30 * (grid2000.n + 1) * 16
+
+
+lower_module = importlib.import_module("multexode.lower")  # the package's lower is the function
+
+
+def count_lowering(monkeypatch) -> dict:
+    """Calls of lower_chain, of the public lower, of the two series entries
+    and of the zero-free scan, from here on."""
+    calls = {}
+    for module, attr in ((solver_module, "lower_chain"), (aux, "lower"), (lower_module, "lower"),
+                         (lower_module, "trig_family"), (lower_module, "zero_free_interval"),
+                         (solver_module, "trig_family")):
+        key = f"{module.__name__.rsplit('.', 1)[1]}.{attr}"
+        calls[key] = 0
+
+        def counting(*a, _fn=getattr(module, attr), _key=key, **k):
+            calls[_key] += 1
+            return _fn(*a, **k)
+
+        monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def lowered_equations() -> list:
+    """The coefficient vector of each kept lowering, least recently used first."""
+    return [chain.a for chain, _, _ in solver_module._LOWERED]
+
+
+# order-3 equations whose constants no other test uses
+LOWERED3 = [CoeffVector.from_rhs((f"0.0{k}93*x", f"-1.0{k}57", f"0.{k}61")) for k in (1, 2, 3)]
+
+
+class TestLoweredChainMemo:
+    def test_a_repeat_solve_runs_only_the_stacked_pass(self, grid2000, monkeypatch):
+        solver_module._LOWERED.clear()
+        solve_ivp(ORDER5, grid2000)
+        calls = count_lowering(monkeypatch)
+        problem = IVProblem(5, SMOOTH, (0.3, -1, 0, 0.2, 1))
+        y, bs = solve_ivp(problem, grid2000)
+        assert calls == {"solver.lower_chain": 0, "auxiliary.lower": 0, "lower.lower": 0, "lower.trig_family": 0,
+                         "lower.zero_free_interval": 0, "solver.trig_family": 1}
+        monkeypatch.undo()
+        # the kept rows are lowering's own: read-only, and real for a real chain
+        ((rows, _, _), _), = solver_module._LOWERED.values()
+        assert all(not r.values.flags.writeable and r.values.dtype == float for r in rows)
+        del rows
+        solver_module._LOWERED.clear()
+        y_fresh, fresh = solve_ivp(problem, grid2000)
+        assert np.array_equal(y.values, y_fresh.values) and bs.validity == fresh.validity
+        assert all(np.array_equal(m.values, f.values) for m, f in zip(bs.psi, fresh.psi, strict=True))
+        assert bs.aux_diagnostics == fresh.aux_diagnostics and bs.diagnostics == fresh.diagnostics
+
+    def test_another_grid_or_tolerance_misses(self, grid2000, monkeypatch):
+        solver_module._LOWERED.clear()
+        basis(LOWERED3[0], grid2000)
+        calls = count_lowering(monkeypatch)
+        basis(LOWERED3[0], Grid(-1, 1, 1000))
+        basis(LOWERED3[0], grid2000, tol=1e-13)
+        basis(LOWERED3[0], Grid(-1.0, 1.0, 2000))  # an equal grid hits
+        assert calls["solver.lower_chain"] == 2 and len(solver_module._LOWERED) == 3
+
+    def test_a_repeat_orr_preset_hits(self, grid2000, monkeypatch):
+        solver_module._LOWERED.clear()
+        first = preset_orr_sommerfeld("-1.0311+x", "0.4917", grid2000)
+        calls = count_lowering(monkeypatch)
+        second = preset_orr_sommerfeld("-1.0311+x", "0.4917", grid2000)
+        assert calls["solver.lower_chain"] == 0 and len(solver_module._LOWERED) == 1
+        assert all(np.array_equal(p.values, q.values) for p, q in zip(first.psi, second.psi, strict=True))
+
+    def test_a_lowering_that_raises_keeps_nothing(self, grid2000, monkeypatch):
+        solver_module._LOWERED.clear()
+        calls = count_lowering(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(ValidityCollapsed):
+                solve_ivp(IVProblem(2, ("1/(x-0.001)", "1"), (1, 0)), grid2000)
+        assert calls["solver.lower_chain"] == 2 and not solver_module._LOWERED
+
+    def test_the_least_recently_used_entry_is_evicted(self, grid200, monkeypatch):
+        solver_module._LOWERED.clear()
+        for a in LOWERED3:
+            basis(a, grid200)
+        sizes = [size for _, size in solver_module._LOWERED.values()]
+        solver_module._LOWERED.clear()
+        monkeypatch.setattr(solver_module, "_LOWERED_BUDGET", sum(sizes) - 1)
+        calls = count_lowering(monkeypatch)
+        for a in (LOWERED3[0], LOWERED3[1], LOWERED3[0], LOWERED3[2]):
+            basis(a, grid200)
+        assert calls["solver.lower_chain"] == 3  # the repeat of the first was a hit
+        assert lowered_equations() == [LOWERED3[0], LOWERED3[2]]
+
+    def test_an_entry_over_the_budget_is_not_kept(self, grid200, monkeypatch):
+        solver_module._LOWERED.clear()
+        basis(LOWERED3[0], grid200)
+        ((_, size),) = solver_module._LOWERED.values()
+        monkeypatch.setattr(solver_module, "_LOWERED_BUDGET", size)
+        calls = count_lowering(monkeypatch)
+        large = CoeffVector.from_rhs(SMOOTH)
+        basis(large, grid200)
+        basis(large, grid200)
+        assert calls["solver.lower_chain"] == 2
+        assert lowered_equations() == [LOWERED3[0]]  # and it evicted nothing
+
+    def test_editing_aux_diagnostics_leaves_the_next_hit_unchanged(self, grid200):
+        solver_module._LOWERED.clear()
+        first = basis(LOWERED3[1], grid200)
+        kept = dict(first.aux_diagnostics)
+        first.aux_diagnostics.clear()
+        second = basis(LOWERED3[1], grid200)
+        assert second.aux_diagnostics == kept and second.aux_diagnostics is not first.aux_diagnostics
+        second.aux_diagnostics[1] = "edited"
+        assert basis(LOWERED3[1], grid200).aux_diagnostics == kept
 
 
 class TestSchrodingerPreset:
