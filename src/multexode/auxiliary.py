@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from . import coeffexpr as ce
@@ -169,6 +170,8 @@ class AuxChain:
     n: int
     a: CoeffVector
     phi: tuple
+    # what a memo charges for keeping the chain, walked once per chain
+    _size = cached_property(lambda self: _chain_size(self))
 
 
 def _build_chain(a: CoeffVector, numeric: bool, prefix: str = "phi") -> AuxChain:
@@ -235,7 +238,7 @@ def build_aux_chain(a: CoeffVector, numeric_diff: bool = False) -> AuxChain:
         _CHAINS.move_to_end(key)
         return _CHAINS[key][0]
     chain = _build_chain(a, numeric_diff)
-    _remember(_CHAINS, key, chain, _chain_size(chain), _CHAIN_BUDGET)
+    _remember(_CHAINS, key, chain, chain._size, _CHAIN_BUDGET)
     return chain
 
 

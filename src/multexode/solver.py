@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coeffexpr as ce
-from .auxiliary import AuxChain, CoeffVector, _chain_size, _remember, build_aux_chain, lower_chain
+from .auxiliary import AuxChain, CoeffVector, _remember, build_aux_chain, lower_chain
 from .coeffexpr import Const, TrigNode, as_expr
 from .errors import NonDifferentiable
 from .gridfn import Grid, GridFn, Interval, linear_combination
@@ -102,7 +102,7 @@ def _assemble(chain: AuxChain, ctx: LowerContext) -> BasisSet:
         rows, aux_diags, validity = _LOWERED[key][0]
     else:
         rows, aux_diags, validity = lower_chain(chain, ctx)
-        size = sum(r.values.nbytes for r in rows) + 350 * _chain_size(chain)
+        size = sum(r.values.nbytes for r in rows) + 350 * chain._size
         _remember(_LOWERED, key, (rows, aux_diags, validity), size, _LOWERED_BUDGET)
     family, diag = trig_family(rows, ctx.series_tol, stack=chain.n)
     # position (k-2) mod n holds member k

@@ -264,6 +264,7 @@ class TestLoweringMemo:
     def test_memo_is_empty_after_a_solve(self, grid2000, make, monkeypatch):
         # every row is dropped after its last planned read; the solve's
         # context is the last one made (the Schrödinger probe's comes first)
+        solver_module._LOWERED.clear()  # so that the solve lowers
         contexts = []
 
         def recording(*args, **kwargs):
