@@ -15,6 +15,7 @@ compare`` builds its series oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,17 +29,21 @@ MAX_TERMS = 400  # a safety stop, twice the trig series' own, so the oracle outl
 
 
 class MatrixFn:
-    """Square matrix of sampled functions on one grid, stored (n, n, nodes)."""
+    """Square matrix of sampled functions on one grid, stored (n, n, nodes).
+
+    The samples keep the dtype they were given, at least float64: real data
+    stays real, as lowered rows do until a complex value enters.
+    """
 
     __slots__ = ("grid", "data", "n")
 
     def __init__(self, grid: Grid, data):
-        arr = np.asarray(data, dtype=complex)
+        arr = np.asarray(data)
+        arr = arr.astype(np.result_type(arr.dtype, float))  # a copy, never a view of data
         if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != grid.n + 1:
             raise ValueError(f"expected (n, n, {grid.n + 1}) samples, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix samples must be finite")
-        arr = arr.copy()
         arr.setflags(write=False)
         self.grid = grid
         self.data = arr
@@ -47,14 +52,16 @@ class MatrixFn:
 
 def companion(a, grid: Grid) -> MatrixFn:
     """Companion matrix of the scalar equation: ones on the superdiagonal and
-    the reversed coefficients (an, ..., a1) along the bottom row."""
+    the reversed coefficients (an, ..., a1) along the bottom row; real when
+    every coefficient row is."""
     n = a.n
     ctx = LowerContext(grid)
-    data = np.zeros((n, n, grid.n + 1), dtype=complex)
+    rows = [lower(a.a(j), ctx).values for j in range(1, n + 1)]
+    data = np.zeros((n, n, grid.n + 1), dtype=np.result_type(float, *rows))
     for i in range(n - 1):
         data[i, i + 1] = 1.0
-    for j in range(1, n + 1):
-        data[n - 1, n - j] = lower(a.a(j), ctx).values
+    for j, row in enumerate(rows, start=1):
+        data[n - 1, n - j] = row
     return MatrixFn(grid, data)
 
 
@@ -102,6 +109,7 @@ def dyson(m: MatrixFn, tol: float = DEFAULT_TOL, y0=None) -> DysonResult:
         spec, scale = "ilp,lp->ip", float(np.sum(np.abs(start)))
     term = np.repeat(start[..., None], grid.n + 1, axis=-1)
     g = np.max(np.abs(m.data), axis=(0, 1))
+    data = m.data.astype(complex, copy=False)  # cast once, not in every term's einsum
     g_int = float(np.max(np.abs(primitive_values(g, grid))))
 
     total = term.copy()
@@ -113,7 +121,7 @@ def dyson(m: MatrixFn, tol: float = DEFAULT_TOL, y0=None) -> DysonResult:
     last = 0.0
     while terms < MAX_TERMS:
         terms += 1
-        term = primitive_values(np.einsum(spec, m.data, term), grid)
+        term = primitive_values(np.einsum(spec, data, term), grid)
         total += term
         last = float(np.max(np.abs(term)))
         running_bound *= (n * g_int) / terms
@@ -132,27 +140,54 @@ def dyson(m: MatrixFn, tol: float = DEFAULT_TOL, y0=None) -> DysonResult:
     return result
 
 
+def _running_products(props: np.ndarray) -> np.ndarray:
+    """The running products P_k ... P_1 P_0 of a stack of q >= 1 square
+    matrices, shape (q, n, n).
+
+    The stack is cut into blocks of b = ceil(sqrt(q)).  The running products
+    inside every block are formed side by side, one batched matmul per
+    position in the block; the block totals are then chained in order, and
+    each block takes its carry in one batched matmul: about 2 sqrt(q) numpy
+    calls instead of q.  The last block is padded with identities.
+    """
+    q, n = props.shape[0], props.shape[-1]
+    b = math.isqrt(q - 1) + 1
+    blocks_n = -(-q // b)
+    run = np.empty((blocks_n * b, n, n), dtype=props.dtype)
+    run[:q] = props
+    run[q:] = np.eye(n)
+    blocks = run.reshape(blocks_n, b, n, n)
+    for j in range(1, b):
+        blocks[:, j] = blocks[:, j] @ blocks[:, j - 1]
+    carry = blocks[:, -1].copy()  # carry[k]: the product of blocks 0..k
+    for k in range(1, blocks_n):
+        carry[k] = carry[k] @ carry[k - 1]
+    blocks[1:] = blocks[1:] @ carry[:-1, None]
+    return run[:q]
+
+
 def rk4(m: MatrixFn, steps: int) -> np.ndarray:
     """Classical fixed-step fourth-order integration of M' = m M, M(0) = I.
 
     Marches outward from 0 in both directions with at least one substep per
     grid cell, sampling m between nodes by local cubic interpolation, and
-    returns the fundamental matrix at every grid node, shape (n, n, nodes).
+    returns the fundamental matrix at every grid node, shape (n, n, nodes),
+    in the dtype of m's samples: real for real m.
 
     The equation is linear, so each classical RK4 step is one matrix,
     P_q = I + d/6 (A0 + 2 K2 + 2 K3 + K4) with K2 = Am (I + d/2 A0),
     K3 = Am (I + d/2 K2) and K4 = A1 (I + d K3), where A0, Am and A1 sample
     m at the start, middle and end of the step.  All P_q are built at once
-    as batched matmuls, and the march is one small matmul per step.  The
-    method is unchanged classical RK4 and shares nothing with
-    ``primitive_values``.
+    as batched matmuls, and the march is their running product, formed
+    block by block (``_running_products``).  The method is unchanged
+    classical RK4 and shares nothing with ``primitive_values``.
     """
     grid = m.grid
     n = m.n
     if steps < grid.n:
         raise ValueError("need at least one step per grid cell")
     sub = max(1, int(round(steps / grid.n)))
-    out = np.zeros((n, n, grid.n + 1), dtype=complex)
+    out = np.zeros((n, n, grid.n + 1), dtype=m.data.dtype)
     z = grid.zero_index
     eye = np.eye(n)
     out[:, :, z] = eye
@@ -173,10 +208,7 @@ def rk4(m: MatrixFn, steps: int) -> np.ndarray:
         k3 = a_mids @ (eye + 0.5 * d * k2)
         k4 = a1 @ (eye + d * k3)
         props = eye + (d / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
-        run = np.empty_like(props)
-        cur = eye
-        for q in range(len(props)):
-            cur = np.matmul(props[q], cur, out=run[q])
+        run = _running_products(props)
         out[:, :, indices] = np.moveaxis(run[sub - 1 :: sub], 0, -1)
 
     march(list(range(z + 1, grid.n + 1)))

@@ -10,9 +10,10 @@ from multexode import (
     rk4,
     truncation_bound,
 )
+from multexode import oracle
 from multexode.auxiliary import CoeffVector
 from multexode.gridfn import primitive_values
-from multexode.oracle import MAX_TERMS
+from multexode.oracle import MAX_TERMS, _running_products
 
 from conftest import smooth_gridfn
 from crosschecks import matrix_from_gridfns
@@ -29,11 +30,49 @@ def random_matrix(grid, rng, n, scale=1.0, complex_part=False):
     return matrix_from_gridfns(rows)
 
 
+def sequential_products(props):
+    """P_k ... P_1 P_0 for every k, one matmul per step."""
+    run = np.empty_like(props)
+    cur = np.eye(props.shape[-1])
+    for q in range(len(props)):
+        cur = run[q] = props[q] @ cur
+    return run
+
+
+def relative_gap(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
 def random_state(rng, n):
     return rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
 
 
+class TestMatrixFn:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_keeps_the_dtype_it_was_given(self, grid200, dtype):
+        data = np.ones((2, 2, grid200.n + 1), dtype=dtype)
+        m = MatrixFn(grid200, data)
+        assert m.data.dtype == np.dtype(dtype)
+        assert not np.shares_memory(m.data, data)
+
+    def test_integer_samples_become_real(self, grid200):
+        m = MatrixFn(grid200, np.ones((1, 1, grid200.n + 1), dtype=int))
+        assert m.data.dtype == np.float64
+
+
 class TestCompanion:
+    def test_real_rows_stay_real(self, grid200):
+        m = companion(CoeffVector.from_rhs(("sin(x)", "x", "2")), grid200)
+        assert m.data.dtype == np.float64
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_one_complex_row_makes_it_complex(self, grid200, k):
+        rhs = ["sin(x)", "x", "2"]
+        rhs[k] += " + 0.5*i"
+        m = companion(CoeffVector.from_rhs(tuple(rhs)), grid200)
+        assert m.data.dtype == np.complex128
+        assert np.all(m.data[2, 2 - k].imag == 0.5)
+
     def test_scalar(self, grid200):
         m = companion(CoeffVector.from_rhs(("2",)), grid200)
         assert np.all(m.data[0, 0] == 2.0)
@@ -180,7 +219,38 @@ class TestTruncationBound:
         assert truncation_bound(5000.0, 1, 20) == np.inf
 
 
+class TestRunningProducts:
+    # block length ceil(sqrt(q)): one block, exact squares, one step past them, and long sides
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 16, 17, 24, 25, 26, 1000, 3000])
+    @pytest.mark.parametrize("complex_part", [False, True])
+    def test_matches_sequential_product(self, rng, q, complex_part):
+        props = np.eye(3) + 0.05 * rng.standard_normal((q, 3, 3))
+        if complex_part:
+            props = props + 0.05j * rng.standard_normal((q, 3, 3))
+        blocked = _running_products(props)
+        assert blocked.shape == props.shape and blocked.dtype == props.dtype
+        assert relative_gap(blocked, sequential_products(props)) <= 1e-13
+
+    @pytest.mark.parametrize("n_grid", [16, 18, 200, 2000])
+    @pytest.mark.parametrize("sub", [1, 3])
+    def test_rk4_matches_a_sequential_march(self, rng, monkeypatch, n_grid, sub):
+        g = Grid(-1, 1, n_grid)
+        m = random_matrix(g, rng, 3, scale=1.5, complex_part=True)
+        blocked = rk4(m, sub * g.n)
+        monkeypatch.setattr(oracle, "_running_products", sequential_products)
+        assert relative_gap(blocked, rk4(m, sub * g.n)) <= 1e-13
+
+
 class TestRk4:
+    @pytest.mark.parametrize("sub", [1, 3])
+    def test_real_data_gives_real_output(self, grid2000, rng, sub):
+        m = MatrixFn(grid2000, random_matrix(grid2000, rng, 3, scale=1.5).data.real)
+        out = rk4(m, sub * grid2000.n)
+        assert out.dtype == np.float64
+        as_complex = rk4(MatrixFn(grid2000, m.data.astype(complex)), sub * grid2000.n)
+        assert as_complex.dtype == np.complex128
+        assert relative_gap(out, as_complex) <= 1e-13
+
     def test_zero_matrix_stays_identity(self, grid200):
         out = rk4(const_matrix(grid200, np.zeros((2, 2))), grid200.n)
         assert np.max(np.abs(out[0, 0] - 1.0)) == 0.0
