@@ -18,24 +18,21 @@ at the order of their defining equation; this keeps every expression in the
 chain free of coefficient derivatives up to order four, matching the closed
 forms that the wrapped recursion reproduces.
 
-The chain depends only on the coefficients, so it is built once per process
-(:func:`build_aux_chain` keeps it for later solves), without a grid, as pure
-expressions.  Everything here is symbolic except :func:`lower_chain`, the
-one entry that evaluates a built chain on a LowerContext; a chain can be
-lowered on any number of grids.
+The chain depends only on the coefficients, so it is built without a grid,
+as pure expressions.  Everything here is symbolic except
+:func:`lower_chain`, the one entry that evaluates a built chain on a
+LowerContext; a chain can be lowered on any number of grids.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 
 from . import coeffexpr as ce
-from .coeffexpr import AuxDeriv, AuxFn, Const, Expr, Sampled, TrigNode, ZERO, as_expr
+from .coeffexpr import AuxFn, Const, Expr, TrigNode, ZERO, as_expr
 from .errors import DegenerateLeading
-from .lower import LowerContext, _reads, lower
+from .lower import LowerContext, lower
 
 
 @dataclass(frozen=True)
@@ -70,24 +67,24 @@ class CoeffVector:
         return self.coeffs[j]
 
 
-def _derivative_table(v, numeric: bool) -> list:
+def _derivative_table(v) -> list:
     """table[m][d] = D^d v_m for d < max(m, 1): every derivative the
     derivative matrix takes of entry m."""
     table = []
     for m, c in enumerate(v):
         row = [c]
         for _ in range(m - 1):
-            row.append(ce.differentiate(row[-1], numeric))
+            row.append(ce.differentiate(row[-1]))
         table.append(row)
     return table
 
 
-def apply_scriptD(v, numeric: bool = False) -> list:
+def apply_scriptD(v) -> list:
     """Apply the (n+1)x(n+1) upper-triangular derivative matrix to an
     expression vector: entry i becomes sum over m > i of D^(m-i-1) v_m.
     The last entry of the result is always the zero expression."""
     v = [as_expr(c) for c in v]
-    table = _derivative_table(v, numeric)
+    table = _derivative_table(v)
     out = []
     for i in range(len(v) - 1):
         acc = ZERO
@@ -98,7 +95,7 @@ def apply_scriptD(v, numeric: bool = False) -> list:
     return out
 
 
-def extract_aux_ode(a: CoeffVector, beta, numeric: bool = False):
+def extract_aux_ode(a: CoeffVector, beta):
     """Extract the auxiliary equation carried by a vector.
 
     Contracts (a0..an) with the derivative matrix applied to u * beta and
@@ -115,7 +112,7 @@ def extract_aux_ode(a: CoeffVector, beta, numeric: bool = False):
     if len(a.coeffs) != size:
         raise ValueError(f"coefficient vector has {len(a.coeffs)} entries, beta has {size}")
 
-    table = _derivative_table(beta, numeric)
+    table = _derivative_table(beta)
     g = []
     for s in range(size - 1):
         gs = ZERO
@@ -140,7 +137,7 @@ def extract_aux_ode(a: CoeffVector, beta, numeric: bool = False):
     return order, b, lead
 
 
-def solve_unit_ivp(order: int, b, name: str, numeric: bool = False):
+def solve_unit_ivp(order: int, b, name: str):
     """Closed expression for the unit solution of u^(m) = b1 u^(m-1) + ... + bm u
     with u(0) = 1 and all lower initial derivatives zero.
 
@@ -155,7 +152,7 @@ def solve_unit_ivp(order: int, b, name: str, numeric: bool = False):
         down = ce.expprim(b[0], -1)
         up = ce.expprim(b[0], 1)
         return TrigNode((ce.mul(b[1], down), up), 2)
-    sub = _build_chain(CoeffVector.from_rhs(b), numeric, prefix=f"{name}.")
+    sub = _build_chain(CoeffVector.from_rhs(b), prefix=f"{name}.")
     return TrigNode(sub.phi, sub.n)
 
 
@@ -170,11 +167,9 @@ class AuxChain:
     n: int
     a: CoeffVector
     phi: tuple
-    # what a memo charges for keeping the chain, walked once per chain
-    _size = cached_property(lambda self: _chain_size(self))
 
 
-def _build_chain(a: CoeffVector, numeric: bool, prefix: str = "phi") -> AuxChain:
+def _build_chain(a: CoeffVector, prefix: str = "phi") -> AuxChain:
     n = a.n
     if n < 2:
         raise ValueError("auxiliary chains start at order 2")
@@ -183,10 +178,10 @@ def _build_chain(a: CoeffVector, numeric: bool, prefix: str = "phi") -> AuxChain
     phis: dict[int, Expr] = {}
     for k in range(n, 1, -1):
         # the vector's top entry is at index k, so extract_aux_ode checks order k - 1
-        order, b, _ = extract_aux_ode(a, cur, numeric)
+        order, b, _ = extract_aux_ode(a, cur)
         name = f"{prefix}{k}" if not prefix.endswith(".") else f"{prefix}phi{k}"
-        phis[k] = AuxFn(name, order, tuple(b), solve_unit_ivp(order, b, name, numeric), numeric)
-        cur = apply_scriptD([ce.mul(phis[k], entry) for entry in cur], numeric)
+        phis[k] = AuxFn(name, order, tuple(b), solve_unit_ivp(order, b, name))
+        cur = apply_scriptD([ce.mul(phis[k], entry) for entry in cur])
 
     prod = None
     for k in range(2, n + 1):
@@ -195,51 +190,11 @@ def _build_chain(a: CoeffVector, numeric: bool, prefix: str = "phi") -> AuxChain
     return AuxChain(n, a, tuple(phis[k] for k in range(1, n + 1)))
 
 
-# build_aux_chain's memo, least recently used first: key -> (chain, size)
-_CHAINS: OrderedDict = OrderedDict()
-_CHAIN_BUDGET = 8192  # expression nodes, about 3 MB at ~350 B per node
-
-
-def _chain_size(chain: AuxChain) -> int:
-    """The distinct nodes reached from the chain's phi and coefficients; a
-    table also counts its arrays at 350 B per node."""
-    seen, size, stack = set(), 0, [*chain.phi, *chain.a.coeffs]
-    while stack:
-        e = stack.pop()
-        if e not in seen:
-            seen.add(e)
-            size += 1 + (e.xs.nbytes + e.ys.nbytes) // 350 if isinstance(e, Sampled) else 1
-            held = (*e.bcoeffs, *e.derivs) if isinstance(e, AuxFn) else (e.fn,) if isinstance(e, AuxDeriv) else ()
-            stack += (*held, *_reads(e))
-    return size
-
-
-def _remember(memo: OrderedDict, key, value, size: int, budget: int) -> None:
-    """Keep ``value`` as the most recently used entry of an LRU memo of
-    ``(value, size)`` pairs, evicting the least recently used until the sizes
-    fit ``budget``; a value over the budget alone is not kept."""
-    if size <= budget:
-        memo[key] = (value, size)
-        while sum(s for _, s in memo.values()) > budget:
-            memo.popitem(last=False)
-
-
-def build_aux_chain(a: CoeffVector, numeric_diff: bool = False) -> AuxChain:
+def build_aux_chain(a: CoeffVector) -> AuxChain:
     """Run the general recursion for the coefficients in ``a``; no grid is
-    involved.  ``numeric_diff`` lets the symbolic derivatives differentiate
-    sampled tables by finite differences.
-
-    The chain is built once per process: it is kept under the interned
-    coefficients and ``numeric_diff``, least recently used out first, within
-    ``_CHAIN_BUDGET`` nodes.  A larger chain and a build that raises are not
-    kept; ``_CHAINS.clear()`` frees every kept chain."""
-    key = (a.coeffs, bool(numeric_diff))
-    if key in _CHAINS:
-        _CHAINS.move_to_end(key)
-        return _CHAINS[key][0]
-    chain = _build_chain(a, numeric_diff)
-    _remember(_CHAINS, key, chain, chain._size, _CHAIN_BUDGET)
-    return chain
+    involved.  The recursion differentiates only auxiliary functions, never
+    a coefficient, so a sampled coefficient needs no derivative."""
+    return _build_chain(a)
 
 
 def lower_chain(chain: AuxChain, ctx: LowerContext):

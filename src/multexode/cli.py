@@ -326,7 +326,7 @@ def _run_problem(cfg: ProblemConfig, outdir: Path, fmt: str) -> int:
     else:
         coeffs = [cfg.coefficients[f"a{j}"] for j in range(1, cfg.n + 1)]
         if cfg.mode == "basis":
-            bs = basis(CoeffVector.from_rhs(coeffs), grid, tol=cfg.tol, numeric_diff=cfg.numeric_diff)
+            bs = basis(CoeffVector.from_rhs(coeffs), grid, tol=cfg.tol)
     if cfg.mode not in ("solve", "compare"):
         names = ("c", "s") if cfg.mode == "preset:schrodinger" else [f"psi_{k}" for k in range(1, cfg.n + 1)]
         functions = list(zip(names, bs.psi))
@@ -337,7 +337,7 @@ def _run_problem(cfg: ProblemConfig, outdir: Path, fmt: str) -> int:
         return 0
 
     problem = IVProblem(cfg.n, tuple(coeffs), cfg.initial_values)
-    y, bs = solve_ivp(problem, grid, tol=cfg.tol, numeric_diff=cfg.numeric_diff)
+    y, bs = solve_ivp(problem, grid, tol=cfg.tol)
     if cfg.mode == "solve":
         _write_outputs(outdir, [("solution", y)], bs.validity, fmt)
         return 0

@@ -29,7 +29,7 @@ import weakref
 
 import numpy as np
 
-from .errors import NonDifferentiable
+from .errors import NonDifferentiable, NonMonotoneAbscissae
 
 FUNC_NAMES = ("sin", "cos", "exp", "sinh", "cosh", "sqrt")
 
@@ -195,8 +195,10 @@ class TrigNode(Expr):
 class Sampled(Expr):
     """A data table (xs, values) interpolated onto the grid at lowering.
 
-    A table is interned by its content digest ``key``, so tables can be
-    large without making node construction expensive.
+    A table has at least 4 rows, strictly increasing abscissae and finite
+    values, so that its 4-point interpolant and derivative are defined.  It
+    is interned by its content digest ``key``, so tables can be large
+    without making node construction expensive.
     """
 
     __slots__ = ("xs", "ys", "key")
@@ -206,6 +208,12 @@ class Sampled(Expr):
         ys = np.array(ys, dtype=np.result_type(np.asarray(ys), float))  # a real table stays real
         if xs.ndim != 1 or xs.shape != ys.shape:
             raise ValueError("sampled table needs matching 1-d abscissae and values")
+        if len(xs) < 4:
+            raise ValueError(f"sampled table needs at least 4 rows, got {len(xs)}")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise ValueError("sampled table has a value that is not finite")
+        if np.any(np.diff(xs) <= 0):
+            raise NonMonotoneAbscissae("sampled table abscissae must be strictly increasing")
         xs.setflags(write=False)
         ys.setflags(write=False)
         if key is None:
@@ -223,26 +231,25 @@ class AuxFn(Expr):
     symbolic derivative depth exactly as the recursion requires.  derivs[s-1]
     is the simplified s-th derivative of the realization (1 <= s < m), what
     AuxDeriv(self, s) evaluates to; a new node makes them once, so that
-    lowering does no symbolic work (``numeric`` as in :func:`differentiate`,
-    and part of the node's key).
+    lowering does no symbolic work.
     """
 
     __slots__ = ("name", "order", "bcoeffs", "realization", "derivs")
 
-    def __new__(cls, name, order, bcoeffs, realization, numeric=False):
+    def __new__(cls, name, order, bcoeffs, realization):
         bcoeffs = tuple(as_expr(b) for b in bcoeffs)
         order = int(order)
         if order < 1 or len(bcoeffs) != order:
             raise ValueError("need exactly `order` right-side coefficients")
         realization = as_expr(realization)
         name = str(name)
-        key = (cls, name, order, *map(id, bcoeffs), id(realization), bool(numeric))
+        key = (cls, name, order, *map(id, bcoeffs), id(realization))
         node = _NODES.get(key)
         if node is not None:
             return node
         derivs, d = [], realization
         for _ in range(order - 1):
-            d = differentiate(d, numeric)
+            d = differentiate(d)
             derivs.append(simplify(d))
         return _interned(cls, key, name, order, bcoeffs, realization, tuple(derivs))
 
@@ -521,8 +528,6 @@ def differentiate(e: Expr, numeric: bool = False) -> Expr:
 def _table_derivative(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Order-4 finite-difference derivative of a (possibly non-uniform) table."""
     m = len(xs)
-    if m < 4:
-        raise ValueError("need at least 4 samples to differentiate a table")
     # row i reads the 4-point window that gridfn._lagrange4 uses at xs[i]
     idx = np.clip(np.arange(m) - 1, 0, m - 4)[:, None] + np.arange(4)
     xw = xs[idx]

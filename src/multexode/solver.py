@@ -7,11 +7,11 @@ initial-value solution is the linear combination weighted by the initial
 data.  A solve plans and lowers only the chain's auxiliary functions; the
 n members then come from one stacked series pass over the lowered rows, in
 which each rotation is one particle, so no member is ever built as an
-expression.  The lowered rows depend on the chain, the grid and the series
-tolerance but never on the initial data, so they are kept per process and a
-repeat solve runs only the stacked pass.  Presets cover the impedance-form
-wave equation (order 2) and the fourth-order hydrodynamic-stability form
-y'''' = a2 y'' + a4 y.
+expression.  The chain depends only on the equation, and its lowered rows
+on the grid and the series tolerance too, never on the initial data, so one
+per-process memo keeps both and a repeat solve runs only the stacked pass.
+Presets cover the impedance-form wave equation (order 2) and the
+fourth-order hydrodynamic-stability form y'''' = a2 y'' + a4 y.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coeffexpr as ce
-from .auxiliary import AuxChain, CoeffVector, _remember, build_aux_chain, lower_chain
-from .coeffexpr import Const, TrigNode, as_expr
+from .auxiliary import AuxChain, CoeffVector, build_aux_chain, lower_chain
+from .coeffexpr import AuxDeriv, AuxFn, Const, Sampled, TrigNode, as_expr
 from .errors import NonDifferentiable
 from .gridfn import Grid, GridFn, Interval, linear_combination
-from .lower import LowerContext, lower
+from .lower import LowerContext, _reads, lower
 from .multex import DEFAULT_TOL, trig_family
 from .parser import parse
 
@@ -82,28 +82,48 @@ def _member(row: GridFn, validity: Interval) -> GridFn:
 
 
 # _assemble's memo, least recently used first:
-# (chain, grid, series_tol) -> ((rows, aux_diags, validity), size)
+# (equation, grid, series_tol) -> ((chain, rows, aux_diags, validity), size)
 _LOWERED: OrderedDict = OrderedDict()
-_LOWERED_BUDGET = 6 << 20  # bytes: the rows, and 350 B per chain node a key keeps alive
+_LOWERED_BUDGET = 6 << 20  # bytes: the rows, and 350 B per chain node an entry keeps alive
 
 
-def _assemble(chain: AuxChain, ctx: LowerContext) -> BasisSet:
-    """Lower the chain on the fresh context and rotate it through the trig
-    operators: one stacked pass over the lowered rows gives every member.
+def _chain_size(chain: AuxChain) -> int:
+    """The distinct nodes reached from the chain's phi and coefficients; a
+    table also counts its arrays at 350 B per node."""
+    seen, size, stack = set(), 0, [*chain.phi, *chain.a.coeffs]
+    while stack:
+        e = stack.pop()
+        if e not in seen:
+            seen.add(e)
+            size += 1 + (e.xs.nbytes + e.ys.nbytes) // 350 if isinstance(e, Sampled) else 1
+            held = (*e.bcoeffs, *e.derivs) if isinstance(e, AuxFn) else (e.fn,) if isinstance(e, AuxDeriv) else ()
+            stack += (*held, *_reads(e))
+    return size
 
-    What ``lower_chain`` returns is kept per process under the chain, the
-    grid and the series tolerance, least recently used out first, within
-    ``_LOWERED_BUDGET`` bytes, so a repeat solve lowers nothing.  A larger
-    entry and a lowering that raises are not kept; ``_LOWERED.clear()``
-    frees every kept entry."""
-    key = (chain, ctx.grid, ctx.series_tol)
+
+def _assemble(eq: CoeffVector | AuxChain, ctx: LowerContext) -> BasisSet:
+    """Build and lower the chain of ``eq`` on the fresh context and rotate it
+    through the trig operators: one stacked pass over the lowered rows gives
+    every member.  ``eq`` is the coefficients of a general equation, whose
+    chain is built here, or a preset's hand-built chain.
+
+    The chain and what ``lower_chain`` returns are kept per process under
+    ``eq``, the grid and the series tolerance, least recently used out
+    first, within ``_LOWERED_BUDGET`` bytes, so a repeat solve builds and
+    lowers nothing.  A larger entry and a build or lowering that raises are
+    not kept; ``_LOWERED.clear()`` frees every kept entry."""
+    key = (eq, ctx.grid, ctx.series_tol)
     if key in _LOWERED:
         _LOWERED.move_to_end(key)
-        rows, aux_diags, validity = _LOWERED[key][0]
+        chain, rows, aux_diags, validity = _LOWERED[key][0]
     else:
+        chain = eq if isinstance(eq, AuxChain) else build_aux_chain(eq)
         rows, aux_diags, validity = lower_chain(chain, ctx)
-        size = sum(r.values.nbytes for r in rows) + 350 * chain._size
-        _remember(_LOWERED, key, (rows, aux_diags, validity), size, _LOWERED_BUDGET)
+        size = sum(r.values.nbytes for r in rows) + 350 * _chain_size(chain)
+        if size <= _LOWERED_BUDGET:
+            _LOWERED[key] = ((chain, rows, aux_diags, validity), size)
+            while sum(s for _, s in _LOWERED.values()) > _LOWERED_BUDGET:
+                _LOWERED.popitem(last=False)
     family, diag = trig_family(rows, ctx.series_tol, stack=chain.n)
     # position (k-2) mod n holds member k
     members = tuple(_member(family[(k - 2) % chain.n], validity) for k in range(1, chain.n + 1))
@@ -111,7 +131,7 @@ def _assemble(chain: AuxChain, ctx: LowerContext) -> BasisSet:
     return BasisSet(chain.n, chain.a, members, validity, (diag,) * chain.n, chain, dict(aux_diags))
 
 
-def basis(a: CoeffVector, grid: Grid, tol: float = DEFAULT_TOL, numeric_diff: bool = False) -> BasisSet:
+def basis(a: CoeffVector, grid: Grid, tol: float = DEFAULT_TOL) -> BasisSet:
     """Fundamental solution basis for the coefficients in ``a``.
 
     Order 1 short-circuits to the exponential of a primitive; higher orders
@@ -125,13 +145,13 @@ def basis(a: CoeffVector, grid: Grid, tol: float = DEFAULT_TOL, numeric_diff: bo
         row = lower(expr, ctx)  # a dividing coefficient shrinks ctx.validity here
         validity = ctx.final_validity()
         return BasisSet(1, a, (_member(row, validity),), validity, (None,), None, None)
-    return _assemble(build_aux_chain(a, numeric_diff=numeric_diff), LowerContext(grid, series_tol=tol))
+    return _assemble(a, LowerContext(grid, series_tol=tol))
 
 
-def solve_ivp(problem: IVProblem, grid: Grid, tol: float = DEFAULT_TOL, numeric_diff: bool = False):
+def solve_ivp(problem: IVProblem, grid: Grid, tol: float = DEFAULT_TOL):
     """Solve the initial-value problem; returns (solution, basis)."""
     a = CoeffVector.from_rhs(problem.coefficients)
-    bs = basis(a, grid, tol=tol, numeric_diff=numeric_diff)
+    bs = basis(a, grid, tol=tol)
     y = linear_combination(grid, problem.initial_values, [m.values for m in bs.psi])
     return y, bs
 

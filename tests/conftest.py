@@ -2,6 +2,14 @@ import numpy as np
 import pytest
 
 from multexode import Grid, GridFn
+from multexode import solver
+
+
+@pytest.fixture(autouse=True)
+def _empty_solve_memo():
+    """Every test starts with an empty per-process solve memo, so a test
+    lowers what it solves unless it warms the memo itself."""
+    solver._LOWERED.clear()
 
 
 @pytest.fixture

@@ -14,11 +14,10 @@ and every output file, by name and bytes.  The script is not a test module,
 so pytest does not collect it.
 
 Every probe runs twice in one process.  The listing is the first pass; the
-second runs with the chains of the first still in ``build_aux_chain``'s
-memo and their lowered rows still in the solver's, so it replays both, and
-prints ``MISMATCH <probe>`` for any hash that differs from the first: a
-memoised chain and its kept rows must reproduce a fresh build and lowering
-bit for bit.
+second runs with the chains and lowered rows of the first still in the
+solver's memo, so it replays them, and prints ``MISMATCH <probe>`` for any
+hash that differs from the first: a kept chain and its rows must reproduce
+a fresh build and lowering bit for bit.
 """
 
 from __future__ import annotations
@@ -91,9 +90,9 @@ def _hash(out) -> str:
     return _digest(*_basis_parts(out))
 
 
-def _solve(coeffs, grid, tol=None, ic=IC, numeric_diff=False):
+def _solve(coeffs, grid, tol=None, ic=IC):
     kw = {} if tol is None else {"tol": tol}
-    return lambda: solve_ivp(IVProblem(len(coeffs), coeffs, ic[: len(coeffs)]), grid, numeric_diff=numeric_diff, **kw)
+    return lambda: solve_ivp(IVProblem(len(coeffs), coeffs, ic[: len(coeffs)]), grid, **kw)
 
 
 def _basis(coeffs, grid):
@@ -110,6 +109,9 @@ def library_probes():
         yield f"basis/dividing_order3/N{size}", _basis(("0", "-20+2*x", "1"), g)
         yield f"basis/order4/N{size}", _basis(REAL[:4], g)
         yield f"orr/plain/N{size}", lambda g=g: preset_orr_sommerfeld("-1+x", "1/2", g)
+        # the same coefficients through the general recursion, whose members
+        # differ in the last bits: the memo must not hand it the preset's entry
+        yield f"basis/orr_plain_equation/N{size}", _basis(("0", "-1+x", "0", "1/2"), g)
         yield f"orr/dividing_a4/N{size}", lambda g=g: preset_orr_sommerfeld("-1+x", "1/(x-0.6)", g)
         yield f"schrodinger/N{size}", lambda g=g: preset_schrodinger("2+x", 1.5, g)
     for a2 in ("-40+3*x", "-40"):
@@ -133,9 +135,7 @@ def library_probes():
     tables = {"real": Sampled(xs, 0.3 * np.cos(xs)), "complex": Sampled(xs, 0.3 * np.cos(xs) + 0.1j * xs)}
     for n in range(3, 6):
         for kind, table in tables.items():
-            for numeric in (False, True):
-                coeffs = (table, *REAL[1:n])
-                yield f"table/order{n}/{kind}/numeric{int(numeric)}", _solve(coeffs, g, numeric_diff=numeric)
+            yield f"table/order{n}/{kind}/numeric0", _solve((table, *REAL[1:n]), g)
     yield "error/collapse", _solve(("1/((x-0.003)*(x+0.003))", "1"), g, ic=(1, 0))
     yield "error/divisor_too_small", _solve(("1/x", "1"), g, ic=(1, 0))
     yield "error/overflow", _solve(("1000", "1"), Grid(-20, 20, 2000), ic=(1, 0))

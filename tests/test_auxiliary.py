@@ -1,6 +1,5 @@
 import gc
 import sys
-import weakref
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -400,7 +399,7 @@ ONCE5 = ("0.0179*x", "-1.0377+0.2117*sin(x)", "0.3121*x", "0.5111*cos(x)", "0.20
 class TestInterning:
     def test_two_builds_share_every_node(self):
         first = build_aux_chain(coeff_vector(*FRESH5))
-        second = aux._build_chain(coeff_vector(*FRESH5), False)  # a build, not the memo's chain
+        second = build_aux_chain(coeff_vector(*FRESH5))
         assert second is not first
         assert all(p is q for p, q in zip(first.phi, second.phi, strict=True))
         # equality is identity: comparing two chains runs no Python code
@@ -415,8 +414,6 @@ class TestInterning:
 
     def test_a_dropped_solve_leaves_no_node_behind(self):
         table = ce._NODES
-        aux._CHAINS.clear()
-        solver._LOWERED.clear()
         gc.disable()  # so that only reference counts free the nodes
         try:
             before = set(table.keys())
@@ -424,16 +421,14 @@ class TestInterning:
             assert bs.chain.phi[4] in table.values()
             made = set(table.keys()) - before
             del y, bs
-            # the memos hold the chain, and with it every node the solve made
+            # the memo holds the chain, and with it every node the solve made
             assert made and made <= set(table.keys())
-            aux._CHAINS.clear()
             solver._LOWERED.clear()
             assert set(table.keys()) <= before
         finally:
             gc.enable()
 
     def test_an_order5_build_simplifies_each_node_once(self, monkeypatch):
-        aux._CHAINS.clear()  # so that the build is not a memo hit
         for node in list(ce._NODES.values()):  # forget every memo, so the count is the build's own
             if hasattr(node, "_simple"):
                 object.__delattr__(node, "_simple")
@@ -446,79 +441,43 @@ class TestInterning:
 
 # order-5 and order-3 equations whose constants no other test uses
 MEMO5 = ("0.0181*x", "-1.0383+0.2123*sin(x)", "0.3131*x", "0.5119*cos(x)", "0.2039")
-MEMO3 = [(f"0.0{k}87*x", f"-1.0{k}41", f"0.{k}73") for k in (1, 2, 3)]
+MEMO3 = ("0.0187*x", "-1.0141", "0.173")
 
 
 class TestChainMemo:
     def test_a_repeat_solve_does_no_symbolic_work(self, monkeypatch):
-        aux._CHAINS.clear()
         ic = (0.2, 1, -0.3, 0, 0.5)
-        _, first = solve_ivp(IVProblem(5, MEMO5, (1, 0, 0, 0, 0)), Grid(-1, 1, 200))
+        g = Grid(-1, 1, 200)
+        _, first = solve_ivp(IVProblem(5, MEMO5, (1, 0, 0, 0, 0)), g)
         calls = []
-        for module, name in ((aux, "extract_aux_ode"), (aux, "apply_scriptD"), (ce, "_simplify")):
+        for module, name in ((solver, "build_aux_chain"), (aux, "extract_aux_ode"), (aux, "apply_scriptD"),
+                             (ce, "_simplify")):
             inner = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, f=inner, n=name: calls.append(n) or f(*args))
-        _, second = solve_ivp(IVProblem(5, MEMO5, ic), Grid(-1, 1, 300))
+        _, second = solve_ivp(IVProblem(5, MEMO5, ic), g)
         assert calls == [] and second.chain is first.chain
         monkeypatch.undo()
         rows = [m.values for m in second.psi]
         del first, second
-        aux._CHAINS.clear()
         solver._LOWERED.clear()  # so that the reference solve builds and lowers
-        _, fresh = solve_ivp(IVProblem(5, MEMO5, ic), Grid(-1, 1, 300))
+        _, fresh = solve_ivp(IVProblem(5, MEMO5, ic), g)
         assert all(np.array_equal(r, m.values) for r, m in zip(rows, fresh.psi, strict=True))
 
-    def test_numeric_diff_is_part_of_the_key(self):
-        xs = np.linspace(-1.2, 1.2, 241)
-        a = coeff_vector(Sampled(xs, 0.3 * np.cos(xs) + 0.0117), "-1.0119", "0.3117*x")
-        plain = build_aux_chain(a)
-        numeric = build_aux_chain(a, numeric_diff=True)
-        # the recursion never differentiates a coefficient, so both build;
-        # their AuxFn nodes differ by the flag
-        assert numeric.phi[1] is not plain.phi[1]
-        assert build_aux_chain(a) is plain and build_aux_chain(a, numeric_diff=True) is numeric
-
-    def test_a_table_counts_its_bytes(self):
+    def test_a_table_counts_its_bytes(self, grid200):
         xs = np.linspace(-1.2, 1.2, 35_000)  # 560 kB of samples
-        chain = build_aux_chain(coeff_vector(Sampled(xs, 0.3 * np.cos(xs)), "-1.0127", "0.3129*x"))
-        assert aux._chain_size(chain) > 560_000 // 350
+        basis(coeff_vector(Sampled(xs, 0.3 * np.cos(xs)), "-1.0127", "0.3129*x"), grid200)
+        ((_, size),) = solver._LOWERED.values()
+        assert size > 560_000
 
-    def test_a_build_that_raises_keeps_nothing(self, monkeypatch):
-        aux._CHAINS.clear()
+    def test_a_build_that_raises_keeps_nothing(self, grid200, monkeypatch):
         calls = []
 
-        def failing(a, numeric, prefix="phi"):
+        def failing(a, prefix="phi"):
             calls.append(a)
             raise DegenerateLeading("injected")
 
         monkeypatch.setattr(aux, "_build_chain", failing)
         for _ in range(2):
             with pytest.raises(DegenerateLeading):
-                build_aux_chain(coeff_vector(*MEMO3[0]))
-        assert len(calls) == 2 and not aux._CHAINS
-
-    def test_the_least_recently_used_chain_is_evicted(self, monkeypatch):
-        aux._CHAINS.clear()
-        vectors = [coeff_vector(*rhs) for rhs in MEMO3]
-        sizes = [aux._chain_size(build_aux_chain(a)) for a in vectors]
-        aux._CHAINS.clear()
-        monkeypatch.setattr(aux, "_CHAIN_BUDGET", sum(sizes) - 1)
-        gc.disable()  # so that only reference counts free the nodes
-        try:
-            kept = build_aux_chain(vectors[0])
-            dropped = weakref.WeakSet(build_aux_chain(vectors[1]).phi)
-            assert build_aux_chain(vectors[0]) is kept  # now the most recently used
-            build_aux_chain(vectors[2])
-            assert [key[0] for key in aux._CHAINS] == [vectors[0].coeffs, vectors[2].coeffs]
-            assert len(dropped) == 0
-        finally:
-            gc.enable()
-
-    def test_a_chain_over_the_budget_is_not_kept(self, monkeypatch):
-        aux._CHAINS.clear()
-        small, large = coeff_vector(*MEMO3[0]), coeff_vector(*MEMO5)
-        monkeypatch.setattr(aux, "_CHAIN_BUDGET", aux._chain_size(aux._build_chain(small, False)))
-        kept = build_aux_chain(small)
-        first = build_aux_chain(large)
-        assert [key[0] for key in aux._CHAINS] == [small.coeffs]  # and it evicted nothing
-        assert build_aux_chain(large) is not first and build_aux_chain(small) is kept
+                basis(coeff_vector(*MEMO3), grid200)
+        assert len(calls) == 2 and not solver._LOWERED

@@ -14,6 +14,7 @@ from multexode import (
     LowerContext,
     Mul,
     NonDifferentiable,
+    NonMonotoneAbscissae,
     Sampled,
     TrigNode,
     Var,
@@ -212,6 +213,27 @@ class TestLower:
         s = Sampled(xs, np.cos(xs))
         got = lower(s, LowerContext(grid200))
         assert np.max(np.abs(got.values - np.cos(grid200.nodes))) < 1e-10
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ([0, 1, 3, 2, *range(4, 41)], NonMonotoneAbscissae),  # two swapped rows
+            ([0, 1, 2], ValueError),
+            ([0, 1, 2, 2, *range(3, 41)], NonMonotoneAbscissae),  # a duplicate abscissa
+            ("nan", ValueError),
+        ],
+        ids=["swapped_rows", "three_rows", "duplicate_abscissa", "nan_value"],
+    )
+    def test_a_table_that_lowering_would_read_wrong_is_rejected(self, rows, error):
+        # each of these used to build, then lower silently wrong or raise a misleading Overflow
+        xs = np.linspace(-1.2, 1.2, 41)
+        ys = np.cos(xs)
+        if rows == "nan":
+            ys[7] = np.nan
+        else:
+            xs, ys = xs[rows], ys[rows]
+        with pytest.raises(error):
+            Sampled(xs, ys)
 
     def test_real_table_lowers_to_a_real_row(self, grid200):
         xs = np.linspace(-1.5, 1.5, 3001)

@@ -43,9 +43,6 @@ def test_benchmark_tracer_installs_on_the_package():
     spec.loader.exec_module(tracing)
     lower_module = sys.modules["multexode.lower"]
     public_lower = lower_module.lower
-    # a solve kept by either memo would build or lower nothing
-    sys.modules["multexode.auxiliary"]._CHAINS.clear()
-    sys.modules["multexode.solver"]._LOWERED.clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:

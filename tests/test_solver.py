@@ -264,7 +264,6 @@ class TestLoweringMemo:
     def test_memo_is_empty_after_a_solve(self, grid2000, make, monkeypatch):
         # every row is dropped after its last planned read; the solve's
         # context is the last one made (the Schrödinger probe's comes first)
-        solver_module._LOWERED.clear()  # so that the solve lowers
         contexts = []
 
         def recording(*args, **kwargs):
@@ -297,7 +296,6 @@ class TestLoweringMemo:
         assert ctx.root_reads == {}
 
     def test_each_node_is_lowered_once(self, grid2000, monkeypatch):
-        solver_module._LOWERED.clear()  # so that the solve lowers
         lower_module = importlib.import_module("multexode.lower")
         inner = lower_module._lower
         lowered = []
@@ -308,7 +306,6 @@ class TestLoweringMemo:
     def test_costly_calls_of_an_order5_solve(self, grid2000, monkeypatch):
         # a row computed twice that re-ran a series, a primitive or a
         # zero-free scan would raise these counts
-        solver_module._LOWERED.clear()  # so that the solve lowers
         calls = {}
         for name, attr in (("lower", "trig_family"), ("solver", "trig_family"), ("lower", "zero_free_interval"),
                            ("lower", "primitive_values"), ("multex", "primitive_values")):
@@ -363,8 +360,8 @@ def count_lowering(monkeypatch) -> dict:
 
 
 def lowered_equations() -> list:
-    """The coefficient vector of each kept lowering, least recently used first."""
-    return [chain.a for chain, _, _ in solver_module._LOWERED]
+    """The equation of each kept entry, least recently used first."""
+    return [eq for eq, _, _ in solver_module._LOWERED]
 
 
 # order-3 equations whose constants no other test uses
@@ -373,7 +370,6 @@ LOWERED3 = [CoeffVector.from_rhs((f"0.0{k}93*x", f"-1.0{k}57", f"0.{k}61")) for 
 
 class TestLoweredChainMemo:
     def test_a_repeat_solve_runs_only_the_stacked_pass(self, grid2000, monkeypatch):
-        solver_module._LOWERED.clear()
         solve_ivp(ORDER5, grid2000)
         calls = count_lowering(monkeypatch)
         problem = IVProblem(5, SMOOTH, (0.3, -1, 0, 0.2, 1))
@@ -382,7 +378,7 @@ class TestLoweredChainMemo:
                          "lower.zero_free_interval": 0, "solver.trig_family": 1}
         monkeypatch.undo()
         # the kept rows are lowering's own: read-only, and real for a real chain
-        ((rows, _, _), _), = solver_module._LOWERED.values()
+        ((_, rows, _, _), _), = solver_module._LOWERED.values()
         assert all(not r.values.flags.writeable and r.values.dtype == float for r in rows)
         del rows
         solver_module._LOWERED.clear()
@@ -392,7 +388,6 @@ class TestLoweredChainMemo:
         assert bs.aux_diagnostics == fresh.aux_diagnostics and bs.diagnostics == fresh.diagnostics
 
     def test_another_grid_or_tolerance_misses(self, grid2000, monkeypatch):
-        solver_module._LOWERED.clear()
         basis(LOWERED3[0], grid2000)
         calls = count_lowering(monkeypatch)
         basis(LOWERED3[0], Grid(-1, 1, 1000))
@@ -401,15 +396,32 @@ class TestLoweredChainMemo:
         assert calls["solver.lower_chain"] == 2 and len(solver_module._LOWERED) == 3
 
     def test_a_repeat_orr_preset_hits(self, grid2000, monkeypatch):
-        solver_module._LOWERED.clear()
         first = preset_orr_sommerfeld("-1.0311+x", "0.4917", grid2000)
         calls = count_lowering(monkeypatch)
         second = preset_orr_sommerfeld("-1.0311+x", "0.4917", grid2000)
         assert calls["solver.lower_chain"] == 0 and len(solver_module._LOWERED) == 1
         assert all(np.array_equal(p.values, q.values) for p, q in zip(first.psi, second.psi, strict=True))
 
+    @pytest.mark.parametrize("order", ["general_first", "orr_first"])
+    def test_the_orr_preset_and_its_general_equation_are_kept_apart(self, grid2000, order):
+        # equal coefficients, but the preset's hand-built chain is not the
+        # general recursion's, and their members differ in the last bits
+        solves = {
+            "general": lambda: basis(CoeffVector.from_rhs(("0", "-1.0311+x", "0", "0.4917")), grid2000),
+            "orr": lambda: preset_orr_sommerfeld("-1.0311+x", "0.4917", grid2000),
+        }
+        fresh = {}
+        for name, solve in solves.items():
+            fresh[name] = [m.values for m in solve().psi]
+            solver_module._LOWERED.clear()
+        assert any(not np.array_equal(p, q) for p, q in zip(fresh["general"], fresh["orr"], strict=True))
+        names = ["general", "orr"] if order == "general_first" else ["orr", "general"]
+        for name in names * 2:  # each first builds, then each hits
+            got = solves[name]().psi
+            assert all(np.array_equal(m.values, f) for m, f in zip(got, fresh[name], strict=True))
+        assert len(solver_module._LOWERED) == 2
+
     def test_a_lowering_that_raises_keeps_nothing(self, grid2000, monkeypatch):
-        solver_module._LOWERED.clear()
         calls = count_lowering(monkeypatch)
         for _ in range(2):
             with pytest.raises(ValidityCollapsed):
@@ -417,7 +429,6 @@ class TestLoweredChainMemo:
         assert calls["solver.lower_chain"] == 2 and not solver_module._LOWERED
 
     def test_the_least_recently_used_entry_is_evicted(self, grid200, monkeypatch):
-        solver_module._LOWERED.clear()
         for a in LOWERED3:
             basis(a, grid200)
         sizes = [size for _, size in solver_module._LOWERED.values()]
@@ -430,7 +441,6 @@ class TestLoweredChainMemo:
         assert lowered_equations() == [LOWERED3[0], LOWERED3[2]]
 
     def test_an_entry_over_the_budget_is_not_kept(self, grid200, monkeypatch):
-        solver_module._LOWERED.clear()
         basis(LOWERED3[0], grid200)
         ((_, size),) = solver_module._LOWERED.values()
         monkeypatch.setattr(solver_module, "_LOWERED_BUDGET", size)
@@ -442,7 +452,6 @@ class TestLoweredChainMemo:
         assert lowered_equations() == [LOWERED3[0]]  # and it evicted nothing
 
     def test_editing_aux_diagnostics_leaves_the_next_hit_unchanged(self, grid200):
-        solver_module._LOWERED.clear()
         first = basis(LOWERED3[1], grid200)
         kept = dict(first.aux_diagnostics)
         first.aux_diagnostics.clear()
