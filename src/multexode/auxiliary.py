@@ -33,6 +33,7 @@ from . import coeffexpr as ce
 from .coeffexpr import AuxFn, Const, Expr, TrigNode, ZERO, as_expr
 from .errors import DegenerateLeading
 from .lower import LowerContext, lower
+from .parser import parse
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,6 @@ class CoeffVector:
     @classmethod
     def from_rhs(cls, rhs) -> "CoeffVector":
         """Build from the right-side coefficients a1..an of y^(n) = sum aj y^(n-j)."""
-        from .parser import parse
-
         out = [Const(-1)]
         for c in rhs:
             out.append(parse(c) if isinstance(c, str) else as_expr(c))
@@ -200,11 +199,11 @@ def build_aux_chain(a: CoeffVector) -> AuxChain:
 def lower_chain(chain: AuxChain, ctx: LowerContext):
     """Evaluate a built chain on a context.
 
-    Plans the phi as roots (a caller that lowers more from the chain on the
-    same context plans that before), then lowers phi_2, phi_3, ..., phi_n
-    and last phi_1.  Division by auxiliary functions and by the leads is
-    guarded: wherever a divisor approaches zero the validity interval
-    shrinks and values outside it are zeroed.  Returns the rows
+    Plans the phi as roots, whose rows stay in ``ctx.memo`` (a caller that
+    lowers more from the chain on the same context plans that before), then
+    lowers phi_2, phi_3, ..., phi_n and last phi_1.  Division by auxiliary
+    functions and by the leads is guarded: wherever a divisor approaches
+    zero the validity interval shrinks and values outside it are zeroed.  Returns the rows
     phi_1..phi_n, the series diagnostics of each phi_k keyed by k (None
     where phi_k is not a trig operator), and ``ctx.final_validity()``, the
     interval on which the rows are trustworthy.

@@ -31,16 +31,8 @@ import numpy as np
 
 from .errors import NonDifferentiable, NonMonotoneAbscissae
 
+# each is folded by the cmath function of its name, lowered by numpy's
 FUNC_NAMES = ("sin", "cos", "exp", "sinh", "cosh", "sqrt")
-
-_FUNC_EVAL = {
-    "sin": cmath.sin,
-    "cos": cmath.cos,
-    "exp": cmath.exp,
-    "sinh": cmath.sinh,
-    "cosh": cmath.cosh,
-    "sqrt": cmath.sqrt,
-}
 
 
 class Expr:
@@ -358,7 +350,7 @@ def expprim(child: Expr, sign: int) -> Expr:
 def func(name: str, child: Expr) -> Expr:
     if _is_const(child):
         try:
-            folded = _FUNC_EVAL[name](child.value)
+            folded = getattr(cmath, name)(child.value)
         except (OverflowError, ValueError):
             return FuncCall(name, child)
         if cmath.isfinite(folded):
@@ -552,19 +544,14 @@ def _table_derivative(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 # printer
 # ---------------------------------------------------------------------
 
-def _fmt_real(v: float) -> str:
-    s = format(v, ".17g")
-    return s
-
-
 def _fmt_const(c: complex) -> str:
     if c.imag == 0:
-        return _fmt_real(c.real)
+        return f"{c.real:.17g}"
     if c.real == 0:
         if c.imag == 1:
             return "i"
-        return f"({_fmt_real(c.imag)}*i)"
-    return f"({_fmt_real(c.real)} + {_fmt_real(c.imag)}*i)"
+        return f"({c.imag:.17g}*i)"
+    return f"({c.real:.17g} + {c.imag:.17g}*i)"
 
 
 _PREC = {"add": 1, "mul": 2, "pow": 3, "atom": 4}

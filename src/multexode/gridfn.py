@@ -33,10 +33,6 @@ class Interval:
         if not self.lo < self.hi:
             raise ValueError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def intersect(self, other: "Interval") -> "Interval":
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)

@@ -10,17 +10,17 @@ table or ``sqrt`` enters; the recursion never builds a GridFn.
 Rows live by use count.  Expressions are interned when they are built, so
 structurally equal nodes are one object already; :meth:`LowerContext.plan`
 does no interning and only counts, on the nodes themselves, how many times
-each node's row will be read: once per root read and once per distinct
-parent still to be computed.  Lowering then computes every node exactly
-once, depth first, keeps its row in the memo while reads of it remain and
-drops it after the last one.  The recurrence pass of a trig family keeps
+each node's row will be read: once per root, a read that is never taken,
+and once per distinct parent still to be computed.  Lowering then computes
+every node exactly once, depth first, keeps its row in the memo while reads
+of it remain and drops it after the last one, so a root's row stays for
+every later call on the context.  The recurrence pass of a trig family keeps
 every planned index of it at once, so the family costs a single pass, and an
 index nobody reads is not kept.
 The public :func:`lower` is the GridFn edge and wraps the memo's row without
-a copy.  A call for a planned root is one of its root reads; any other call,
-a node inside a planned root included, plans the node, with every index of
-its family, by a read that stays open, so later calls on the context share
-the row and no read a parent was planned for is taken.
+a copy.  It plans a node nobody has planned yet as a root, with every index
+of its family; a node already planned, a root or one inside a root, is
+lowered as it is, so no read a parent was planned for is taken.
 
 There is one division policy, with the one floor DIV_FLOOR.  A divisor whose
 magnitude at 0 is not above the floor is DivisorTooSmall.  Otherwise the
@@ -70,12 +70,12 @@ def _reads(e: ce.Expr) -> tuple:
 class LowerContext:
     """Shared state for one solve: grid, tolerances, read counts, memo.
 
-    ``uses`` counts the reads of each planned node still to come,
-    ``root_reads`` those of them that are :func:`lower` calls for a planned
-    root, and ``memo`` holds the node's row while its count is above zero;
-    all are keyed by the (interned) node and are empty once every planned
-    read is made.  Plan the roots with :meth:`plan` before lowering them.
-    A context is cheap; make a fresh one per solve.
+    ``uses`` counts the reads of each planned node still to come and
+    ``memo`` holds the node's row while its count is above zero; both are
+    keyed by the (interned) node.  A root keeps one read, so once every
+    other planned read is made they hold exactly the roots.  Plan roots that
+    share nodes together with :meth:`plan` before lowering them.  A context
+    is cheap; make a fresh one per solve.
     """
 
     def __init__(self, grid: Grid, series_tol: float = DEFAULT_TOL):
@@ -84,24 +84,15 @@ class LowerContext:
         self.validity = grid.interval
         self.memo: dict = {}
         self.uses: dict = {}
-        self.root_reads: dict = {}
         self.trig_diagnostics: dict = {}
 
     def plan(self, roots) -> None:
-        """Count the reads that lowering ``roots`` will make: one per root
-        and one per distinct parent still to be computed.  A node counted
-        already gets one more read and its children none, since it is
-        computed once.  Nodes are interned, so the counts are keyed by the
-        nodes themselves.  The read per root is the one a :func:`lower` call
-        for it makes.  Plan before the roots are lowered; counts of several
-        calls add up."""
-        roots = list(roots)
-        for root in roots:
-            self.root_reads[root] = self.root_reads.get(root, 0) + 1
-        self._count(roots)
-
-    def _count(self, roots) -> None:
-        """Add the reads of ``roots`` and their subtrees to ``uses``."""
+        """Count the reads that lowering ``roots`` will make: one per root,
+        which is never taken, and one per distinct parent still to be
+        computed.  A node counted already gets one more read and its
+        children none, since it is computed once.  Nodes are interned, so
+        the counts are keyed by the nodes themselves.  Plan before the roots
+        are lowered; counts of several calls add up."""
         uses = self.uses
         stack = list(roots)
         while stack:
@@ -112,26 +103,17 @@ class LowerContext:
                 stack.extend(_reads(node))
 
     def _keep(self, node: ce.Expr, row: np.ndarray) -> None:
-        """Store a computed row; its reads of its children are done."""
+        """Store a computed row; its reads of its children are done, so drop
+        the rows read for the last time."""
         self.memo[node] = row
-        self._release(_reads(node))
-
-    def _release(self, nodes) -> None:
-        """One read of each node is done; drop the rows read for the last time."""
         uses, memo = self.uses, self.memo
-        for node in nodes:
-            left = uses[node] - 1
+        for child in _reads(node):
+            left = uses[child] - 1
             if left:
-                uses[node] = left
+                uses[child] = left
             else:
-                del uses[node]
-                del memo[node]
-
-    def shrink_validity(self, interval: Interval):
-        try:
-            self.validity = self.validity.intersect(interval)
-        except ValueError:
-            raise ValidityCollapsed("validity interval became empty") from None
+                del uses[child]
+                del memo[child]
 
     def final_validity(self) -> Interval:
         """The validity interval with one more grid cell off every side a
@@ -162,7 +144,10 @@ def _guarded_reciprocal(ctx: LowerContext, den: np.ndarray, power: int) -> np.nd
     mag0 = float(abs(den[ctx.grid.zero_index]))
     if mag0 <= DIV_FLOOR:
         raise DivisorTooSmall(0.0, mag0, DIV_FLOOR)
-    ctx.shrink_validity(zero_free_interval(den, ctx.grid, DIV_FLOOR))
+    try:
+        ctx.validity = ctx.validity.intersect(zero_free_interval(den, ctx.grid, DIV_FLOOR))
+    except ValueError:
+        raise ValidityCollapsed("validity interval became empty") from None
     # the validity interval lies inside the zero-free run of den
     keep = ctx.grid.mask(ctx.validity)
     out = np.zeros_like(den)
@@ -174,25 +159,19 @@ def lower(e: ce.Expr, ctx: LowerContext) -> GridFn:
     """Evaluate an expression on the context's grid.
 
     This is the GridFn edge of lowering: the result wraps the memo's
-    read-only array without a copy.  A call for a planned root is one of
-    its root reads; any other node is planned here, with every index of
-    its family, by a read that stays open.  A division may shrink
-    ``ctx.validity`` and zero the result outside it, so read
-    ``ctx.validity`` before trusting a node.  Floating-point overflow is
-    silenced here, once for the whole recursion, because every node is
-    checked.
+    read-only array without a copy.  A node not planned yet is planned here
+    as a root, with every index of its family, so later calls on the
+    context share its row; a planned node is lowered as planned.  A
+    division may shrink ``ctx.validity`` and zero the result outside it,
+    so read ``ctx.validity`` before trusting a node.  Floating-point
+    overflow is silenced here, once for the whole recursion, because every
+    node is checked.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        planned = ctx.root_reads.pop(e, 0)
-        if planned > 1:
-            ctx.root_reads[e] = planned - 1
-        elif not planned:
+        if e not in ctx.uses:
             family = range(1, e.n + 1) if isinstance(e, ce.TrigNode) else ()
-            ctx._count([e, *(ce.TrigNode(e.fs, j) for j in family if j != e.j)])
-        row = _values(e, ctx)
-        if planned:
-            ctx._release((e,))
-        return GridFn._wrap(ctx.grid, row)
+            ctx.plan([e, *(ce.TrigNode(e.fs, j) for j in family if j != e.j)])
+        return GridFn._wrap(ctx.grid, _values(e, ctx))
 
 
 def _values(e: ce.Expr, ctx: LowerContext) -> np.ndarray:

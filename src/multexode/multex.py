@@ -144,6 +144,9 @@ def trig_family(fs, tol: float = DEFAULT_TOL, stack: int = 1):
     With ``stack = n`` the pass instead carries all n right rotations of the
     inputs at once and returns, at position (k-2) mod n, index (k-2) mod n + 1
     of the inputs rotated k-1 steps: the n basis members of an auxiliary
-    chain.  The diagnostics are the whole stack's."""
+    chain.  The diagnostics are the whole stack's; any other ``stack`` is a
+    ValueError."""
+    if stack not in (1, len(fs)):
+        raise ValueError(f"stack must be 1 or the number of inputs {len(fs)}, got {stack}")
     return _series(fs, tol, len(fs), stack)
 

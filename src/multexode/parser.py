@@ -32,6 +32,7 @@ from .coeffexpr import (
     Var,
     FUNC_NAMES,
     _is_const,
+    intpow,
 )
 from .errors import ExpressionSyntaxError
 
@@ -117,8 +118,6 @@ class _Parser:
         if self.peek() == "^":
             self.pos += 1
             k = self.intlit()
-            from .coeffexpr import intpow
-
             if _is_const(e):
                 return intpow(e, k)
             return IntPow(e, k)

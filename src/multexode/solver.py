@@ -101,8 +101,8 @@ def _chain_size(chain: AuxChain) -> int:
     return size
 
 
-def _assemble(eq: CoeffVector | AuxChain, ctx: LowerContext) -> BasisSet:
-    """Build and lower the chain of ``eq`` on the fresh context and rotate it
+def _assemble(eq: CoeffVector | AuxChain, grid: Grid, tol: float) -> BasisSet:
+    """Build and lower the chain of ``eq`` on a fresh context and rotate it
     through the trig operators: one stacked pass over the lowered rows gives
     every member.  ``eq`` is the coefficients of a general equation, whose
     chain is built here, or a preset's hand-built chain.
@@ -112,19 +112,19 @@ def _assemble(eq: CoeffVector | AuxChain, ctx: LowerContext) -> BasisSet:
     first, within ``_LOWERED_BUDGET`` bytes, so a repeat solve builds and
     lowers nothing.  A larger entry and a build or lowering that raises are
     not kept; ``_LOWERED.clear()`` frees every kept entry."""
-    key = (eq, ctx.grid, ctx.series_tol)
+    key = (eq, grid, tol)
     if key in _LOWERED:
         _LOWERED.move_to_end(key)
         chain, rows, aux_diags, validity = _LOWERED[key][0]
     else:
         chain = eq if isinstance(eq, AuxChain) else build_aux_chain(eq)
-        rows, aux_diags, validity = lower_chain(chain, ctx)
+        rows, aux_diags, validity = lower_chain(chain, LowerContext(grid, series_tol=tol))
         size = sum(r.values.nbytes for r in rows) + 350 * _chain_size(chain)
         if size <= _LOWERED_BUDGET:
             _LOWERED[key] = ((chain, rows, aux_diags, validity), size)
             while sum(s for _, s in _LOWERED.values()) > _LOWERED_BUDGET:
                 _LOWERED.popitem(last=False)
-    family, diag = trig_family(rows, ctx.series_tol, stack=chain.n)
+    family, diag = trig_family(rows, tol, stack=chain.n)
     # position (k-2) mod n holds member k
     members = tuple(_member(family[(k - 2) % chain.n], validity) for k in range(1, chain.n + 1))
     # each caller gets its own dict, so editing it leaves the kept one alone
@@ -140,12 +140,10 @@ def basis(a: CoeffVector, grid: Grid, tol: float = DEFAULT_TOL) -> BasisSet:
     n = a.n
     if n == 1:
         ctx = LowerContext(grid, series_tol=tol)
-        expr = ce.expprim(a.a(1), 1)
-        ctx.plan([expr])
-        row = lower(expr, ctx)  # a dividing coefficient shrinks ctx.validity here
+        row = lower(ce.expprim(a.a(1), 1), ctx)  # a dividing coefficient shrinks ctx.validity here
         validity = ctx.final_validity()
         return BasisSet(1, a, (_member(row, validity),), validity, (None,), None, None)
-    return _assemble(a, LowerContext(grid, series_tol=tol))
+    return _assemble(a, grid, tol)
 
 
 def solve_ivp(problem: IVProblem, grid: Grid, tol: float = DEFAULT_TOL):
@@ -198,4 +196,4 @@ def preset_orr_sommerfeld(a2, a4, grid: Grid, tol: float = DEFAULT_TOL) -> Basis
         ce.ONE,
     )
     a = CoeffVector((Const(-1), Const(0), a2, Const(0), a4))
-    return _assemble(AuxChain(4, a, phi), LowerContext(grid, series_tol=tol))
+    return _assemble(AuxChain(4, a, phi), grid, tol)

@@ -158,7 +158,7 @@ def rotation_members(bs, tol=DEFAULT_TOL) -> SimpleNamespace:
     return SimpleNamespace(rows=rows, validity=validity)
 
 
-def initial_condition_matrix(bs, numeric_diff: bool = False) -> np.ndarray:
+def initial_condition_matrix(bs) -> np.ndarray:
     """Matrix of j-1-st derivatives of each member at 0; identity when the
     basis is healthy.  Lowers the member expressions and their symbolic
     derivatives on a context of their own and reads the anchor node."""
@@ -168,18 +168,18 @@ def initial_condition_matrix(bs, numeric_diff: bool = False) -> np.ndarray:
     for k, d in enumerate(member_exprs(bs), start=1):
         out[0, k - 1] = lower(d, ctx).at_zero()
         for j in range(2, n + 1):
-            d = ce.simplify(ce.differentiate(d, numeric_diff))
+            d = ce.simplify(ce.differentiate(d))
             out[j - 1, k - 1] = lower(d, ctx).at_zero()
     return out
 
 
-def ode_residual(bs, k: int, numeric_diff: bool = False) -> GridFn:
+def ode_residual(bs, k: int) -> GridFn:
     """Residual of member k in the original equation, via symbolic
     derivatives of its expression, lowered on a context of its own."""
     n = bs.n
     derivs = [member_exprs(bs)[k - 1]]
     for _ in range(n):
-        derivs.append(ce.simplify(ce.differentiate(derivs[-1], numeric_diff)))
+        derivs.append(ce.simplify(ce.differentiate(derivs[-1])))
     res = derivs[n]
     for j in range(1, n + 1):
         res = ce.sub(res, ce.mul(bs.a.a(j), derivs[n - j]))

@@ -27,6 +27,20 @@ def test_every_module_level_import_is_used(path):
     assert sorted(imported - used) == []
 
 
+@pytest.mark.parametrize("path", sorted(Path(multexode.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    # an import in a function body hides a dependency from the module head
+    tree = ast.parse(path.read_text())
+    inner = [
+        f"{fn.name}:{node.lineno}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert inner == []
+
+
 def test_all_names_resolve_to_public_objects():
     names = multexode.__all__
     assert len(names) == len(set(names))

@@ -11,6 +11,7 @@ from multexode import (
     Grid,
     LowerContext,
     Overflow,
+    ValidityCollapsed,
     lower,
     parse,
 )
@@ -39,6 +40,11 @@ class TestMaskedPolicy:
 
     def test_validity_shrinks_and_outside_is_zeroed(self):
         self._check_cut_and_zeroed(div(ONE, parse("x - 0.5")), 0.5, lambda x: 1.0 / (x - 0.5))
+
+    def test_cuts_on_both_sides_that_leave_no_interval_collapse(self):
+        # the poles at -0.005 and 0.005 sit inside one grid cell around 0
+        with pytest.raises(ValidityCollapsed, match="became empty"):
+            lower(parse("1/(x+0.005) + 1/(x-0.005)"), LowerContext(Grid(-1, 1, 200)))
 
     def test_negative_power_validity_shrinks(self):
         self._check_cut_and_zeroed(intpow(parse("x - 0.25"), -2), 0.25, lambda x: (x - 0.25) ** -2.0)

@@ -123,6 +123,13 @@ class TestMultexE:
 
 
 class TestTrig:
+    @pytest.mark.parametrize("stack", [0, 2, 5])
+    def test_stack_is_one_or_the_number_of_inputs(self, grid200, stack):
+        # 0 used to divide by zero, and 2 or 5 on three inputs summed
+        # neither the family nor the rotations
+        with pytest.raises(ValueError, match="stack"):
+            trig_family([const_fn(grid200, 0.5)] * 3, stack=stack)
+
     def test_kronecker_values_at_zero_exact(self, grid200, rng):
         fs = [smooth_gridfn(grid200, rng, complex_part=True) for _ in range(3)]
         fam, _ = trig_family(fs)

@@ -251,18 +251,19 @@ ORDER5 = IVProblem(5, SMOOTH, (1, 0, 0.5, -0.2, 0.3))
 
 class TestLoweringMemo:
     @pytest.mark.parametrize(
-        "make",
+        "make, roots",
         [
-            lambda g: solve_ivp(ORDER5, g)[1],
-            lambda g: basis(CoeffVector.from_rhs(("1/(x-0.5)",)), g),
-            lambda g: basis(CoeffVector.from_rhs(("x/4", "cos(x)", "x/2")), g),
-            lambda g: preset_orr_sommerfeld("cos(x)/2", "x/2", g),
-            lambda g: preset_schrodinger("2 + sin(x)", 1.0, g),
+            (lambda g: solve_ivp(ORDER5, g)[1], 5),
+            (lambda g: basis(CoeffVector.from_rhs(("1/(x-0.5)",)), g), 1),
+            (lambda g: basis(CoeffVector.from_rhs(("x/4", "cos(x)", "x/2")), g), 3),
+            (lambda g: preset_orr_sommerfeld("cos(x)/2", "x/2", g), 4),
+            (lambda g: preset_schrodinger("2 + sin(x)", 1.0, g), 2),
         ],
         ids=["solve_ivp", "basis_order1", "basis", "orr", "schrodinger"],
     )
-    def test_memo_is_empty_after_a_solve(self, grid2000, make, monkeypatch):
-        # every row is dropped after its last planned read; the solve's
+    def test_memo_is_empty_after_a_solve(self, grid2000, make, roots, monkeypatch):
+        # every row but the roots' is dropped after its last planned read,
+        # and each root keeps the one read that is never taken; the solve's
         # context is the last one made (the Schrödinger probe's comes first)
         contexts = []
 
@@ -271,13 +272,15 @@ class TestLoweringMemo:
             return contexts[-1]
 
         monkeypatch.setattr(importlib.import_module("multexode.solver"), "LowerContext", recording)
-        make(grid2000)
-        assert contexts[-1].memo == {} and contexts[-1].uses == {} and contexts[-1].root_reads == {}
+        bs = make(grid2000)
+        kept = bs.chain.phi if bs.chain else (expprim(bs.a.a(1), 1),)
+        assert len(set(kept)) == roots
+        assert contexts[-1].uses == dict.fromkeys(kept, 1) and contexts[-1].memo.keys() == set(kept)
 
     @pytest.mark.parametrize("case", ["expression", "chain"])
     def test_a_call_inside_a_planned_root_takes_none_of_its_reads(self, grid200, case):
-        # lowering a node that a planned root reads, before the root, is an
-        # unplanned call: the parent's read of it stays, and so do the rows
+        # lowering a node that a planned root reads, before the root, takes
+        # none of the parent's reads of it, so the rows it shares stay
         if case == "expression":
             child = parse("sin(x) + 2")
             inner, roots = [child], [mul(child, expprim(child, 1))]
@@ -293,7 +296,15 @@ class TestLoweringMemo:
             ref.plan([e])
             fresh.append(lower(e, ref).values)
         assert all(np.array_equal(a, b) for a, b in zip(got, fresh, strict=True))
-        assert ctx.root_reads == {}
+
+    def test_a_planned_root_lowered_twice_is_computed_once(self, grid200, monkeypatch):
+        root = mul(parse("sin(x) + 2"), expprim(parse("cos(x)"), 1))
+        ctx = LowerContext(grid200)
+        ctx.plan([root])
+        rows = lowered_rows(monkeypatch)
+        first, second = lower(root, ctx).values, lower(root, ctx).values
+        assert second is first and sum(row is first for row in rows) == 1
+        assert ctx.uses == {root: 1}
 
     def test_each_node_is_lowered_once(self, grid2000, monkeypatch):
         lower_module = importlib.import_module("multexode.lower")
