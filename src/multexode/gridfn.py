@@ -7,7 +7,8 @@ outward scan that finds the largest zero-free subinterval around 0.  The
 primitive sums outward from 0 on each side, so its value at a node never
 depends on samples beyond the node's stencil neighbour.  Sample rows keep
 their dtype, real until a complex value enters; all operations are pure and
-return new objects.
+return new objects, except the primitive given a work buffer, which
+integrates its input in place.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ class GridFn:
         return f"GridFn({self.grid!r}, sup={self.sup_norm():.3e})"
 
 
-def primitive_values(values: np.ndarray, grid: Grid) -> np.ndarray:
+def primitive_values(values: np.ndarray, grid: Grid, work: np.ndarray | None = None) -> np.ndarray:
     """Anchored cumulative integral along the last axis of a sample array.
 
     Each grid cell is integrated with the order-4 cubic rule (centered
@@ -208,27 +209,38 @@ def primitive_values(values: np.ndarray, grid: Grid) -> np.ndarray:
     outward from the zero node on each side: a node's value reads only the
     samples between it and 0 and its stencil neighbour.  Samples are scaled
     by h/24 first, so no weight overflows before the integral does.  The
-    result keeps the input's dtype.
+    result keeps the input's dtype, and every stacked row is bit-identical
+    to integrating it alone.
+
+    Without ``work`` the input may have any layout and is left as it is.
+    Given ``work``, a C-contiguous array like the input, the result
+    overwrites ``values`` (C-contiguous and writable) and is returned.
     """
-    t = np.asarray(values) * (grid.h / 24.0)
-    out = np.empty_like(t)
+    if work is None:
+        t = np.multiply(values, grid.h / 24.0, order="C")
+        work = np.empty_like(t)
+    else:
+        t = np.multiply(values, grid.h / 24.0, out=values)
     z, n = grid.zero_index, grid.n
-    # cell k joins nodes k and k+1; its integral is written at node k left of
-    # 0 and at node k+1 right of 0, so each side is one in-place accumulation
-    for lo, hi, at in ((1, z, 0), (z, n - 1, 1)):
-        w = out[..., lo + at : hi + at]
-        np.add(t[..., lo:hi], t[..., lo + 1 : hi + 1], out=w)
-        w *= 13.0
-        w -= t[..., lo - 1 : hi - 1]
-        w -= t[..., lo + 2 : hi + 2]
-    out[..., 0] = 9.0 * t[..., 0] + 19.0 * t[..., 1] - 5.0 * t[..., 2] + t[..., 3]
-    out[..., n] = t[..., -4] - 5.0 * t[..., -3] + 19.0 * t[..., -2] + 9.0 * t[..., -1]
-    out[..., z] = 0.0
-    right = out[..., z:]
-    right.cumsum(axis=-1, out=right)  # the method skips np.cumsum's Python wrapper
-    # leftward from 0 the integral is 0 - w[z-1] - w[z-2] - ...
-    np.subtract.accumulate(out[..., z::-1], axis=-1, out=out[..., z::-1])
-    return out
+    # cell k joins nodes k and k+1 and goes to index k of work.  One pass over
+    # the flattened rows takes every interior cell; the cells that straddle a
+    # row seam are the boundary cells 0 and n-1, written next.
+    flat, size = t.reshape(-1), t.size
+    w = work.reshape(-1)[1 : size - 2]
+    np.add(flat[1 : size - 2], flat[2 : size - 1], out=w)
+    w *= 13.0
+    w -= flat[: size - 3]
+    w -= flat[3:]
+    work[..., 0] = 9.0 * t[..., 0] + 19.0 * t[..., 1] - 5.0 * t[..., 2] + t[..., 3]
+    work[..., n - 1] = t[..., -4] - 5.0 * t[..., -3] + 19.0 * t[..., -2] + 9.0 * t[..., -1]
+    # rightward from 0 the integral at node k+1 is 0 + w[z] + ... + w[k], and
+    # adding 0 to w[z] keeps that explicit zero's sign rule
+    work[..., z] += 0.0
+    work[..., z:n].cumsum(axis=-1, out=t[..., z + 1 :])  # the method skips np.cumsum's Python wrapper
+    # leftward from 0 it is 0 - w[z-1] - w[z-2] - ...
+    work[..., z] = 0.0
+    np.subtract.accumulate(work[..., z::-1], axis=-1, out=t[..., z::-1])
+    return t
 
 
 def check_finite(values: np.ndarray, grid: Grid) -> None:

@@ -10,10 +10,10 @@ mod n (dimension 0 belongs to class n, so the operator family at x = 0 is a
 Kronecker delta in j).
 
 Both sums come from one loop over plain sample rows, which can also carry
-the rotations of the inputs side by side, one primitive per step for the
-whole stack; each class sum is a row of its own, wrapped as GridFn without
-a copy.  A term that is not finite raises
-Overflow at its first non-finite node.
+the rotations of the inputs side by side, one multiply and one primitive per
+step for the whole stack; each class sum is a row of its own, wrapped as
+GridFn without a copy.  A term that is not finite raises Overflow at its
+first non-finite node.
 """
 
 from __future__ import annotations
@@ -84,9 +84,13 @@ def _series(fs, tol, classes, stack=1):
     (m-1) mod classes; with stack = classes = n, class (k-2) mod n is index
     (k-2) mod n + 1 of the inputs rotated k-1 steps to the right.
 
+    The pass runs on two buffers: each step multiplies the whole stack by
+    one slice of the inputs laid out twice and integrates it in place.
     Terms are taken one full cycle of classes at a time, so every class
     receives its next contribution before the stopping test, which compares
     the largest term of the last cycle, over the whole stack, against tol.
+    Each term's moduli are bounded from below by max(|re|, |im|); the rows'
+    exact moduli are taken only when that bound could end the series.
     The budget MAX_TERMS is checked once per cycle, so a family of n inputs
     may take up to MAX_TERMS + n - 1 terms.  If the budget runs out with that
     term still more than 1e3 * tol, the series is considered divergent at
@@ -96,27 +100,39 @@ def _series(fs, tol, classes, stack=1):
     if not tol > 0:
         raise ValueError("tol must be positive")
     grid, rows = _input_rows(fs)
-    dtype = np.result_type(*rows)  # real inputs keep the sums real
+    n = len(rows)
+    # the inputs laid out twice, so the inputs of all particles at one step
+    # are one slice; real inputs keep the sums real
+    inputs = np.stack((rows + rows)[: n + stack - 1])
+    dtype = inputs.dtype
     sums = [np.zeros(grid.n + 1, dtype=dtype) for _ in range(classes)]
     sums[-1] += 1.0  # dimension 0 belongs to the last class
     s = np.ones((stack, grid.n + 1), dtype=dtype)
+    work = np.empty_like(s)
+    parts = s.view(s.real.dtype)  # real and imaginary parts side by side
     m = 0
     last = math.inf
     converged = False
     with np.errstate(over="ignore", invalid="ignore"):
         while m < MAX_TERMS:
             last = 0.0
+            final = m + classes >= MAX_TERMS
             for c in range(classes):
                 m += 1
-                for i, term in enumerate(s):  # in place, the input as first operand
-                    np.multiply(rows[(i + m - 1) % len(rows)], term, out=term)
-                s = primitive_values(s, grid)
-                for term in s:
-                    mags = np.abs(term)
+                o = (m - 1) % n
+                np.multiply(inputs[o : o + stack], s, out=s)  # in place, the input as first operand
+                s = primitive_values(s, grid, work)
+                # max(|re|, |im|) bounds every modulus from below and, while
+                # twice it is finite, keeps them finite: above tol the cycle
+                # goes on, and only a cycle that can end needs the moduli
+                norm = max(float(parts.max()), -float(parts.min()))
+                if norm <= tol or final or not math.isfinite(2.0 * norm):
+                    mags = np.abs(s)
                     norm = float(mags.max())  # the method skips np.max's Python wrapper
                     if not math.isfinite(norm):
-                        check_finite(mags, grid)  # Overflow at the term's first bad node
-                    last = max(last, norm)
+                        for row in mags:  # Overflow at the first bad node of the first bad row
+                            check_finite(row, grid)
+                last = max(last, norm)
                 sums[c] += s[-m % stack]
             if last <= tol:
                 converged = True

@@ -200,7 +200,9 @@ def rk4(m: MatrixFn, steps: int) -> np.ndarray:
         starts = bounds[:-1, None] + (np.diff(bounds) / sub)[:, None] * np.arange(sub)
         ts = np.concatenate((starts.ravel(), bounds[-1:]))
         mids = (ts[:-1] + ts[1:]) / 2.0
-        a_nodes = np.moveaxis(_lagrange4(grid.nodes, m.data, ts), -1, 0)    # (steps+1, n, n)
+        # with one substep per cell the step ends are nodes: read the samples
+        ends = m.data[..., [z] + indices] if sub == 1 else _lagrange4(grid.nodes, m.data, ts)
+        a_nodes = np.moveaxis(ends, -1, 0)                                   # (steps+1, n, n)
         a_mids = np.moveaxis(_lagrange4(grid.nodes, m.data, mids), -1, 0)   # (steps, n, n)
         a0, a1 = a_nodes[:-1], a_nodes[1:]
         d = (ts[1:] - ts[:-1])[:, None, None]

@@ -1,6 +1,7 @@
 """The references the tests compare the package against: alternative
 definitions and hard-coded forms that no solver path uses."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from multexode import (
     GridFn,
     LowerContext,
     MatrixFn,
+    NotConverged,
     Sampled,
     TrigNode,
     lower,
@@ -21,7 +23,7 @@ from multexode import (
 )
 from multexode import coeffexpr as ce
 from multexode.gridfn import check_finite, linear_combination, primitive_values
-from multexode.multex import DEFAULT_TOL
+from multexode.multex import DEFAULT_TOL, MAX_TERMS, SeriesDiagnostics
 
 
 def const_fn(grid, c) -> GridFn:
@@ -60,6 +62,39 @@ def simplicial(fs, j: int) -> GridFn:
             s = primitive_values(fs[m % len(fs)].values * s, grid)
     check_finite(s, grid)
     return GridFn(grid, s)
+
+
+def series_by_row_norms(fs, tol, classes, stack=1):
+    """The class sums and diagnostics of multex._series with its stopping
+    test taken the plain way: the exact modulus of every row of every term,
+    Overflow at the first non-finite node of the first bad row.  Raises what
+    the series raises, with the same message."""
+    grid = fs[0].grid
+    rows = [f.values for f in fs]
+    sums = [np.zeros(grid.n + 1, dtype=np.result_type(*rows)) for _ in range(classes)]
+    sums[-1] += 1.0
+    s = np.ones((stack, grid.n + 1), dtype=sums[0].dtype)
+    m, last, converged = 0, math.inf, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        while m < MAX_TERMS and not converged:
+            last = 0.0
+            for c in range(classes):
+                m += 1
+                s = primitive_values(np.stack([rows[(i + m - 1) % len(rows)] * t for i, t in enumerate(s)]), grid)
+                for term in s:
+                    mags = np.abs(term)
+                    if not math.isfinite(mags.max()):
+                        check_finite(mags, grid)
+                    last = max(last, float(mags.max()))
+                sums[c] += s[-m % stack]
+            converged = last <= tol
+    for v in sums:
+        check_finite(v, grid)
+    diag = SeriesDiagnostics(m, last, converged)
+    if not converged and last > 1e3 * tol:
+        name = "multex" if classes == 1 else "trig"
+        raise NotConverged(f"{name} series still at {last:.3e} after {m} terms (tol {tol:.1e})", diag)
+    return sums, diag
 
 
 def sign_table(n: int) -> np.ndarray:

@@ -167,6 +167,61 @@ class TestPrimitive:
         assert s.sup_norm() == pytest.approx(1.6e308, rel=1e-12)
 
 
+GRIDS = [Grid(-1, 1, 2000), Grid(-0.1, 1.9, 2000), Grid(-1.99, 0.01, 2000), Grid(-1, 1, 16)]
+
+
+def random_block(rng, shape, dtype):
+    block = rng.standard_normal(shape)
+    return block + 1j * rng.standard_normal(shape) if dtype is complex else block
+
+
+class TestPrimitiveKernel:
+    """Every row of a block is integrated bit for bit as it is alone,
+    whatever the block's shape and layout, with or without a work buffer."""
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=repr)
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stacked_rows_equal_single_rows(self, grid, rows, dtype, rng):
+        block = random_block(rng, (rows, grid.n + 1), dtype)
+        p = primitive_values(block, grid)
+        assert [r.tobytes() for r in p] == [primitive_values(r, grid).tobytes() for r in block]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=repr)
+    def test_matrix_block(self, grid, rng):
+        block = random_block(rng, (3, 3, grid.n + 1), complex)
+        p = primitive_values(block, grid)
+        for i in range(3):
+            for k in range(3):
+                assert p[i, k].tobytes() == primitive_values(block[i, k], grid).tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_any_layout(self, grid2000, dtype, rng):
+        n = grid2000.n + 1
+        transposed = random_block(rng, (n, 3), dtype).T
+        strided = random_block(rng, (3, 2 * n), dtype)[:, ::2]
+        for v in (transposed, strided, strided[1]):
+            assert not v.flags.c_contiguous
+            p = primitive_values(v, grid2000)
+            assert p.tobytes() == primitive_values(np.ascontiguousarray(v), grid2000).tobytes()
+
+    def test_sums_start_from_a_positive_zero(self, grid200):
+        # the cell right of 0 integrates to -0 here, and 0 + (-0) is +0
+        z = grid200.zero_index
+        v = np.zeros(grid200.n + 1)
+        v[z : z + 2] = -0.0
+        assert not np.signbit(primitive_values(np.stack([v, v]), grid200)).any()
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=repr)
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_work_buffer_form(self, grid, dtype, rng):
+        block = random_block(rng, (3, grid.n + 1), dtype)
+        values = block.copy()
+        out = primitive_values(values, grid, np.empty_like(values))
+        assert out is values
+        assert out.tobytes() == primitive_values(block, grid).tobytes()
+
+
 class TestAlgebra:
     def test_rejects_non_finite_samples(self, grid200):
         vals = np.ones(grid200.n + 1)

@@ -48,13 +48,18 @@ def test_all_names_resolve_to_public_objects():
     assert [n for n in names if isinstance(getattr(multexode, n), ModuleType)] == []
 
 
-def test_benchmark_tracer_installs_on_the_package():
-    # perfbench/tracing.py wraps named module bindings and raises when one is
-    # gone; a refactor that drops one would otherwise break only the traced run
+def load_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_installs_on_the_package():
+    # perfbench/tracing.py wraps named module bindings and raises when one is
+    # gone; a refactor that drops one would otherwise break only the traced run
+    tracing = load_tracing()
     lower_module = sys.modules["multexode.lower"]
     public_lower = lower_module.lower
     tracer = tracing.Tracer()
@@ -73,3 +78,17 @@ def test_benchmark_tracer_installs_on_the_package():
     # public lower, and the GridFn that linear_combination builds
     assert tracer.lower_hits > 0 and tracer.calls["gridfn_init"] > 0
     assert sys.modules["multexode.auxiliary"].lower is public_lower
+
+
+def test_series_calls_the_traced_primitive_once_per_term():
+    # the tracer's gridfn.primitive_calls and multex.series_terms count the
+    # same terms only while the series calls the module binding per term
+    grid = multexode.Grid(-1, 1, 200)
+    fs = [multexode.GridFn(grid, 0.5 + k * grid.nodes) for k in range(3)]
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        _, diag = multexode.trig_family(fs, stack=3)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["primitive"] == tracer.series_terms == diag.terms_used > 3

@@ -4,15 +4,28 @@ import pytest
 from multexode import (
     Grid,
     GridFn,
+    LowerContext,
     NotConverged,
     Overflow,
+    lower,
     multex_e,
+    parse,
     trig_family,
 )
-from multexode.multex import MAX_TERMS
+from multexode.multex import DEFAULT_TOL, MAX_TERMS
 
 from conftest import smooth_gridfn
-from crosschecks import const_fn, exp_primitive, from_callable, primitive, sign_table, simplicial, trig_equiv_check, var_fn
+from crosschecks import (
+    const_fn,
+    exp_primitive,
+    from_callable,
+    primitive,
+    series_by_row_norms,
+    sign_table,
+    simplicial,
+    trig_equiv_check,
+    var_fn,
+)
 
 
 def brute_simplex_2d(f1, f2, x, m=2000):
@@ -217,3 +230,52 @@ class TestSignTable:
         f = smooth_gridfn(grid200, rng, complex_part=True)
         with pytest.raises(ValueError):
             trig_equiv_check((f,))
+
+
+class TestStoppingBound:
+    """The series takes a term's exact moduli only when its bound
+    max(|re|, |im|) could end the series; every outcome is the one of the
+    plain test on every row's modulus."""
+
+    def test_converging_complex_stack(self, grid2000, rng):
+        fs = [smooth_gridfn(grid2000, rng, scale=1.5, complex_part=True) for _ in range(4)]
+        family, diag = trig_family(fs, stack=4)
+        sums, expected = series_by_row_norms(fs, DEFAULT_TOL, 4, stack=4)
+        assert diag == expected and diag.converged
+        assert [f.values.tobytes() for f in family] == [v.tobytes() for v in sums]
+
+    def test_real_family(self, grid2000):
+        ctx = LowerContext(grid2000)
+        fs = [lower(parse(text), ctx) for text in ("-1+0.2*sin(x)", "0.3*x", "0.5*cos(x)")]
+        assert all(f.values.dtype == np.float64 for f in fs)
+        family, diag = trig_family(fs)
+        sums, expected = series_by_row_norms(fs, DEFAULT_TOL, 3)
+        assert diag == expected and diag.converged
+        assert [f.values.tobytes() for f in family] == [v.tobytes() for v in sums]
+
+    def test_budget_reached_near_tolerance(self, grid200):
+        # every term of the last cycle before MAX_TERMS is measured exactly;
+        # a complex rate keeps the bound of a term below its modulus
+        fs = [const_fn(grid200, 70.5 * np.exp(0.6j))]
+        _, diag = multex_e(fs, tol=1e-9)
+        assert diag == series_by_row_norms(fs, 1e-9, 1)[1] and not diag.converged
+
+    def test_not_converged(self, grid200):
+        fs = [const_fn(grid200, 100.0)]
+        with pytest.raises(NotConverged) as got:
+            multex_e(fs)
+        with pytest.raises(NotConverged) as expected:
+            series_by_row_norms(fs, DEFAULT_TOL, 1)
+        assert str(got.value) == str(expected.value)
+        assert got.value.diagnostics == expected.value.diagnostics
+
+    def test_overflow(self, grid200):
+        # term 3 of the first particle overflows right of 0.5, of the second
+        # left of -0.5: the first particle's first bad node is reported
+        x = grid200.nodes
+        fs = [GridFn(grid200, 1.0 + 1e200 * (x > 0.5)), GridFn(grid200, 1.0 + 1e200 * (x < -0.5))]
+        with pytest.raises(Overflow) as got:
+            trig_family(fs, stack=2)
+        with pytest.raises(Overflow) as expected:
+            series_by_row_norms(fs, DEFAULT_TOL, 2, stack=2)
+        assert got.value.x == expected.value.x > 0.0

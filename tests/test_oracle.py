@@ -12,7 +12,7 @@ from multexode import (
 )
 from multexode import oracle
 from multexode.auxiliary import CoeffVector
-from multexode.gridfn import primitive_values
+from multexode.gridfn import _lagrange4, primitive_values
 from multexode.oracle import MAX_TERMS, _running_products
 
 from conftest import smooth_gridfn
@@ -281,6 +281,21 @@ class TestRk4:
         coarse, fine = node_error(200, 200), node_error(400, 400)
         assert 14.0 <= coarse / fine <= 18.0
         assert node_error(200, 600) < coarse
+
+    @pytest.mark.parametrize("grid", [Grid(-1, 1, 2000), Grid(-0.1, 1.9, 2000)], ids=repr)
+    @pytest.mark.parametrize("rhs", [("sin(x)", "x", "2"), ("0.1*x + 0.2*i", "-2+x", "0.3*i")])
+    def test_interpolation_at_the_nodes_returns_the_samples(self, grid, rhs):
+        # so one substep per cell reads its step ends off the samples
+        m = companion(CoeffVector.from_rhs(rhs), grid)
+        assert np.array_equal(_lagrange4(grid.nodes, m.data, grid.nodes), m.data)
+
+    @pytest.mark.parametrize("sub, calls", [(1, 2), (2, 4)])
+    def test_interpolates_only_between_nodes(self, grid200, monkeypatch, sub, calls):
+        # per side: the midpoints, and the step ends only off the nodes
+        seen = []
+        monkeypatch.setattr(oracle, "_lagrange4", lambda *a: seen.append(a) or _lagrange4(*a))
+        rk4(companion(CoeffVector.from_rhs(("sin(x)", "x", "2")), grid200), sub * grid200.n)
+        assert len(seen) == calls
 
     def test_requires_enough_steps(self, grid200):
         with pytest.raises(ValueError):
