@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import hashlib
+import operator
 import weakref
 
 import numpy as np
@@ -131,6 +132,17 @@ class Mul(_Binary):
 
 class Div(_Binary):
     __slots__ = ()
+
+
+# each binary operator's printed symbol, precedence and arithmetic: the
+# parser's levels and constant folding, the printer, simplify's fold and
+# lowering all read this one table
+BINARY = {
+    Add: (" + ", 1, operator.add),
+    Sub: (" - ", 1, operator.sub),
+    Mul: ("*", 2, operator.mul),
+    Div: ("/", 2, operator.truediv),
+}
 
 
 class IntPow(Expr):
@@ -414,22 +426,23 @@ def _simplify(e: Expr) -> Expr:
         return e
     if isinstance(e, (Add, Mul)):
         cls = type(e)
+        fold = BINARY[cls][2]
+        identity = complex(0) if cls is Add else complex(1)
         ops = [simplify(c) for c in _flatten(e, cls)]
-        cval = complex(0) if cls is Add else complex(1)
+        cval = identity
         rest = []
         for c in ops:
             if _is_const(c):
-                cval = cval + c.value if cls is Add else cval * c.value
+                cval = fold(cval, c.value)
             else:
                 rest.append(c)
         if cls is Mul and cval == 0:
             return ZERO
-        identity = 0 if cls is Add else 1
         out = None
         if cval != identity or not rest:
             out = Const(cval)
         for c in rest:
-            out = c if out is None else (Add(out, c) if cls is Add else Mul(out, c))
+            out = c if out is None else cls(out, c)
         return out
     if isinstance(e, Sub):
         return sub(simplify(e.a), simplify(e.b))
@@ -554,7 +567,7 @@ def _fmt_const(c: complex) -> str:
     return f"({c.real:.17g} + {c.imag:.17g}*i)"
 
 
-_PREC = {"add": 1, "mul": 2, "pow": 3, "atom": 4}
+_PREC = {"pow": 3, "atom": 4}  # above every binary operator's
 
 
 def _print(e: Expr) -> tuple[str, int]:
@@ -563,40 +576,23 @@ def _print(e: Expr) -> tuple[str, int]:
         return s, (_PREC["atom"] if not s.startswith("-") else _PREC["pow"])
     if isinstance(e, Var):
         return "x", _PREC["atom"]
-    if isinstance(e, Add):
-        sa, _ = _print(e.a)
+    if isinstance(e, Mul) and _is_const(e.a, -1):
         sb, pb = _print(e.b)
-        if pb <= _PREC["add"]:
+        # unary minus binds tighter than ^, so only atoms stay bare
+        if pb != _PREC["atom"]:
             sb = f"({sb})"
-        return f"{sa} + {sb}", _PREC["add"]
-    if isinstance(e, Sub):
-        sa, _ = _print(e.a)
-        sb, pb = _print(e.b)
-        if pb <= _PREC["add"]:
-            sb = f"({sb})"
-        return f"{sa} - {sb}", _PREC["add"]
-    if isinstance(e, Mul):
-        if _is_const(e.a, -1):
-            sb, pb = _print(e.b)
-            # unary minus binds tighter than ^, so only atoms stay bare
-            if pb != _PREC["atom"]:
-                sb = f"({sb})"
-            return f"-{sb}", _PREC["mul"]
+        return f"-{sb}", BINARY[Mul][1]
+    if isinstance(e, _Binary):
+        symbol, prec, _ = BINARY[type(e)]
         sa, pa = _print(e.a)
         sb, pb = _print(e.b)
-        if pa < _PREC["mul"]:
+        # left-associative: the left operand is bracketed below the
+        # operator's precedence, the right one at or below it
+        if pa < prec:
             sa = f"({sa})"
-        if pb <= _PREC["mul"] and not pb == _PREC["atom"]:
+        if pb <= prec:
             sb = f"({sb})"
-        return f"{sa}*{sb}", _PREC["mul"]
-    if isinstance(e, Div):
-        sa, pa = _print(e.a)
-        sb, pb = _print(e.b)
-        if pa < _PREC["mul"]:
-            sa = f"({sa})"
-        if pb <= _PREC["mul"]:
-            sb = f"({sb})"
-        return f"{sa}/{sb}", _PREC["mul"]
+        return f"{sa}{symbol}{sb}", prec
     if isinstance(e, IntPow):
         sb, pb = _print(e.base)
         if pb < _PREC["atom"]:

@@ -188,17 +188,11 @@ class GridFn:
     def at_zero(self) -> complex:
         return complex(self.values[self.grid.zero_index])
 
-    def sup_norm(self, interval: Interval | None = None) -> float:
-        if interval is None:
-            return float(np.max(np.abs(self.values)))
-        m = self.grid.mask(interval)
-        return float(np.max(np.abs(self.values[m])))
-
     def __call__(self, x):
         return _lagrange4(self.grid.nodes, self.values, x)
 
     def __repr__(self):
-        return f"GridFn({self.grid!r}, sup={self.sup_norm():.3e})"
+        return f"GridFn({self.grid!r}, sup={float(np.max(np.abs(self.values))):.3e})"
 
 
 def primitive_values(values: np.ndarray, grid: Grid, work: np.ndarray | None = None) -> np.ndarray:

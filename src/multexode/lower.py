@@ -189,12 +189,8 @@ def _values(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
 
 def _lower(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
     grid = ctx.grid
-    if isinstance(e, ce.Mul):
-        return _values(e.a, ctx) * _values(e.b, ctx)
-    if isinstance(e, ce.Add):
-        return _values(e.a, ctx) + _values(e.b, ctx)
-    if isinstance(e, ce.Sub):
-        return _values(e.a, ctx) - _values(e.b, ctx)
+    if isinstance(e, (ce.Mul, ce.Add, ce.Sub)):
+        return ce.BINARY[type(e)][2](_values(e.a, ctx), _values(e.b, ctx))
     if isinstance(e, ce.Const):
         return np.full(grid.n + 1, e.value.real if e.value.imag == 0 else e.value)
     if isinstance(e, ce.Var):

@@ -10,10 +10,10 @@ mod n (dimension 0 belongs to class n, so the operator family at x = 0 is a
 Kronecker delta in j).
 
 Both sums come from one loop over plain sample rows, which can also carry
-the rotations of the inputs side by side, one multiply and one primitive per
-step for the whole stack; each class sum is a row of its own, wrapped as
-GridFn without a copy.  A term that is not finite raises Overflow at its
-first non-finite node.
+the rotations of the inputs side by side, one multiply per particle and one
+primitive per step for the whole stack; each class sum is a row of its own,
+wrapped as GridFn without a copy.  A term that is not finite raises Overflow
+at its first non-finite node.
 """
 
 from __future__ import annotations
@@ -35,18 +35,6 @@ class SeriesDiagnostics:
     terms_used: int
     last_term_norm: float
     converged: bool
-
-
-def _input_rows(fs):
-    """The shared grid of the inputs and their sample rows (the arrays
-    themselves, not copies)."""
-    if not fs:
-        raise ValueError("need at least one input function")
-    grid = fs[0].grid
-    for f in fs[1:]:
-        if f.grid != grid:
-            raise ValueError("all inputs must share one grid")
-    return grid, [f.values for f in fs]
 
 
 def truncation_bound(g_integral: float, n: int, terms: int) -> float:
@@ -84,8 +72,8 @@ def _series(fs, tol, classes, stack=1):
     (m-1) mod classes; with stack = classes = n, class (k-2) mod n is index
     (k-2) mod n + 1 of the inputs rotated k-1 steps to the right.
 
-    The pass runs on two buffers: each step multiplies the whole stack by
-    one slice of the inputs laid out twice and integrates it in place.
+    The pass runs on two buffers: each step multiplies every particle by
+    its own input row and integrates the whole stack in place.
     Terms are taken one full cycle of classes at a time, so every class
     receives its next contribution before the stopping test, which compares
     the largest term of the last cycle, over the whole stack, against tol.
@@ -99,12 +87,15 @@ def _series(fs, tol, classes, stack=1):
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    grid, rows = _input_rows(fs)
+    if not fs:
+        raise ValueError("need at least one input function")
+    grid = fs[0].grid
+    for f in fs[1:]:
+        if f.grid != grid:
+            raise ValueError("all inputs must share one grid")
+    rows = [f.values for f in fs]
     n = len(rows)
-    # the inputs laid out twice, so the inputs of all particles at one step
-    # are one slice; real inputs keep the sums real
-    inputs = np.stack((rows + rows)[: n + stack - 1])
-    dtype = inputs.dtype
+    dtype = np.result_type(*rows)  # real inputs keep the sums real
     sums = [np.zeros(grid.n + 1, dtype=dtype) for _ in range(classes)]
     sums[-1] += 1.0  # dimension 0 belongs to the last class
     s = np.ones((stack, grid.n + 1), dtype=dtype)
@@ -120,7 +111,8 @@ def _series(fs, tol, classes, stack=1):
             for c in range(classes):
                 m += 1
                 o = (m - 1) % n
-                np.multiply(inputs[o : o + stack], s, out=s)  # in place, the input as first operand
+                for i in range(stack):  # in place, each particle's input as first operand
+                    np.multiply(rows[(o + i) % n], s[i], out=s[i])
                 s = primitive_values(s, grid, work)
                 # max(|re|, |im|) bounds every modulus from below and, while
                 # twice it is finite, keeps them finite: above tol the cycle

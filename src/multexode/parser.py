@@ -11,9 +11,11 @@ Grammar (EBNF, also documented in the README):
     func    := "sin" | "cos" | "exp" | "sinh" | "cosh" | "sqrt"
 
 Unary minus binds tighter than "^", so -x^2 means (-x)^2.  Exponents are
-integer literals (negative allowed).  "i" is the imaginary unit.  Subtrees
-whose operands are all constants fold at parse time, which is what makes the
-canonical printer round-trip exactly.
+integer literals (negative allowed).  "i" is the imaginary unit.  The
+levels expr and term are the precedences of the operator table
+coeffexpr.BINARY, and subtrees whose operands are all constants fold at
+parse time by its arithmetic, which is what makes the canonical printer
+round-trip exactly.
 """
 
 from __future__ import annotations
@@ -21,14 +23,12 @@ from __future__ import annotations
 import re
 
 from .coeffexpr import (
-    Add,
+    BINARY,
     Const,
-    Div,
     Expr,
     FuncCall,
     IntPow,
     Mul,
-    Sub,
     Var,
     FUNC_NAMES,
     _is_const,
@@ -38,19 +38,17 @@ from .errors import ExpressionSyntaxError
 
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# each binary operator's symbol to its node class, precedence and arithmetic
+_OPS = {symbol.strip(): (cls, prec, fn) for cls, (symbol, prec, fn) in BINARY.items()}
 
 
-def _fold(cls, a, b):
+def _fold(cls, fn, a, b):
     """Build the raw node, folding only when both operands are constants."""
     if _is_const(a) and _is_const(b):
-        if cls is Add:
-            return Const(a.value + b.value)
-        if cls is Sub:
-            return Const(a.value - b.value)
-        if cls is Mul:
-            return Const(a.value * b.value)
-        if cls is Div and b.value != 0:
-            return Const(a.value / b.value)
+        try:
+            return Const(fn(a.value, b.value))
+        except ZeroDivisionError:  # a constant over the constant 0 stays a Div
+            pass
     return cls(a, b)
 
 
@@ -87,31 +85,15 @@ class _Parser:
             self.error({"operator", "<end of input>"})
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            c = self.peek()
-            if c == "+":
-                self.pos += 1
-                e = _fold(Add, e, self.term())
-            elif c == "-":
-                self.pos += 1
-                e = _fold(Sub, e, self.term())
-            else:
-                return e
-
-    def term(self) -> Expr:
+    def expr(self, prec: int = 0) -> Expr:
+        """Factors joined left to right by the operators of precedence prec
+        and above; an operator's right operand binds tighter than it."""
         e = self.factor()
-        while True:
-            c = self.peek()
-            if c == "*":
-                self.pos += 1
-                e = _fold(Mul, e, self.factor())
-            elif c == "/":
-                self.pos += 1
-                e = _fold(Div, e, self.factor())
-            else:
-                return e
+        while (op := _OPS.get(self.peek())) is not None and op[1] >= prec:
+            cls, p, fn = op
+            self.pos += 1
+            e = _fold(cls, fn, e, self.expr(p + 1))
+        return e
 
     def factor(self) -> Expr:
         e = self.atomneg()

@@ -10,8 +10,15 @@ and compare the two listings with ``diff``:
 A probe hashes the sample bytes of a solution and of every basis member, the
 validity interval (exact float bits) and the series diagnostics; a probe that
 raises hashes the error's type and message; a CLI probe hashes the exit code
-and every output file, by name and bytes.  The script is not a test module,
-so pytest does not collect it.
+and every output file, by name and bytes.  An expression probe hashes the
+printed text of one equation's chain (every phi, and each auxiliary
+function's right side and derivatives), and one parse probe hashes the raw
+trees and syntax errors of a fixed list of strings.  The script is not a test
+module, so pytest does not collect it.
+
+To compare two source trees, copy this script and ``crosschecks.py`` into
+the ``tests/`` directory of each checkout and run it there: it imports the
+package from the ``src/`` next to it.
 
 Every probe runs twice in one process.  The listing is the first pass; the
 second runs with the chains and lowered rows of the first still in the
@@ -35,7 +42,21 @@ HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
 import crosschecks  # noqa: E402
-from multexode import Grid, IVProblem, Sampled, basis, preset_orr_sommerfeld, preset_schrodinger, solve_ivp  # noqa: E402
+from multexode import (  # noqa: E402
+    AuxFn,
+    Expr,
+    ExpressionSyntaxError,
+    Grid,
+    IVProblem,
+    Sampled,
+    basis,
+    build_aux_chain,
+    parse,
+    preset_orr_sommerfeld,
+    preset_schrodinger,
+    solve_ivp,
+    to_text,
+)
 from multexode.auxiliary import CoeffVector  # noqa: E402
 from multexode.cli import run as cli_run  # noqa: E402
 
@@ -50,6 +71,13 @@ DIVIDING_CHAINS = (
     ("order5_complex", ("0.1*x + 0.05*i", "-30+2*x", "0.3*i*x", "1/(x+0.35)", "0.2 - 0.1*i*x"), (-1, 1)),
     ("order4_shrinking", ("0", "-40+3*x", "1", "0.2"), (-0.75, 0.75)),
     ("order5_a1_pole", ("1/(1+3*x)", "-25", "x", "1", "0.1"), (-1, 1)),
+)
+XS = np.linspace(-1.2, 1.2, 241)
+TABLES = {"real": Sampled(XS, 0.3 * np.cos(XS)), "complex": Sampled(XS, 0.3 * np.cos(XS) + 0.1j * XS)}
+PARSED = (
+    "1+2*x", "6/3 - 2*2", "1/0", "2*3 + 1", "x - (x - 1)", "x/(x/2)*x", "-x^2", "x^-2/(2 + sin(x))",
+    "(1 + 2*i)*x", "1.5e-3*x - -x", "1/(1+x^2)", "sin(x)*x - x/sin(x)",
+    "x^1.5", "2x", "sin x", "x^-", "x--", "1 + * 2", "cos()", "(x", "2*foo", "x + 1 )", "   ",
 )
 
 
@@ -78,7 +106,7 @@ def _run(fn):
 
 
 def _hash(out) -> str:
-    if isinstance(out, tuple) and out[0] in ("error", "cli"):
+    if isinstance(out, tuple) and out[0] in ("error", "cli", "texts", "outcomes"):
         return _digest(*out)
     if isinstance(out, tuple):  # solve_ivp's (solution, basis)
         y, bs = out
@@ -131,10 +159,8 @@ def library_probes():
     for name, coeffs, grid in DIVIDING_CHAINS:
         for size in (2000, 8000):
             yield f"dividing_chain/{name}/N{size}", _solve(coeffs, Grid(*grid, size))
-    xs = np.linspace(-1.2, 1.2, 241)
-    tables = {"real": Sampled(xs, 0.3 * np.cos(xs)), "complex": Sampled(xs, 0.3 * np.cos(xs) + 0.1j * xs)}
     for n in range(3, 6):
-        for kind, table in tables.items():
+        for kind, table in TABLES.items():
             yield f"table/order{n}/{kind}/numeric0", _solve((table, *REAL[1:n]), g)
     yield "error/collapse", _solve(("1/((x-0.003)*(x+0.003))", "1"), g, ic=(1, 0))
     yield "error/divisor_too_small", _solve(("1/x", "1"), g, ic=(1, 0))
@@ -146,6 +172,62 @@ def library_probes():
         bs = _run(_basis(REAL[:n], g))
         yield f"initial_condition_matrix/order{n}", lambda bs=bs: crosschecks.initial_condition_matrix(bs)
         yield f"ode_residual/order{n}", lambda bs=bs, n=n: crosschecks.ode_residual(bs, n)
+
+
+def equations():
+    """The equations of order 2 and above that the library probes solve
+    through the general recursion."""
+    for n in range(2, 6):
+        for kind, coeffs in (("real", REAL), ("complex", COMPLEX)):
+            yield f"order{n}/{kind}", coeffs[:n]
+    yield "dividing_order3", ("0", "-20+2*x", "1")
+    yield "orr_plain_equation", ("0", "-1+x", "0", "1/2")
+    for a2 in ("-40+3*x", "-40"):
+        yield f"shrinking/a2={a2}", ("0", a2, "1")
+    for n in range(2, 5):
+        yield f"pole_a1/order{n}", ("1/(x-0.5)", *REAL[1:n])
+        yield f"pole_an/order{n}", (*REAL[: n - 1], "1/(x+0.4)")
+    for text in ("1/(x-0.001)", "1/(x-0.0015)", "1/(x+0.001)"):
+        yield f"pole_near_anchor/a1={text}", (text, "1")
+    for name, coeffs, _ in DIVIDING_CHAINS:
+        yield f"dividing_chain/{name}", coeffs
+    for n in range(3, 6):
+        for kind, table in TABLES.items():
+            yield f"table/order{n}/{kind}", (table, *REAL[1:n])
+    yield "collapse", ("1/((x-0.003)*(x+0.003))", "1")
+    yield "divisor_too_small", ("1/x", "1")
+    yield "overflow", ("1000", "1")
+    yield "order4_stiff", ("0", "-3000", "0", "-200*x")
+
+
+def _chain_texts(coeffs):
+    texts = []
+    for p in build_aux_chain(CoeffVector.from_rhs(coeffs)).phi:
+        texts.append(to_text(p))
+        if isinstance(p, AuxFn):
+            texts += [to_text(e) for e in (*p.bcoeffs, p.realization, *p.derivs)]
+    return ("texts", *texts)
+
+
+def _tree(e):
+    """The raw structure of a parsed tree, which ``repr`` would simplify:
+    the node's type and its fields, those of its own class and of the
+    classes between it and Expr."""
+    fields = (getattr(e, name) for cls in type(e).__mro__[:-2] for name in cls.__slots__)
+    return (type(e).__name__, *(_tree(f) if isinstance(f, Expr) else f for f in fields))
+
+
+def _parse_outcome(text):
+    try:
+        return _tree(parse(text))
+    except ExpressionSyntaxError as exc:
+        return (exc.offset, sorted(exc.expected), exc.found, str(exc))
+
+
+def expression_probes():
+    for name, coeffs in equations():
+        yield f"expr/{name}", lambda coeffs=coeffs: _chain_texts(coeffs)
+    yield "parse/outcomes", lambda: ("outcomes", *(_parse_outcome(t) for t in PARSED))
 
 
 CLI_PROBLEMS = {
@@ -184,7 +266,7 @@ def cli_probes(tmp: Path):
 
 def _hashes():
     with tempfile.TemporaryDirectory() as tmp:
-        for name, make in [*library_probes(), *cli_probes(Path(tmp))]:
+        for name, make in [*library_probes(), *expression_probes(), *cli_probes(Path(tmp))]:
             yield name, _hash(_run(make))
 
 

@@ -59,7 +59,7 @@ def smooth_coeff_expr(rng, grid, bound=2.0, complex_part=False):
     )
     if complex_part:
         e = add(e, mul(Const(0.25j * rng.uniform(-1, 1)), FuncCall("sin", x)))
-    sup = lower(e, LowerContext(grid)).sup_norm()
+    sup = np.max(np.abs(lower(e, LowerContext(grid)).values))
     scale = bound * rng.uniform(0.4, 1.0) / max(sup, 1e-9)
     return simplify(mul(Const(scale), e))
 

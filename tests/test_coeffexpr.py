@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from multexode import (
+    Add,
     AuxDeriv,
     AuxFn,
     Const,
+    Div,
     ExpPrim,
     FuncCall,
     Grid,
@@ -16,6 +18,7 @@ from multexode import (
     NonDifferentiable,
     NonMonotoneAbscissae,
     Sampled,
+    Sub,
     TrigNode,
     Var,
     differentiate,
@@ -255,3 +258,19 @@ class TestPrinter:
 
     def test_constant_first_canonical_order(self):
         assert to_text(Mul(X, Const(2))) == "2*x"
+
+    @pytest.mark.parametrize(
+        "build, text",
+        [
+            (lambda s, c: Sub(X, Sub(s, c)), "x - (sin(x) - cos(x))"),
+            (lambda s, c: Sub(Sub(X, s), c), "x - sin(x) - cos(x)"),
+            (lambda s, c: Div(X, Div(s, c)), "x/(sin(x)/cos(x))"),
+            (lambda s, c: Div(Div(X, s), c), "x/sin(x)/cos(x)"),
+            (lambda s, c: Mul(Add(X, s), c), "(x + sin(x))*cos(x)"),
+            (lambda s, c: Mul(X, Div(s, c)), "x*(sin(x)/cos(x))"),
+            (lambda s, c: Mul(Const(-1), Add(X, s)), "-(x + sin(x))"),
+            (lambda s, c: Sub(X, Mul(Const(-1), s)), "x - -sin(x)"),
+        ],
+    )
+    def test_parentheses_follow_precedence_and_left_association(self, build, text):
+        assert to_text(build(FuncCall("sin", X), FuncCall("cos", X))) == text

@@ -52,7 +52,11 @@ class TestGrammar:
 
     def test_constant_only_subtrees_fold(self):
         assert parse("2*3 + 1") == Const(7)
+        assert parse("6/3 - 2*2") == Const(-2)
         assert parse("sin(2*x)") == FuncCall("sin", Mul(Const(2), Var()))  # mixed: no fold
+
+    def test_a_constant_over_zero_stays_a_division(self):
+        assert parse("1/0") == Div(Const(1), Const(0))
 
     def test_scientific_notation(self):
         assert parse("1.5e-3*x") == Mul(Const(0.0015), Var())
@@ -83,6 +87,24 @@ class TestErrors:
         with pytest.raises(ExpressionSyntaxError) as exc:
             parse("1 + ")
         assert exc.value.offset >= 3
+
+    @pytest.mark.parametrize(
+        "text, offset, expected, found",
+        [
+            ("x^1.5", 3, {"<end of input>", "operator"}, "."),
+            ("2x", 1, {"<end of input>", "operator"}, "x"),
+            ("sin x", 4, {"("}, "x"),
+            ("x^-", 2, {"integer exponent"}, "-"),
+            ("x--", 3, {"(", "identifier", "number"}, "<end of input>"),
+            ("1 + * 2", 4, {"(", "identifier", "number"}, "*"),
+            ("cos()", 4, {"(", "identifier", "number"}, ")"),
+            ("(x", 2, {")"}, "<end of input>"),
+        ],
+    )
+    def test_error_position_and_expectations(self, text, offset, expected, found):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse(text)
+        assert (exc.value.offset, set(exc.value.expected), exc.value.found) == (offset, expected, found)
 
 
 def _atoms():
