@@ -15,12 +15,15 @@ integer literals (negative allowed).  "i" is the imaginary unit.  The
 levels expr and term are the precedences of the operator table
 coeffexpr.BINARY, and subtrees whose operands are all constants fold at
 parse time by its arithmetic, which is what makes the canonical printer
-round-trip exactly.
+round-trip exactly.  A weak index from each parsed text to its root keeps
+nothing alive, so a text is parsed once while anything holds its expression
+(a problem, or a chain in the solver's memo); a failed parse is never kept.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 
 from .coeffexpr import (
     BINARY,
@@ -40,6 +43,8 @@ _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 # each binary operator's symbol to its node class, precedence and arithmetic
 _OPS = {symbol.strip(): (cls, prec, fn) for cls, (symbol, prec, fn) in BINARY.items()}
+# exact text -> its parsed root, while something else holds the root
+_PARSED = weakref.WeakValueDictionary()
 
 
 def _fold(cls, fn, a, b):
@@ -164,8 +169,15 @@ def parse(text: str) -> Expr:
     """Parse an expression string into the IR.
 
     Raises :class:`ExpressionSyntaxError` with the byte offset and the set of
-    tokens that would have been accepted there.
+    tokens that would have been accepted there, at offset 0 for nesting too
+    deep to recurse.  A text whose root is alive returns it from the index.
     """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionSyntaxError(0, {"expression"}, "<empty>")
-    return _Parser(text).parse()
+    e = _PARSED.get(text)
+    if e is None:
+        try:
+            e = _PARSED[text] = _Parser(text).parse()
+        except RecursionError:
+            raise ExpressionSyntaxError(0, {"expression"}, "<nesting too deep>") from None
+    return e

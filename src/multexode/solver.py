@@ -74,10 +74,11 @@ class BasisSet:
     aux_diagnostics: dict | None
 
 
-def _member(row: GridFn, validity: Interval) -> GridFn:
-    """A lowered basis member as a complex copy, zeroed outside validity."""
+def _member(row: GridFn, outside: np.ndarray) -> GridFn:
+    """A lowered basis member as a complex copy, zeroed where ``outside``,
+    the one mask of the nodes outside validity per basis, is set."""
     vals = row.values.astype(complex)
-    vals[~row.grid.mask(validity)] = 0.0
+    vals[outside] = 0.0
     return GridFn._wrap(row.grid, vals)
 
 
@@ -126,7 +127,8 @@ def _assemble(eq: CoeffVector | AuxChain, grid: Grid, tol: float) -> BasisSet:
                 _LOWERED.popitem(last=False)
     family, diag = trig_family(rows, tol, stack=chain.n)
     # position (k-2) mod n holds member k
-    members = tuple(_member(family[(k - 2) % chain.n], validity) for k in range(1, chain.n + 1))
+    outside = ~grid.mask(validity)
+    members = tuple(_member(family[(k - 2) % chain.n], outside) for k in range(1, chain.n + 1))
     # each caller gets its own dict, so editing it leaves the kept one alone
     return BasisSet(chain.n, chain.a, members, validity, (diag,) * chain.n, chain, dict(aux_diags))
 
@@ -142,7 +144,7 @@ def basis(a: CoeffVector, grid: Grid, tol: float = DEFAULT_TOL) -> BasisSet:
         ctx = LowerContext(grid, series_tol=tol)
         row = lower(ce.expprim(a.a(1), 1), ctx)  # a dividing coefficient shrinks ctx.validity here
         validity = ctx.final_validity()
-        return BasisSet(1, a, (_member(row, validity),), validity, (None,), None, None)
+        return BasisSet(1, a, (_member(row, ~grid.mask(validity)),), validity, (None,), None, None)
     return _assemble(a, grid, tol)
 
 

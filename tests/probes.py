@@ -12,9 +12,11 @@ validity interval (exact float bits) and the series diagnostics; a probe that
 raises hashes the error's type and message; a CLI probe hashes the exit code
 and every output file, by name and bytes.  An expression probe hashes the
 printed text of one equation's chain (every phi, and each auxiliary
-function's right side and derivatives), and one parse probe hashes the raw
-trees and syntax errors of a fixed list of strings.  The script is not a test
-module, so pytest does not collect it.
+function's right side and derivatives), one parse probe hashes the raw
+trees and syntax errors of a fixed list of strings, a second hashes them
+parsed again while the first roots are held (and whether each is the held
+root), and a third the syntax error of nesting too deep to recurse.  The
+script is not a test module, so pytest does not collect it.
 
 To compare two source trees, copy this script and ``crosschecks.py`` into
 the ``tests/`` directory of each checkout and run it there: it imports the
@@ -224,10 +226,17 @@ def _parse_outcome(text):
         return (exc.offset, sorted(exc.expected), exc.found, str(exc))
 
 
+def _reparse_outcome(text):
+    held = _run(lambda: parse(text))
+    return (_parse_outcome(text), _run(lambda: parse(text)) is held)
+
+
 def expression_probes():
     for name, coeffs in equations():
         yield f"expr/{name}", lambda coeffs=coeffs: _chain_texts(coeffs)
     yield "parse/outcomes", lambda: ("outcomes", *(_parse_outcome(t) for t in PARSED))
+    yield "parse/repeated", lambda: ("outcomes", *(_reparse_outcome(t) for t in PARSED))
+    yield "parse/too_deep", lambda: ("outcomes", _parse_outcome("(" * 300 + "x" + ")" * 300))
 
 
 CLI_PROBLEMS = {

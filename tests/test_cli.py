@@ -55,6 +55,12 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "a2" in err and "offset 0" in err and "found 'a1'" in err
 
+    def test_nesting_too_deep_is_a_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path / "p.cfg", "n = 1\na1 = " + "(" * 300 + "x" + ")" * 300 + "\nic = 1\n")
+        assert run(["solve", "--config", cfg, "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("multexode: a1: syntax error at offset 0") and "nesting too deep" in err
+
     @pytest.mark.parametrize(
         "command, text, key",
         [

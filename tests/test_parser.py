@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,14 +9,20 @@ from multexode import (
     Div,
     ExpressionSyntaxError,
     FuncCall,
+    Grid,
+    IVProblem,
     IntPow,
     Mul,
     Sub,
     Var,
     parse,
     simplify,
+    solve_ivp,
     to_text,
 )
+from multexode import parser, solver
+
+DEEP = "(" * 260 + "x" + ")" * 260
 
 
 class TestGrammar:
@@ -105,6 +113,54 @@ class TestErrors:
         with pytest.raises(ExpressionSyntaxError) as exc:
             parse(text)
         assert (exc.value.offset, set(exc.value.expected), exc.value.found) == (offset, expected, found)
+
+    def test_nesting_too_deep_to_recurse_is_a_syntax_error(self):
+        assert parse("(" * 100 + "x" + ")" * 100) is Var()
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse(DEEP)
+        assert (exc.value.offset, exc.value.found) == (0, "<nesting too deep>")
+
+
+# order-3 equations whose constants no other test uses
+INDEXED3 = ("0.0173*x", "-1.0229+0.1187*sin(x)", "0.2213")
+DROPPED3 = ("0.0179*x", "-1.0313", "0.2281*cos(x)")
+
+
+class TestIndex:
+    def test_a_text_parses_to_one_root(self):
+        assert parse("0.5*x - sin(x)") is parse("0.5*x - sin(x)")
+
+    def test_a_repeat_solve_parses_nothing(self, monkeypatch):
+        g = Grid(-1, 1, 200)
+        first, _ = solve_ivp(IVProblem(3, INDEXED3, (1, 0, 0)), g)
+        runs = []
+        inner = parser._Parser.parse
+        monkeypatch.setattr(parser._Parser, "parse", lambda self: runs.append(self.text) or inner(self))
+        second, _ = solve_ivp(IVProblem(3, INDEXED3, (1, 0, 0)), g)
+        assert runs == [] and (second.values == first.values).all()
+
+    @pytest.mark.parametrize("text", ["x^1.5", "2*foo", "(x", "cos()", pytest.param(DEEP, id="too_deep")])
+    def test_a_bad_text_fails_alike_every_time_and_is_never_kept(self, text):
+        outcomes = []
+        for _ in range(2):
+            with pytest.raises(ExpressionSyntaxError) as exc:
+                parse(text)
+            outcomes.append((exc.value.offset, exc.value.expected, exc.value.found, str(exc.value)))
+        assert outcomes[0] == outcomes[1] and text not in parser._PARSED
+
+    def test_an_entry_lives_as_long_as_its_expression(self):
+        gc.disable()  # so that only reference counts free the roots
+        try:
+            problem = IVProblem(3, DROPPED3, (1, 0, 0))
+            assert all(parser._PARSED.get(t) is e for t, e in zip(DROPPED3, problem.coefficients))
+            y, bs = solve_ivp(problem, Grid(-1, 1, 200))
+            del problem, y, bs
+            # the solve memo's chain holds the coefficients, and so the entries
+            assert all(t in parser._PARSED for t in DROPPED3)
+            solver._LOWERED.clear()
+            assert not any(t in parser._PARSED for t in DROPPED3)
+        finally:
+            gc.enable()
 
 
 def _atoms():
