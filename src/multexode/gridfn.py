@@ -263,19 +263,24 @@ def zero_free_interval(v: np.ndarray, grid: Grid, floor: float) -> Interval:
     Scans outward from the zero node.  A segment between adjacent nodes also
     blocks the scan when the linear interpolant of v dips to the floor inside
     it, so sign changes between nodes are caught even when no node value is
-    small.
+    small.  The scan opens with a one-pass proof: where min|v| - max|dv|
+    clears 2 (floor + 1e-13 * 2 max|v|), every node and segment test would
+    pass, as rounding is monotone, so the whole grid is returned at once.
     """
     z = grid.zero_index
     mags = np.abs(v)
     if mags[z] <= floor:
         raise ValueError(f"|f(0)| = {mags[z]:.3e} is not above the floor {floor:.3e}")
     d = np.diff(v)
+    steps = np.abs(d)
+    if float(mags.min()) - float(steps.max()) > 2.0 * (floor + 1e-13 * (2.0 * float(mags.max()))):
+        return grid.interval
     # |a + t d| >= |a| - |d| on the segment: where that clears twice the
     # threshold below, rounding cannot bring the projection under it
-    seg_ok = mags[:-1] - np.abs(d) > 2.0 * (floor + 1e-13 * (mags[:-1] + mags[1:]))
+    seg_ok = mags[:-1] - steps > 2.0 * (floor + 1e-13 * (mags[:-1] + mags[1:]))
     near = np.flatnonzero(~seg_ok)
     a, d = v[near], d[near]
-    denom = np.abs(d) ** 2
+    denom = steps[near] ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         tstar = np.where(denom > 0.0, -(np.conj(d) * a).real / np.where(denom > 0, denom, 1.0), 0.0)
     tstar = np.clip(tstar, 0.0, 1.0)

@@ -140,7 +140,8 @@ class LowerContext:
 
 def _guarded_reciprocal(ctx: LowerContext, den: np.ndarray, power: int) -> np.ndarray:
     """den**(-power) (power >= 1) on the validity interval, which shrinks to
-    the zero-free neighbourhood of 0 of den; zero outside it."""
+    the zero-free neighbourhood of 0 of den; zero outside it, and unmasked
+    while the interval is still the whole grid."""
     mag0 = float(abs(den[ctx.grid.zero_index]))
     if mag0 <= DIV_FLOOR:
         raise DivisorTooSmall(0.0, mag0, DIV_FLOOR)
@@ -148,6 +149,8 @@ def _guarded_reciprocal(ctx: LowerContext, den: np.ndarray, power: int) -> np.nd
         ctx.validity = ctx.validity.intersect(zero_free_interval(den, ctx.grid, DIV_FLOOR))
     except ValueError:
         raise ValidityCollapsed("validity interval became empty") from None
+    if ctx.validity == ctx.grid.interval:
+        return den ** (-power)
     # the validity interval lies inside the zero-free run of den
     keep = ctx.grid.mask(ctx.validity)
     out = np.zeros_like(den)

@@ -61,7 +61,7 @@ def truncation_bound(g_integral: float, n: int, terms: int) -> float:
             return total
 
 
-def _series(fs, tol, classes, stack=1):
+def _series(fs, tol, classes, stack=1, pack=True):
     """Class sums of the simplex integrals of a stack of particles.
 
     Particle i starts on input i mod n and takes the next input at each
@@ -73,7 +73,11 @@ def _series(fs, tol, classes, stack=1):
     (k-2) mod n + 1 of the inputs rotated k-1 steps to the right.
 
     The pass runs on two buffers: each step multiplies every particle by
-    its own input row and integrates the whole stack in place.
+    its own input row and integrates the whole stack in place.  A real stack
+    of two particles, or of four and more, rides two to a complex row, one in
+    each part, as the primitive's scans cost as much per real number as per
+    complex pair; the bound, the moduli and the sums read the parts, and a
+    term that is not finite runs the pass again unpacked to name its node.
     Terms are taken one full cycle of classes at a time, so every class
     receives its next contribution before the stopping test, which compares
     the largest term of the last cycle, over the whole stack, against tol.
@@ -98,9 +102,18 @@ def _series(fs, tol, classes, stack=1):
     dtype = np.result_type(*rows)  # real inputs keep the sums real
     sums = [np.zeros(grid.n + 1, dtype=dtype) for _ in range(classes)]
     sums[-1] += 1.0  # dimension 0 belongs to the last class
-    s = np.ones((stack, grid.n + 1), dtype=dtype)
+    # three particles would leave a spare quarter, costing more than it saves
+    packed = pack and dtype.kind == "f" and stack > 1 and stack != 3
+    s = np.zeros(((stack + 1) // 2 if packed else stack, grid.n + 1), dtype=complex if packed else dtype)
     work = np.empty_like(s)
     parts = s.view(s.real.dtype)  # real and imaginary parts side by side
+    particles = [parts[i // 2, i % 2 :: 2] for i in range(stack)] if packed else list(s)
+    for p in particles:
+        p.fill(1.0)
+    inputs, blocks, step = rows, s, 1
+    if packed:  # row j's particles 2j and 2j + 1 take inputs k and k + 1, side by side as pair k
+        inputs, blocks, step = np.empty((n, 2 * grid.n + 2)), parts, 2
+        inputs[:, 0::2], inputs[:, 1::2] = rows, rows[1:] + rows[:1]
     m = 0
     last = math.inf
     converged = False
@@ -111,21 +124,22 @@ def _series(fs, tol, classes, stack=1):
             for c in range(classes):
                 m += 1
                 o = (m - 1) % n
-                for i in range(stack):  # in place, each particle's input as first operand
-                    np.multiply(rows[(o + i) % n], s[i], out=s[i])
+                for j, b in enumerate(blocks):  # in place, each particle's input as first operand
+                    np.multiply(inputs[(o + step * j) % n], b, out=b)
                 s = primitive_values(s, grid, work)
                 # max(|re|, |im|) bounds every modulus from below and, while
                 # twice it is finite, keeps them finite: above tol the cycle
                 # goes on, and only a cycle that can end needs the moduli
                 norm = max(float(parts.max()), -float(parts.min()))
                 if norm <= tol or final or not math.isfinite(2.0 * norm):
-                    mags = np.abs(s)
-                    norm = float(mags.max())  # the method skips np.max's Python wrapper
+                    norm = float(np.abs(blocks).max())  # the method skips np.max's Python wrapper
                     if not math.isfinite(norm):
-                        for row in mags:  # Overflow at the first bad node of the first bad row
-                            check_finite(row, grid)
+                        if packed:  # the primitive spreads a part that is not finite to its partner
+                            return _series(fs, tol, classes, stack, pack=False)
+                        for p in particles:  # Overflow at the first bad node of the first bad particle
+                            check_finite(p, grid)
                 last = max(last, norm)
-                sums[c] += s[-m % stack]
+                sums[c] += particles[-m % stack]
             if last <= tol:
                 converged = True
                 break

@@ -45,6 +45,9 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _OPS = {symbol.strip(): (cls, prec, fn) for cls, (symbol, prec, fn) in BINARY.items()}
 # exact text -> its parsed root, while something else holds the root
 _PARSED = weakref.WeakValueDictionary()
+# parentheses and unary minuses a text may nest, whatever the caller's stack:
+# a level costs at most six stack frames, so deep callers parse it too
+MAX_NESTING = 100
 
 
 def _fold(cls, fn, a, b):
@@ -61,6 +64,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # the parentheses and unary minuses around the next atom
 
     def error(self, expected, found=None):
         found = found or self.text[self.pos : self.pos + 1] or "<end of input>"
@@ -111,13 +115,17 @@ class _Parser:
         return e
 
     def atomneg(self) -> Expr:
+        if self.depth > MAX_NESTING:
+            raise ExpressionSyntaxError(0, {"expression"}, "<nesting too deep>")
+        self.depth += 1
         if self.peek() == "-":
             self.pos += 1
             inner = self.atomneg()
-            if _is_const(inner):
-                return Const(-inner.value)
-            return Mul(Const(-1), inner)
-        return self.atom()
+            e = Const(-inner.value) if _is_const(inner) else Mul(Const(-1), inner)
+        else:
+            e = self.atom()
+        self.depth -= 1
+        return e
 
     def intlit(self) -> int:
         self.skip_ws()
@@ -169,8 +177,8 @@ def parse(text: str) -> Expr:
     """Parse an expression string into the IR.
 
     Raises :class:`ExpressionSyntaxError` with the byte offset and the set of
-    tokens that would have been accepted there, at offset 0 for nesting too
-    deep to recurse.  A text whose root is alive returns it from the index.
+    tokens that would have been accepted there, at offset 0 for nesting
+    deeper than MAX_NESTING.  A text whose root is alive returns it from the index.
     """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionSyntaxError(0, {"expression"}, "<empty>")

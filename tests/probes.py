@@ -26,7 +26,8 @@ Every probe runs twice in one process.  The listing is the first pass; the
 second runs with the chains and lowered rows of the first still in the
 solver's memo, so it replays them, and prints ``MISMATCH <probe>`` for any
 hash that differs from the first: a kept chain and its rows must reproduce
-a fresh build and lowering bit for bit.
+a fresh build and lowering bit for bit.  The script exits 1 when it printed
+a ``MISMATCH`` line, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -157,6 +158,9 @@ def library_probes():
     # a pole one cell or one and a half cells from the anchor, on either side
     for text in ("1/(x-0.001)", "1/(x-0.0015)", "1/(x+0.001)"):
         yield f"pole_near_anchor/a1={text}", _solve((text, "1"), g, ic=(1, 0))
+    # a pole half a cell past the right end: the one-pass proof declines both
+    # divisors and the scan keeps the whole grid
+    yield "pole_past_the_end/a1=1/(x - 1.0005)", _solve(("1/(x - 1.0005)", "-1"), g, ic=(1, 0.3))
     # dividing chains whose cut comes from a lead or from a nested chain
     for name, coeffs, grid in DIVIDING_CHAINS:
         for size in (2000, 8000):
@@ -279,15 +283,18 @@ def _hashes():
             yield name, _hash(_run(make))
 
 
-def main():
+def main() -> int:
     first = {}
     for name, digest in _hashes():
         first[name] = digest
         print(name, digest)
+    mismatched = False
     for name, digest in _hashes():
         if digest != first[name]:
             print("MISMATCH", name)
+            mismatched = True
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -281,13 +281,32 @@ class TestZeroFreeInterval:
         with pytest.raises(ValueError):
             zero_free_interval(x.values, grid200, 0.1)
 
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), half=st.integers(8, 30), floor=st.sampled_from([0.0, 0.1, 0.5]))
-    def test_matches_outward_scan(self, data, half, floor):
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        half=st.integers(8, 30),
+        floor=st.sampled_from([0.0, 0.1, 0.5]),
+        kind=st.sampled_from(["drawn", "shifted", "at the proof's threshold"]),
+    )
+    def test_matches_outward_scan(self, data, half, floor, kind):
+        # shifted rows clear the one-pass proof or come near it; rows at its
+        # threshold put min|v| - max|dv| within a few ulps of it, either side
         n = 2 * half
         k = data.draw(st.integers(1, n - 1), label="zero index")
         re, im = data.draw(arrays(float, (2, n + 1), elements=sample), label="re, im")
         g = Grid(-k * 0.125, (n - k) * 0.125, n)
+        if kind == "shifted":
+            re = re + data.draw(st.sampled_from([3.0, -5.0, 9.0]), label="shift")
+        elif kind == "at the proof's threshold":
+            step = data.draw(st.floats(0.01, 2.0), label="largest step")
+            low = step
+            for _ in range(3):  # the fixed point of low - step = 2 (floor + 1e-13 * 2 max|v|)
+                low = step + 2.0 * (floor + 1e-13 * (2.0 * (low + step)))
+            for _ in range(abs(ulps := data.draw(st.integers(-4, 4), label="ulps"))):
+                low = np.nextafter(low, np.sign(ulps) * np.inf)
+            up = re > 0
+            up[0], up[-1] = False, True
+            re = low + step * up
         # lowering hands real rows to the scan as they are
         v = re if data.draw(st.booleans(), label="real") else re + 1j * im
         assert outcome(zero_free_interval, v, g, floor) == outcome(zero_free_by_scan, v, g, floor)

@@ -2,6 +2,8 @@
 fatal; elsewhere the validity interval shrinks and the quotient is zeroed
 outside it."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,11 @@ from multexode import (
     parse,
 )
 from multexode.coeffexpr import ONE, X, ExpPrim, div, intpow
+
+from test_gridfn import zero_free_by_scan
+
+# the module, which the package's ``lower`` function shadows
+LOWER = sys.modules["multexode.lower"]
 
 
 class TestMaskedPolicy:
@@ -64,3 +71,29 @@ class TestMaskedPolicy:
         with pytest.raises(Overflow) as exc:
             lower(expr, ctx)
         assert 0.0 < exc.value.x < ctx.validity.hi
+
+
+class TestOnePassProof:
+    """A guarded reciprocal gives the bytes and validity of the full outward
+    scan and the mask, whether the one-pass proof clears its divisor, the
+    scan keeps the whole grid after the proof declines (a pole half a cell
+    past the end), or the scan cuts."""
+
+    @pytest.mark.parametrize("text", ["2 + sin(x)", "0.5 + 0.3*i*x", "x - 1.0005", "x - 0.5", "(x + 0.7)*(1 - 0.4*i)"])
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_same_as_the_full_scan(self, text, power, monkeypatch):
+        grid = Grid(-1, 1, 2000)
+        den = lower(parse(text), LowerContext(grid)).values
+
+        def guarded():
+            ctx = LowerContext(grid)
+            return LOWER._guarded_reciprocal(ctx, den, power), ctx.validity
+
+        got, validity = guarded()
+        monkeypatch.setattr(LOWER, "zero_free_interval", zero_free_by_scan)
+        scanned, scanned_validity = guarded()
+        keep = grid.mask(scanned_validity)
+        masked = np.zeros_like(den)
+        masked[keep] = den[keep] ** (-power)
+        assert validity == scanned_validity
+        assert got.dtype == masked.dtype and got.tobytes() == scanned.tobytes() == masked.tobytes()

@@ -15,6 +15,7 @@ from multexode import (
 from multexode.multex import DEFAULT_TOL, MAX_TERMS
 
 from conftest import smooth_gridfn
+from test_gridfn import GRIDS
 from crosschecks import (
     const_fn,
     exp_primitive,
@@ -279,3 +280,48 @@ class TestStoppingBound:
         with pytest.raises(Overflow) as expected:
             series_by_row_norms(fs, DEFAULT_TOL, 2, stack=2)
         assert got.value.x == expected.value.x > 0.0
+
+
+def real_rows(fs):
+    """The real parts of GridFns as real sample rows, as lowering keeps a
+    real coefficient."""
+    return [GridFn._wrap(f.grid, f.values.real.copy()) for f in fs]
+
+
+class TestPackedLanes:
+    """A real stack rides two particles to a complex row; its class sums and
+    diagnostics are byte for byte those of the plain pass, one real row per
+    particle."""
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=repr)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_real_stacks(self, grid, n, rng):
+        fs = real_rows([smooth_gridfn(grid, rng, scale=1.5) for _ in range(n)])
+        family, diag = trig_family(fs, stack=n)
+        sums, expected = series_by_row_norms(fs, DEFAULT_TOL, n, stack=n)
+        assert diag == expected and diag.converged
+        assert all(f.values.dtype == np.float64 for f in family)
+        assert [f.values.tobytes() for f in family] == [v.tobytes() for v in sums]
+
+    def test_signed_zero_beside_a_negative_partner(self, grid200):
+        # the first term of particle 0 is -0 right of 0, where particle 1's
+        # is negative: a complex row times a real weight w computes
+        # -0 * w - (negative) * 0 = +0 there
+        x = grid200.nodes
+        fs = [GridFn._wrap(grid200, np.where(x > 0, -0.0, 0.5 * x)), GridFn._wrap(grid200, -1.0 - x**2)]
+        family, diag = trig_family(fs, stack=2)
+        sums, expected = series_by_row_norms(fs, DEFAULT_TOL, 2, stack=2)
+        assert diag == expected
+        assert [f.values.tobytes() for f in family] == [v.tobytes() for v in sums]
+
+    def test_overflow(self, grid200):
+        # the two particles of one row overflow at opposite ends in the same
+        # term, and the first particle's first bad node is reported
+        x = grid200.nodes
+        fs = [GridFn._wrap(grid200, 1.0 + 1e200 * (x > 0.5)), GridFn._wrap(grid200, 1.0 + 1e200 * (x < -0.5))]
+        with pytest.raises(Overflow) as got:
+            trig_family(fs, stack=2)
+        with pytest.raises(Overflow) as expected:
+            series_by_row_norms(fs, DEFAULT_TOL, 2, stack=2)
+        assert (got.value.x, str(got.value)) == (expected.value.x, str(expected.value))
+        assert got.value.x > 0.0

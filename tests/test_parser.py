@@ -121,6 +121,38 @@ class TestErrors:
         assert (exc.value.offset, exc.value.found) == (0, "<nesting too deep>")
 
 
+def _below(frames, fn):
+    """fn() called the given number of stack frames below the caller."""
+    return fn() if frames == 0 else _below(frames - 1, fn)
+
+
+LIMIT = parser.MAX_NESTING
+# a text at the nesting limit and one a level deeper: every open
+# parenthesis and every unary minus is a level
+NESTED = {
+    "parentheses": ("(" * LIMIT + "x" + ")" * LIMIT, "(" * (LIMIT + 1) + "x" + ")" * (LIMIT + 1)),
+    "calls": ("sin(" * LIMIT + "x" + ")" * LIMIT, "sin(" * (LIMIT + 1) + "x" + ")" * (LIMIT + 1)),
+    "minuses": ("-" * LIMIT + "x", "-" * (LIMIT + 1) + "x"),
+    "mixed": ("-(" * (LIMIT // 2) + "x" + ")" * (LIMIT // 2), "-" + "-(" * (LIMIT // 2) + "x" + ")" * (LIMIT // 2)),
+}
+
+
+class TestNestingLimit:
+    """How deep a text may nest is a property of the text: one at the limit
+    parses from deep in the stack, one a level deeper fails from anywhere,
+    also while the text at the limit is held in the index."""
+
+    @pytest.mark.parametrize("at_limit, over", NESTED.values(), ids=NESTED.keys())
+    def test_the_limit_is_the_texts(self, at_limit, over):
+        held = _below(300, lambda: parse(at_limit))
+        assert parse(at_limit) is held and parser._PARSED[at_limit] is held
+        for frames in (0, 300):
+            with pytest.raises(ExpressionSyntaxError) as exc:
+                _below(frames, lambda: parse(over))
+            assert (exc.value.offset, exc.value.found) == (0, "<nesting too deep>")
+        assert over not in parser._PARSED
+
+
 # order-3 equations whose constants no other test uses
 INDEXED3 = ("0.0173*x", "-1.0229+0.1187*sin(x)", "0.2213")
 DROPPED3 = ("0.0179*x", "-1.0313", "0.2281*cos(x)")

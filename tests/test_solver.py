@@ -221,7 +221,9 @@ class TestSolveIvp:
         assert np.max(np.abs(y.values[keep] - oracle.values[keep])) <= 1e-6
 
     def test_order5_exercises_coefficient_derivatives(self):
-        # beyond order 4 the chain differentiates the coefficients themselves
+        # an order-5 chain differentiates auxiliary functions, whose realized
+        # derivatives it lowers; it never differentiates a coefficient (see
+        # build_aux_chain), whatever the test's name says
         g = Grid(-0.5, 0.5, 2000)
         p = IVProblem(5, ("sin(x)/4", "cos(x)/2", "x/2", "1/3", "x^2/2"), (1, 0.5, -0.25, 0, 0.3))
         y, bs = solve_ivp(p, g, tol=1e-12)
