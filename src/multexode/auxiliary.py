@@ -160,11 +160,12 @@ class AuxChain:
     """The solved auxiliary functions of one problem, as expressions.
 
     phi[k-1] is the k-th auxiliary function (wrapped with its defining
-    equation for k >= 2).
+    equation for k >= 2).  a is None for a preset's hand-built chain that no
+    coefficient vector describes, such as the impedance pair.
     """
 
     n: int
-    a: CoeffVector
+    a: CoeffVector | None
     phi: tuple
 
 

@@ -41,9 +41,8 @@ from .parser import parse
 from .solver import IVProblem, basis, preset_orr_sommerfeld, preset_schrodinger, solve_ivp
 
 MODES = ("solve", "basis", "compare", "preset:schrodinger", "preset:orr")
-SHARED_KEYS = frozenset(["ic", "interval", "grid", "tol", "compare_tol", "numeric_diff"])
+SHARED_KEYS = frozenset(["ic", "interval", "grid", "tol", "compare_tol"])
 KEYS = SHARED_KEYS | {"mode", "preset", "n", *(f"a{j}" for j in range(1, 10)), "zeta", "omega"}
-BOOLEANS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
 def ingest_samples(path) -> Sampled:
@@ -97,7 +96,6 @@ class ProblemConfig:
     tol: float = DEFAULT_TOL
     initial_values: tuple = ()
     compare_tol: float = 1e-6
-    numeric_diff: bool = False
     zeta: Expr | None = None
     omega: complex = 0.0
 
@@ -193,10 +191,6 @@ def load_config(path, overrides=None) -> ProblemConfig:
     for key, value in (("tol", cfg.tol), ("compare_tol", cfg.compare_tol)):
         if not 0 < value < np.inf:
             raise ConfigError(f"{key}: must be finite and positive, got {value!r}")
-    flag = raw.get("numeric_diff", "false").lower()
-    if flag not in BOOLEANS:
-        raise ConfigError(f"numeric_diff: {raw['numeric_diff']!r} is not one of {', '.join(BOOLEANS)}")
-    cfg.numeric_diff = BOOLEANS[flag]
 
     if mode == "preset:schrodinger":
         if "zeta" not in raw:
@@ -320,7 +314,7 @@ def _write_outputs(outdir: Path, functions, validity, fmt: str, report: dict | N
 def _run_problem(cfg: ProblemConfig, outdir: Path, fmt: str) -> int:
     grid = cfg.make_grid()
     if cfg.mode == "preset:schrodinger":
-        bs = preset_schrodinger(cfg.zeta, cfg.omega, grid, tol=cfg.tol, numeric_diff=cfg.numeric_diff)
+        bs = preset_schrodinger(cfg.zeta, cfg.omega, grid, tol=cfg.tol)
     elif cfg.mode == "preset:orr":
         bs = preset_orr_sommerfeld(cfg.coefficients["a2"], cfg.coefficients["a4"], grid, tol=cfg.tol)
     else:
@@ -394,7 +388,6 @@ def run(argv) -> int:
     ap.add_argument("--tol", type=float, default=None, help="series tolerance override")
     ap.add_argument("--grid", type=int, default=None, help="grid size N override (even)")
     ap.add_argument("--interval", default=None, help="LO:HI override")
-    ap.add_argument("--numeric-diff", action="store_true", help="allow finite-difference derivatives of sampled data")
     ap.add_argument("--output", default="multexode-out", help="output directory")
     ap.add_argument("--format", choices=["csv", "json"], default="csv")
     try:
@@ -407,8 +400,6 @@ def run(argv) -> int:
             "grid": None if args.grid is None else str(args.grid),
             "interval": args.interval,
         }
-        if args.numeric_diff:
-            overrides["numeric_diff"] = "true"
         cfg = load_config(args.config, overrides)
         expected = cfg.mode.split(":")[0]
         if args.command != expected:

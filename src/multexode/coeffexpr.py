@@ -475,44 +475,39 @@ _FUNC_DERIV = {
 }
 
 
-def differentiate(e: Expr, numeric: bool = False) -> Expr:
+def differentiate(e: Expr) -> Expr:
     """Symbolic d/dx of an expression.
 
     Trig nodes follow the index-shift rule (the j-th operator's derivative is
     its j-th input times the operator at index j-1, wrapping j=1 to n).
-    Sampled tables are rejected unless ``numeric`` opts into order-4 finite
-    differences.  Auxiliary-function derivatives cap at the order of the
-    defining equation, substituting its right side there.
+    A sampled table has no derivative and raises NonDifferentiable.
+    Auxiliary-function derivatives cap at the order of the defining
+    equation, substituting its right side there.
     """
-    d = lambda x: differentiate(x, numeric)  # noqa: E731
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE
     if isinstance(e, Add):
-        return add(d(e.a), d(e.b))
+        return add(differentiate(e.a), differentiate(e.b))
     if isinstance(e, Sub):
-        return sub(d(e.a), d(e.b))
+        return sub(differentiate(e.a), differentiate(e.b))
     if isinstance(e, Mul):
-        return add(mul(d(e.a), e.b), mul(e.a, d(e.b)))
+        return add(mul(differentiate(e.a), e.b), mul(e.a, differentiate(e.b)))
     if isinstance(e, Div):
-        return div(sub(mul(d(e.a), e.b), mul(e.a, d(e.b))), intpow(e.b, 2))
+        return div(sub(mul(differentiate(e.a), e.b), mul(e.a, differentiate(e.b))), intpow(e.b, 2))
     if isinstance(e, IntPow):
-        return mul(mul(Const(e.k), intpow(e.base, e.k - 1)), d(e.base))
+        return mul(mul(Const(e.k), intpow(e.base, e.k - 1)), differentiate(e.base))
     if isinstance(e, ExpPrim):
         return mul(mul(Const(e.sign), e.child), e)
     if isinstance(e, FuncCall):
-        return _FUNC_DERIV[e.name](e.child, d(e.child))
+        return _FUNC_DERIV[e.name](e.child, differentiate(e.child))
     if isinstance(e, TrigNode):
         if e.j >= 2:
             return mul(e.fs[e.j - 1], TrigNode(e.fs, e.j - 1))
         return mul(e.fs[0], TrigNode(e.fs, e.n))
     if isinstance(e, Sampled):
-        if not numeric:
-            raise NonDifferentiable(
-                "sampled data is not symbolically differentiable; enable numeric differentiation"
-            )
-        return Sampled(e.xs, _table_derivative(e.xs, e.ys), key=e.key + "'")
+        raise NonDifferentiable("sampled data has no derivative; only expressions are differentiated")
     if isinstance(e, AuxFn):
         if e.order == 1:
             return mul(e.bcoeffs[0], e)
@@ -528,29 +523,6 @@ def differentiate(e: Expr, numeric: bool = False) -> Expr:
             out = add(out, mul(b, term))
         return out
     raise TypeError(f"cannot differentiate {type(e).__name__}")
-
-
-def _table_derivative(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Order-4 finite-difference derivative of a (possibly non-uniform) table."""
-    m = len(xs)
-    # row i reads the 4-point window that gridfn._lagrange4 uses at xs[i]
-    idx = np.clip(np.arange(m) - 1, 0, m - 4)[:, None] + np.arange(4)
-    xw = xs[idx]
-    yw = ys[idx]
-    out = np.zeros(m, dtype=np.result_type(ys, float))
-    for k in range(4):
-        dk = np.zeros(m)
-        for mm in range(4):
-            if mm == k:
-                continue
-            p = np.ones(m)
-            for r in range(4):
-                if r in (k, mm):
-                    continue
-                p *= (xs - xw[:, r]) / (xw[:, k] - xw[:, r])
-            dk += p / (xw[:, k] - xw[:, mm])
-        out += dk * yw[:, k]
-    return out
 
 
 # ---------------------------------------------------------------------

@@ -238,10 +238,16 @@ def primitive_values(values: np.ndarray, grid: Grid, work: np.ndarray | None = N
 
 
 def check_finite(values: np.ndarray, grid: Grid) -> None:
-    """Raise :class:`Overflow` at the first node where any stacked row of values is not finite."""
-    finite = np.isfinite(values)
+    """Raise :class:`Overflow` at the first node where any stacked row of values is not finite.
+
+    A complex row is tested as its real and imaginary parts side by side, at
+    the cost of a real row; its last axis must be contiguous."""
+    parts = values.view(values.real.dtype)
+    finite = np.isfinite(parts)
     if not finite.all():
-        raise Overflow(float(grid.nodes[np.flatnonzero(~finite.reshape(-1, grid.n + 1).all(axis=0))[0]]))
+        width = parts.shape[-1]
+        column = np.flatnonzero(~finite.reshape(-1, width).all(axis=0))[0]
+        raise Overflow(float(grid.nodes[column // (width // (grid.n + 1))]))
 
 
 def linear_combination(grid: Grid, coeffs, rows) -> GridFn:

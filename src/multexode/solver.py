@@ -10,8 +10,10 @@ which each rotation is one particle, so no member is ever built as an
 expression.  The chain depends only on the equation, and its lowered rows
 on the grid and the series tolerance too, never on the initial data, so one
 per-process memo keeps both and a repeat solve runs only the stacked pass.
-Presets cover the impedance-form wave equation (order 2) and the
-fourth-order hydrodynamic-stability form y'''' = a2 y'' + a4 y.
+Presets hand their own chains to the same assembly: the impedance-form wave
+equation (zeta u')' + omega^2 zeta u = 0 as the index-2 trig pair of
+(-omega^2 zeta / zeta(0), zeta(0) / zeta), and the fourth-order
+hydrodynamic-stability form y'''' = a2 y'' + a4 y.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 from . import coeffexpr as ce
 from .auxiliary import AuxChain, CoeffVector, build_aux_chain, lower_chain
 from .coeffexpr import AuxDeriv, AuxFn, Const, Sampled, TrigNode, as_expr
-from .errors import NonDifferentiable
 from .gridfn import Grid, GridFn, Interval, linear_combination
 from .lower import LowerContext, _reads, lower
 from .multex import DEFAULT_TOL, trig_family
@@ -62,11 +63,12 @@ class BasisSet:
     psi holds the grid realizations, zeroed outside validity.  diagnostics
     are the members' series diagnostics, one record of the stacked pass
     shared by every member, and aux_diagnostics those of the chain's
-    auxiliary functions; order 1 has no chain.
+    auxiliary functions; order 1 has no chain.  a is None for the
+    impedance preset, whose hand-built chain no coefficient vector describes.
     """
 
     n: int
-    a: CoeffVector
+    a: CoeffVector | None
     psi: tuple
     validity: Interval
     diagnostics: tuple
@@ -89,9 +91,9 @@ _LOWERED_BUDGET = 6 << 20  # bytes: the rows, and 350 B per chain node an entry 
 
 
 def _chain_size(chain: AuxChain) -> int:
-    """The distinct nodes reached from the chain's phi and coefficients; a
-    table also counts its arrays at 350 B per node."""
-    seen, size, stack = set(), 0, [*chain.phi, *chain.a.coeffs]
+    """The distinct nodes reached from the chain's phi and coefficients, if
+    it has any; a table also counts its arrays at 350 B per node."""
+    seen, size, stack = set(), 0, [*chain.phi, *(chain.a.coeffs if chain.a else ())]
     while stack:
         e = stack.pop()
         if e not in seen:
@@ -156,29 +158,28 @@ def solve_ivp(problem: IVProblem, grid: Grid, tol: float = DEFAULT_TOL):
     return y, bs
 
 
-def preset_schrodinger(zeta, omega, grid: Grid, tol: float = DEFAULT_TOL, numeric_diff: bool = False) -> BasisSet:
+def preset_schrodinger(zeta, omega, grid: Grid, tol: float = DEFAULT_TOL) -> BasisSet:
     """Impedance-form basis (C, S) for (zeta u')' + omega^2 zeta u = 0.
 
-    The equation is rewritten as u'' = -(zeta'/zeta) u' - omega^2 u, which
-    requires zeta to be positive and expression-differentiable (sampled
-    impedance profiles need the numeric-differentiation opt-in).
+    Read as the system (u, zeta u' / zeta(0)), the equation is the index-2
+    trig pair of (-omega^2 zeta / zeta(0), zeta(0) / zeta), built here as a
+    hand-made chain with no derivative of zeta: C is its index-2 operator
+    and S the index-1 operator of the swapped pair.  zeta must be real and
+    positive on its validity interval; a pole of zeta shrinks the interval
+    through the reciprocal.  No coefficient vector describes the equation
+    without zeta', so the basis and its chain carry a = None.
     """
     if not cmath.isfinite(complex(omega)):
         raise ValueError(f"omega must be finite, got {omega!r}")
     zeta = parse(zeta) if isinstance(zeta, str) else as_expr(zeta)
     probe = LowerContext(grid)
-    zvals = lower(zeta, probe).values[grid.mask(probe.validity)]
+    zrow = lower(zeta, probe).values
+    zvals = zrow[grid.mask(probe.validity)]
     if np.any(zvals.real <= 0) or np.any(np.abs(zvals.imag) > 1e-12 * np.abs(zvals.real)):
         raise ValueError("impedance profile must be real and positive on its validity interval")
-    try:
-        dzeta = ce.differentiate(zeta, numeric_diff)
-    except NonDifferentiable:
-        raise NonDifferentiable(
-            "impedance profile is sampled data; pass numeric_diff=True to differentiate it"
-        ) from None
-    a1 = ce.simplify(ce.mul(Const(-1), ce.div(dzeta, zeta)))
-    a2 = Const(-(complex(omega) ** 2))
-    return basis(CoeffVector((Const(-1), a1, a2)), grid, tol=tol)
+    z0 = complex(zrow[grid.zero_index])
+    phi = (ce.mul(Const(-(complex(omega) ** 2) / z0), zeta), ce.div(Const(z0), zeta))
+    return _assemble(AuxChain(2, None, phi), grid, tol)
 
 
 def preset_orr_sommerfeld(a2, a4, grid: Grid, tol: float = DEFAULT_TOL) -> BasisSet:

@@ -77,6 +77,7 @@ DIVIDING_CHAINS = (
 )
 XS = np.linspace(-1.2, 1.2, 241)
 TABLES = {"real": Sampled(XS, 0.3 * np.cos(XS)), "complex": Sampled(XS, 0.3 * np.cos(XS) + 0.1j * XS)}
+ZETA_TABLE = Sampled(XS, 2 + XS)
 PARSED = (
     "1+2*x", "6/3 - 2*2", "1/0", "2*3 + 1", "x - (x - 1)", "x/(x/2)*x", "-x^2", "x^-2/(2 + sin(x))",
     "(1 + 2*i)*x", "1.5e-3*x - -x", "1/(1+x^2)", "sin(x)*x - x/sin(x)",
@@ -145,6 +146,7 @@ def library_probes():
         yield f"basis/orr_plain_equation/N{size}", _basis(("0", "-1+x", "0", "1/2"), g)
         yield f"orr/dividing_a4/N{size}", lambda g=g: preset_orr_sommerfeld("-1+x", "1/(x-0.6)", g)
         yield f"schrodinger/N{size}", lambda g=g: preset_schrodinger("2+x", 1.5, g)
+        yield f"schrodinger/sampled/N{size}", lambda g=g: preset_schrodinger(ZETA_TABLE, 1.5, g)
     for a2 in ("-40+3*x", "-40"):
         for size in (1500, 2000, 8000):
             for tol in (1e-12, 1e-13):

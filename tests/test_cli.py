@@ -93,8 +93,6 @@ class TestConfig:
             ("compare_tol = nan", "compare_tol"),
             ("compare_tol = inf", "compare_tol"),
             ("compare_tol = -1e-6", "compare_tol"),
-            ("numeric_diff = ture", "numeric_diff"),
-            ("numeric_diff = on", "numeric_diff"),
             ("ic = nan, 0", "ic"),
             ("ic = inf, 0", "ic"),
             ("interval = -inf:1", "interval"),
@@ -113,18 +111,13 @@ class TestConfig:
         assert capsys.readouterr().err.startswith(f"multexode: {key}: ")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value, flag", [("TRUE", True), ("Yes", True), ("1", True), ("False", False), ("NO", False), ("0", False)])
-    def test_numeric_diff_values(self, tmp_path, value, flag):
-        cfg = load_config(write(tmp_path / "p.cfg", BASIC + f"numeric_diff = {value}\n"))
-        assert cfg.numeric_diff is flag
-
     @pytest.mark.parametrize(
         "body, ic",
         [("n = 2\na1 = 0\na2 = -4\n", "1, 0"), (ORR, "1, 0, 0, 0"), (SCHRODINGER, "1, 0")],
         ids=["solve", "orr", "schrodinger"],
     )
     def test_shared_keys_accepted_in_every_mode(self, tmp_path, body, ic):
-        shared = f"ic = {ic}\ninterval = -1:1\ngrid = 200\ntol = 1e-10\ncompare_tol = 1e-7\nnumeric_diff = false\n"
+        shared = f"ic = {ic}\ninterval = -1:1\ngrid = 200\ntol = 1e-10\ncompare_tol = 1e-7\n"
         cfg = load_config(write(tmp_path / "p.cfg", body + shared))
         assert (cfg.grid_n, cfg.tol, cfg.compare_tol) == (200, 1e-10, 1e-7)
 
@@ -371,7 +364,7 @@ class TestRuns:
         assert doc["x"] == xs.tolist()
         assert sol["re"] == ys.real.tolist() and sol["im"] == ys.imag.tolist()
 
-    def test_sampled_impedance_needs_numeric_diff_flag(self, tmp_path, capsys):
+    def test_sampled_impedance_runs_without_a_flag(self, tmp_path):
         xs = np.linspace(-1.5, 1.5, 4001)
         (tmp_path / "zeta.csv").write_text("\n".join(f"{x},{2 + np.sin(x)}" for x in xs))
         cfg = write(
@@ -379,14 +372,17 @@ class TestRuns:
             "preset = schrodinger\nzeta = @zeta.csv\nomega = 1\ngrid = 500\n",
         )
         out = tmp_path / "out"
-        assert run(["preset", "--config", cfg, "--output", str(out)]) == 1
-        assert "numeric" in capsys.readouterr().err
-        assert run(["preset", "--config", cfg, "--output", str(out), "--numeric-diff"]) == 0
+        assert run(["preset", "--config", cfg, "--output", str(out)]) == 0
         xs2, c = read_csv(out / "c.csv")
         from multexode import preset_schrodinger
 
         ref = preset_schrodinger("2 + sin(x)", 1.0, Grid.aligned(-1, 1, 500)).psi[0]
         assert np.max(np.abs(c - ref.values)) <= 1e-6
+
+    def test_numeric_diff_key_is_unknown(self, tmp_path, capsys):
+        cfg = write(tmp_path / "p.cfg", "preset = schrodinger\nzeta = 2+x\nomega = 1\nnumeric_diff = true\n")
+        assert run(["preset", "--config", cfg, "--output", str(tmp_path / "out")]) == 1
+        assert "numeric_diff" in capsys.readouterr().err
 
 
 # floats whose repr takes every form: signed zero, subnormal, exponent with a

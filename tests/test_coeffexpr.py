@@ -114,12 +114,6 @@ class TestDifferentiate:
         with pytest.raises(NonDifferentiable):
             differentiate(s)
 
-    def test_sampled_numeric_opt_in(self):
-        xs = np.linspace(-1.2, 1.2, 2001)
-        s = Sampled(xs, np.cos(xs))
-        ds = differentiate(s, numeric=True)
-        assert np.max(np.abs(ds.ys - (-np.sin(xs)))) < 1e-9
-
     def test_aux_fn_caps_at_its_equation(self):
         b1, b2 = parse("x"), parse("sin(x)")
         fn = AuxFn("w", 2, (b1, b2), TrigNode((mul(b2, ExpPrim(b1, -1)), ExpPrim(b1, 1)), 2))
@@ -241,9 +235,6 @@ class TestLower:
     def test_real_table_lowers_to_a_real_row(self, grid200):
         xs = np.linspace(-1.5, 1.5, 3001)
         assert lower(Sampled(xs, np.cos(xs)), LowerContext(grid200)).values.dtype == np.float64
-        ds = differentiate(Sampled(xs, np.cos(xs)), numeric=True)
-        assert ds.ys.dtype == np.float64
-        assert lower(ds, LowerContext(grid200)).values.dtype == np.float64
 
     def test_div_by_const_expr(self, grid200):
         e = parse("1/(1+x^2)")

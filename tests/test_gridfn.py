@@ -11,7 +11,7 @@ from multexode import (
     ValidityCollapsed,
     zero_free_interval,
 )
-from multexode.gridfn import _lagrange4, primitive_values
+from multexode.gridfn import _lagrange4, check_finite, primitive_values
 
 from conftest import smooth_gridfn
 from crosschecks import const_fn, exp_primitive, from_callable, primitive, simplicial, var_fn
@@ -256,6 +256,12 @@ class TestExpPrimitive:
         with pytest.raises(Overflow) as exc:
             exp_primitive(const_fn(grid200, 1e4), 1)
         assert exc.value.x > 0
+        # a stacked complex row whose only bad part is an imaginary one
+        rows = np.ones((2, grid200.n + 1), dtype=complex)
+        rows[1, 57] = complex(1.0, np.inf)
+        with pytest.raises(Overflow) as exc:
+            check_finite(rows, grid200)
+        assert exc.value.x == grid200.nodes[57]
 
 
 class TestZeroFreeInterval:

@@ -8,7 +8,6 @@ from multexode import (
     Grid,
     IVProblem,
     LowerContext,
-    NonDifferentiable,
     Overflow,
     Sampled,
     ValidityCollapsed,
@@ -26,6 +25,7 @@ from multexode import (
     trig_family,
 )
 from multexode import auxiliary as aux
+from multexode import coeffexpr as ce_module
 from multexode import solver as solver_module
 from multexode.auxiliary import CoeffVector
 from multexode.coeffexpr import expprim, mul
@@ -220,10 +220,7 @@ class TestSolveIvp:
         keep = g.mask(bs.validity)
         assert np.max(np.abs(y.values[keep] - oracle.values[keep])) <= 1e-6
 
-    def test_order5_exercises_coefficient_derivatives(self):
-        # an order-5 chain differentiates auxiliary functions, whose realized
-        # derivatives it lowers; it never differentiates a coefficient (see
-        # build_aux_chain), whatever the test's name says
+    def test_order5_matches_dyson(self):
         g = Grid(-0.5, 0.5, 2000)
         p = IVProblem(5, ("sin(x)/4", "cos(x)/2", "x/2", "1/3", "x^2/2"), (1, 0.5, -0.25, 0, 0.3))
         y, bs = solve_ivp(p, g, tol=1e-12)
@@ -492,21 +489,33 @@ class TestSchrodingerPreset:
         assert np.max(np.abs(bs.psi[0].values - generic.psi[0].values)) <= 1e-9
         assert np.max(np.abs(bs.psi[1].values - generic.psi[1].values)) <= 1e-9
 
-    def test_sampled_impedance_requires_opt_in(self, grid200):
+    def test_sampled_impedance_matches_its_expression(self, grid200, grid2000):
+        # the trig pair reads zeta and 1/zeta only, so a table needs no derivative
         xs = np.linspace(-1.5, 1.5, 4001)
-        zeta = Sampled(xs, 2.0 + np.sin(xs))
-        with pytest.raises(NonDifferentiable):
-            preset_schrodinger(zeta, 1.0, grid200)
-        bs = preset_schrodinger(zeta, 1.0, grid200, numeric_diff=True)
-        ref = preset_schrodinger("2 + sin(x)", 1.0, grid200)
-        assert np.max(np.abs(bs.psi[0].values - ref.psi[0].values)) <= 1e-7
+        for text, ys in (("2 + sin(x)", 2 + np.sin(xs)), ("1 + 0.3*x^2", 1 + 0.3 * xs**2)):
+            for g in (grid200, grid2000):
+                bs = preset_schrodinger(Sampled(xs, ys), 1.0, g)
+                ref = preset_schrodinger(text, 1.0, g)
+                for got, want in zip(bs.psi, ref.psi, strict=True):
+                    assert np.max(np.abs(got.values - want.values)) <= 1e-10
+
+    def test_no_derivative_and_a_repeat_is_a_memo_hit(self, grid200, monkeypatch):
+        differentiated, real = [], ce_module.differentiate
+        monkeypatch.setattr(ce_module, "differentiate", lambda e: differentiated.append(e) or real(e))
+        first = preset_schrodinger("2 + sin(x)", 1.0, grid200)
+        assert not differentiated and first.a is None
+        kept = len(solver_module._LOWERED)
+        calls = count_lowering(monkeypatch)
+        second = preset_schrodinger("2 + sin(x)", 1.0, grid200)
+        assert calls["solver.lower_chain"] == 0 and len(solver_module._LOWERED) == kept
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(first.psi, second.psi, strict=True))
 
     def test_singular_impedance_cuts_validity(self, grid2000):
         # zeta is positive up to its pole at 0.5: the probe and the basis
         # both cut the interval there instead of rejecting the profile
         bs = preset_schrodinger("(x-0.5)^-2", 1.0, grid2000)
         assert bs.validity.lo == grid2000.lo and 0.49 < bs.validity.hi < 0.5
-        steps = rk4(companion(bs.a, grid2000), grid2000.n)
+        steps = rk4(companion(CoeffVector.from_rhs(("2/(x-0.5)", "-1")), grid2000), grid2000.n)
         near = grid2000.nodes <= 0.45
         for k in range(2):
             assert np.max(np.abs(bs.psi[k].values - steps[0, k])[near]) <= 1e-8
