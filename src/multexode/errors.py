@@ -31,7 +31,7 @@ class Overflow(MultexodeError):
 
 
 class NonDifferentiable(MultexodeError):
-    """Symbolic differentiation requested on sampled data without opt-in."""
+    """Symbolic differentiation reached a sampled table, which has no derivative."""
 
 
 class ExpressionSyntaxError(MultexodeError):

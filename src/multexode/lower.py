@@ -5,18 +5,18 @@ derivatives an AuxFn carries, and never simplifies or differentiates.  A
 LowerContext fixes the grid, series tolerances and the per-solve memo
 store.  Every node lowers to a plain read-only array, checked finite
 (Overflow at the first bad node), real until a complex constant, a complex
-table or ``sqrt`` enters; the recursion never builds a GridFn.
+table or ``sqrt`` enters; lowering never builds a GridFn.
 
 Rows live by use count.  Expressions are interned when they are built, so
 structurally equal nodes are one object already; :meth:`LowerContext.plan`
 does no interning and only counts, on the nodes themselves, how many times
 each node's row will be read: once per root, a read that is never taken,
 and once per distinct parent still to be computed.  Lowering then computes
-every node exactly once, depth first, keeps its row in the memo while reads
-of it remain and drops it after the last one, so a root's row stays for
-every later call on the context.  The recurrence pass of a trig family keeps
-every planned index of it at once, so the family costs a single pass, and an
-index nobody reads is not kept.
+every node exactly once, depth first from an explicit stack (no Python
+stack depth limits the order), keeps its row in the memo while reads of it
+remain and drops it after the last one, so a root's row stays for every
+later call.  A trig family's recurrence pass keeps every planned index of
+it at once, so the family costs one pass; an unread index is not kept.
 The public :func:`lower` is the GridFn edge and wraps the memo's row without
 a copy.  It plans a node nobody has planned yet as a root, with every index
 of its family; a node already planned, a root or one inside a root, is
@@ -161,60 +161,62 @@ def _guarded_reciprocal(ctx: LowerContext, den: np.ndarray, power: int) -> np.nd
 def lower(e: ce.Expr, ctx: LowerContext) -> GridFn:
     """Evaluate an expression on the context's grid.
 
-    This is the GridFn edge of lowering: the result wraps the memo's
-    read-only array without a copy.  A node not planned yet is planned here
-    as a root, with every index of its family, so later calls on the
-    context share its row; a planned node is lowered as planned.  A
-    division may shrink ``ctx.validity`` and zero the result outside it,
-    so read ``ctx.validity`` before trusting a node.  Floating-point
-    overflow is silenced here, once for the whole recursion, because every
-    node is checked.
+    This is the GridFn edge of lowering: the result wraps the memo's read-only
+    array without a copy.  A node not planned yet is planned here as a root,
+    with every index of its family, so later calls on the context share its
+    row; a planned node is lowered as planned.  A division may shrink
+    ``ctx.validity`` and zero the result outside it, so read ``ctx.validity``
+    before trusting a node.  One loop computes the nodes without a row in
+    depth-first post-order, children in ``_reads`` order; it silences
+    floating-point overflow, as every node is checked.
     """
+    memo = ctx.memo
     with np.errstate(over="ignore", invalid="ignore"):
         if e not in ctx.uses:
             family = range(1, e.n + 1) if isinstance(e, ce.TrigNode) else ()
             ctx.plan([e, *(ce.TrigNode(e.fs, j) for j in family if j != e.j)])
-        return GridFn._wrap(ctx.grid, _values(e, ctx))
-
-
-def _values(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
-    """The checked, read-only sample row of one planned expression;
-    Overflow at the first node where it is not finite."""
-    row = ctx.memo.get(e)
-    if row is None:
-        row = _lower(e, ctx)
-        if type(e) not in _CHECKED:
-            check_finite(row, ctx.grid)
-            row.setflags(write=False)
-        ctx._keep(e, row)
-    return row
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            if node in memo:  # before its reads, whose rows may be dropped
+                continue
+            missing = [child for child in _reads(node) if child not in memo]
+            if missing:
+                stack += [node, *reversed(missing)]
+                continue
+            row = _lower(node, ctx)
+            if type(node) not in _CHECKED:
+                check_finite(row, ctx.grid)
+                row.setflags(write=False)
+            ctx._keep(node, row)
+    return GridFn._wrap(ctx.grid, memo[e])
 
 
 def _lower(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
-    grid = ctx.grid
+    """The row of ``e``, computed from the memo's rows of its reads."""
+    grid, memo = ctx.grid, ctx.memo
     if isinstance(e, (ce.Mul, ce.Add, ce.Sub)):
-        return ce.BINARY[type(e)][2](_values(e.a, ctx), _values(e.b, ctx))
+        return ce.BINARY[type(e)][2](memo[e.a], memo[e.b])
     if isinstance(e, ce.Const):
         return np.full(grid.n + 1, e.value.real if e.value.imag == 0 else e.value)
     if isinstance(e, ce.Var):
         return grid.nodes
     if isinstance(e, ce.Div):
-        num = _values(e.a, ctx)
         # a named operand keeps numpy from multiplying into the temporary in
         # place, whose loop rounds differently at large N
-        rec = _guarded_reciprocal(ctx, _values(e.b, ctx), 1)
-        return num * rec
+        rec = _guarded_reciprocal(ctx, memo[e.b], 1)
+        return memo[e.a] * rec
     if isinstance(e, ce.IntPow):
-        base = _values(e.base, ctx)
+        base = memo[e.base]
         return base**e.k if e.k >= 0 else _guarded_reciprocal(ctx, base, -e.k)
     if isinstance(e, ce.ExpPrim):
-        return np.exp(e.sign * primitive_values(_values(e.child, ctx), grid))
+        return np.exp(e.sign * primitive_values(memo[e.child], grid))
     if isinstance(e, ce.FuncCall):
-        arg = _values(e.child, ctx)
+        arg = memo[e.child]
         # the principal root of a negative real is imaginary
         return getattr(np, e.name)(arg.astype(complex) if e.name == "sqrt" else arg)
     if isinstance(e, ce.TrigNode):
-        inputs = [GridFn._wrap(grid, _values(f, ctx)) for f in e.fs]
+        inputs = [GridFn._wrap(grid, memo[f]) for f in e.fs]
         family, ctx.trig_diagnostics[e.fs] = trig_family(inputs, ctx.series_tol)
         # the other planned indices come from this pass too
         for j, member in enumerate(family, start=1):
@@ -229,8 +231,6 @@ def _lower(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
                 f"[{grid.lo:.6g}, {grid.hi:.6g}]"
             )
         return _lagrange4(e.xs, e.ys, grid.nodes)
-    if isinstance(e, ce.AuxFn):
-        return _values(e.realization, ctx)
-    if isinstance(e, ce.AuxDeriv):
-        return _values(e.fn.derivs[e.s - 1], ctx)
+    if isinstance(e, (ce.AuxFn, ce.AuxDeriv)):
+        return memo[_reads(e)[0]]  # the realization or the realized derivative
     raise TypeError(f"cannot lower {type(e).__name__}")

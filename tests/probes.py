@@ -66,6 +66,9 @@ from multexode.cli import run as cli_run  # noqa: E402
 REAL = ("0.1*x", "-1+0.2*sin(x)", "0.3*x", "0.5*cos(x)", "0.2")
 COMPLEX = ("0.1*x + 0.05*i", "-1+0.2*sin(x)", "0.3*i*x", "0.5*cos(x)", "0.2 - 0.1*i*x")
 IC = (1.0, 0.3, -0.2, 0.1, 0.05)
+# REAL and IC extended to order 9
+REAL9 = (*REAL, "0.1*x^2", "-0.3", "0.05*cos(2*x)", "0.1")
+IC9 = (*IC, 0.02, -0.01, 0.005, 0.002)
 SIZES = (2000, 20000)
 DIVIDING_CHAINS = (
     ("order3_a1_pole", ("1/(x-0.5)", "-40+3*x", "1"), (-1, 1)),
@@ -180,6 +183,10 @@ def library_probes():
         bs = _run(_basis(REAL[:n], g))
         yield f"initial_condition_matrix/order{n}", lambda bs=bs: crosschecks.initial_condition_matrix(bs)
         yield f"ode_residual/order{n}", lambda bs=bs, n=n: crosschecks.ode_residual(bs, n)
+    # orders 6 to 9, the top of the CLI's range
+    for n in range(6, 10):
+        yield f"solve_ivp/order{n}/y^({n})=y", _solve(("0",) * (n - 1) + ("1",), g, ic=(1,) + (0,) * (n - 1))
+        yield f"solve_ivp/order{n}/real", _solve(REAL9[:n], g, ic=IC9)
 
 
 def equations():

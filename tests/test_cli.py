@@ -237,6 +237,17 @@ class TestRuns:
         assert report["max_abs_err"] <= 1e-6
         assert report["member_diagnostics"][0]["converged"] is True
 
+    def test_order9_solves_and_compares(self, tmp_path):
+        # the top of the documented range 1..9: y^(9) = y
+        body = "n = 9\n" + "".join(f"a{j} = 0\n" for j in range(1, 9))
+        body += "a9 = 1\nic = 1, 0, 0, 0, 0, 0, 0, 0, 0\ngrid = 2000\n"
+        assert run(["solve", "--config", write(tmp_path / "p.cfg", body), "--output", str(tmp_path / "s")]) == 0
+        cfg = write(tmp_path / "c.cfg", "mode = compare\n" + body)
+        assert run(["compare", "--config", cfg, "--output", str(tmp_path / "c")]) == 0
+        report = json.loads((tmp_path / "c" / "report.json").read_text())
+        assert report["pass"] is True
+        assert max(report["max_abs_err_series_oracle"], report["max_abs_err_stepper_oracle"]) <= 1e-6
+
     def test_compare_failure_exits_nonzero(self, tmp_path):
         cfg = write(
             tmp_path / "p.cfg",

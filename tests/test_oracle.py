@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from multexode import (
     Grid,
@@ -15,8 +16,9 @@ from multexode.auxiliary import CoeffVector
 from multexode.gridfn import _lagrange4, primitive_values
 from multexode.oracle import MAX_TERMS, _running_products
 
+import crosschecks
 from conftest import smooth_gridfn
-from crosschecks import matrix_from_gridfns
+from crosschecks import dop853_reference, matrix_from_gridfns
 
 
 def const_matrix(grid, m):
@@ -300,3 +302,25 @@ class TestRk4:
     def test_requires_enough_steps(self, grid200):
         with pytest.raises(ValueError):
             rk4(const_matrix(grid200, np.eye(2)), 10)
+
+
+class TestDop853Reference:
+    XS = np.linspace(-1, 1, 21)
+
+    @pytest.mark.parametrize("w2", [40, 400, 1600])
+    def test_matches_the_cosine(self, w2):
+        y = dop853_reference((lambda x: 0.0, lambda x: -w2), (1, 0), self.XS)
+        assert np.max(np.abs(y - np.cos(np.sqrt(w2) * self.XS))) <= 1e-12
+
+    def test_matches_the_exponential_of_a_constant_companion_matrix(self):
+        a1, a2, a3 = 0.3, -2 + 0.5j, 0.7
+        c = np.array([[0, 1, 0], [0, 0, 1], [a3, a2, a1]])
+        ic = np.array([1, 0.3, -0.2])
+        exact = [(scipy.linalg.expm(x * c) @ ic)[0] for x in self.XS]
+        y = dop853_reference((lambda x: a1, lambda x: a2, lambda x: a3), ic, self.XS)
+        assert np.max(np.abs(y - exact)) <= 1e-12
+
+    def test_two_tolerances_that_disagree_raise(self, monkeypatch):
+        monkeypatch.setattr(crosschecks, "DOP853_AGREEMENT", 0.0)
+        with pytest.raises(RuntimeError, match="differ by"):
+            dop853_reference((lambda x: 0.0, lambda x: -40), (1, 0), self.XS)

@@ -29,9 +29,10 @@ from multexode import coeffexpr as ce_module
 from multexode import solver as solver_module
 from multexode.auxiliary import CoeffVector
 from multexode.coeffexpr import expprim, mul
+from multexode.gridfn import linear_combination
 
 from conftest import smooth_gridfn
-from crosschecks import first_row_solution, initial_condition_matrix, ode_residual, rotation_members
+from crosschecks import dop853_reference, first_row_solution, initial_condition_matrix, ode_residual, rotation_members
 
 
 def lowered_rows(monkeypatch) -> list:
@@ -228,6 +229,16 @@ class TestSolveIvp:
         keep = g.mask(bs.validity)
         assert np.max(np.abs(y.values[keep] - oracle.values[keep])) <= 1e-6
 
+    def test_order5_matches_dop853(self):
+        g = Grid(-1, 1, 2000)
+        p = IVProblem(5, SMOOTH_COMPLEX, (1, 0.5, -0.25, 0, 0.3))
+        fns = (lambda x: 0.1 * x + 0.05j, lambda x: -1 + 0.2j * np.sin(x), lambda x: 0.3 * x,
+               lambda x: 0.5 * np.cos(x) - 0.1j, lambda x: 0.2 + 0.1j)
+        y, bs = solve_ivp(p, g)
+        xs = g.nodes[::50]
+        assert bs.validity == g.interval
+        assert np.max(np.abs(y.values[::50] - dop853_reference(fns, p.initial_values, xs))) <= 1e-8
+
     def test_order1_short_circuit(self, grid2000):
         p = IVProblem(1, ("cos(x)",), (2.0,))
         y, bs = solve_ivp(p, grid2000)
@@ -242,6 +253,30 @@ class TestSolveIvp:
         assert np.all(y.values[x > bs.validity.hi + 1e-12] == 0.0)
         near = x <= 0.49
         assert np.max(np.abs(y.values[near] - (1 - 2 * x[near]))) <= 1e-6
+
+
+def at_depth(frames: int, fn):
+    """fn() called ``frames`` Python frames below the caller."""
+    return fn() if frames == 0 else at_depth(frames - 1, fn)
+
+
+class TestEveryDocumentedOrder:
+    def test_order9_matches_its_closed_form(self, grid2000):
+        # y^(9) = y with y(0) = 1 and every other datum 0 is the mean of
+        # exp(w^k x) over the ninth roots of unity w^k
+        y, bs = solve_ivp(IVProblem(9, ("0",) * 8 + ("1",), (1,) + (0,) * 8), grid2000)
+        roots = np.exp(2j * np.pi * np.arange(9) / 9)
+        exact = np.exp(np.outer(grid2000.nodes, roots)).mean(axis=1)
+        assert bs.validity == grid2000.interval
+        assert np.max(np.abs(y.values - exact)) <= 1e-12
+
+    def test_order8_solves_from_a_deep_caller(self):
+        g = Grid(-1, 1, 400)
+        p = IVProblem(8, ("0.1",) * 8, (1, 0.3, -0.2, 0.1, 0.05, 0, 0.02, -0.01))
+        y, bs = at_depth(300, lambda: solve_ivp(p, g))
+        oracle = linear_combination(g, p.initial_values, rk4(companion(bs.a, g), g.n)[0])
+        assert bs.validity == g.interval
+        assert np.max(np.abs(y.values - oracle.values)) <= 1e-8
 
 
 # the smooth order-5 problem of the ROADMAP timing table
