@@ -169,7 +169,7 @@ class AuxChain:
     phi: tuple
 
 
-def _build_chain(a: CoeffVector, prefix: str = "phi") -> AuxChain:
+def _build_chain(a: CoeffVector, prefix: str = "") -> AuxChain:
     n = a.n
     if n < 2:
         raise ValueError("auxiliary chains start at order 2")
@@ -179,7 +179,7 @@ def _build_chain(a: CoeffVector, prefix: str = "phi") -> AuxChain:
     for k in range(n, 1, -1):
         # the vector's top entry is at index k, so extract_aux_ode checks order k - 1
         order, b, _ = extract_aux_ode(a, cur)
-        name = f"{prefix}{k}" if not prefix.endswith(".") else f"{prefix}phi{k}"
+        name = f"{prefix}phi{k}"
         phis[k] = AuxFn(name, order, tuple(b), solve_unit_ivp(order, b, name))
         cur = apply_scriptD([ce.mul(phis[k], entry) for entry in cur])
 

@@ -201,13 +201,14 @@ class Sampled(Expr):
 
     A table has at least 4 rows, strictly increasing abscissae and finite
     values, so that its 4-point interpolant and derivative are defined.  It
-    is interned by its content digest ``key``, so tables can be large
-    without making node construction expensive.
+    is interned by its length, its value dtype and the digest ``key`` of its
+    content, so tables can be large without making node construction
+    expensive, and a real table never shares the bytes of a complex one.
     """
 
     __slots__ = ("xs", "ys", "key")
 
-    def __new__(cls, xs, ys, key=None):
+    def __new__(cls, xs, ys):
         xs = np.array(xs, dtype=float)
         ys = np.array(ys, dtype=np.result_type(np.asarray(ys), float))  # a real table stays real
         if xs.ndim != 1 or xs.shape != ys.shape:
@@ -220,9 +221,8 @@ class Sampled(Expr):
             raise NonMonotoneAbscissae("sampled table abscissae must be strictly increasing")
         xs.setflags(write=False)
         ys.setflags(write=False)
-        if key is None:
-            key = hashlib.sha1(xs.tobytes() + ys.tobytes()).hexdigest()[:16]
-        return _interned(cls, (cls, key), xs, ys, key)
+        key = hashlib.sha1(xs.tobytes() + ys.tobytes()).hexdigest()[:16]
+        return _interned(cls, (cls, key, len(xs), ys.dtype), xs, ys, key)
 
 
 class AuxFn(Expr):
@@ -371,35 +371,15 @@ def func(name: str, child: Expr) -> Expr:
 
 
 def invert(e: Expr) -> Expr:
-    """Structural reciprocal, pushing through products and exponentials."""
-    if isinstance(e, ExpPrim):
-        return ExpPrim(e.child, -e.sign)
-    if isinstance(e, IntPow):
-        return intpow(e.base, -e.k)
+    """Structural reciprocal of a product of factors, factor by factor."""
     if isinstance(e, Mul):
         return mul(invert(e.a), invert(e.b))
-    if _is_const(e) and e.value != 0:
-        return Const(1.0 / e.value)
     return IntPow(e, -1)
 
 
 # ---------------------------------------------------------------------
 # simplification
 # ---------------------------------------------------------------------
-
-def _flatten(e: Expr, cls):
-    """Collect the operand chain of nested Add or Mul nodes."""
-    out = []
-    stack = [e]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, cls):
-            stack.append(cur.b)
-            stack.append(cur.a)
-        else:
-            out.append(cur)
-    return out
-
 
 _SELF = object()  # the memo of a node that simplifies to itself
 
@@ -410,25 +390,56 @@ def simplify(e: Expr) -> Expr:
     Flattened chains are rebuilt left-associated with any folded constant
     first, which is also the canonical order the printer emits.  The result
     is memoised on the node, so each node is simplified once; a node that
-    simplifies to itself keeps a marker, not a reference to itself.
+    simplifies to itself keeps a marker, not a reference to itself.  One
+    loop over an explicit stack simplifies a node after its operands, so no
+    Python stack depth limits how long a chain of operators is.
     """
     try:
         out = e._simple
     except AttributeError:
-        out = _simplify(e)
-        _set(e, "_simple", _SELF if out is e else out)
-        return out
+        stack = [e]  # nodes to visit, and (node, operands) pairs to simplify once the operands above are
+        while stack:
+            node = stack.pop()
+            if type(node) is tuple:
+                node, ops = node
+                out = _simplify(node, [c if c._simple is _SELF else c._simple for c in ops])
+                _set(node, "_simple", _SELF if out is node else out)
+            elif not hasattr(node, "_simple"):  # a node reached twice is simplified once
+                ops = _operands(node)
+                stack.append((node, ops))
+                stack += reversed(ops)
+        out = e._simple
     return e if out is _SELF else out
 
 
-def _simplify(e: Expr) -> Expr:
-    if isinstance(e, (Const, Var, Sampled)):
-        return e
+def _operands(e: Expr):
+    """The nodes whose simplified forms the simplified ``e`` is built from:
+    the operand chain of nested Add or Mul nodes, collected once here, or
+    the children."""
+    if isinstance(e, (Add, Mul)):
+        cls, out, stack = type(e), [], [e]
+        while stack:
+            cur = stack.pop()
+            if isinstance(cur, cls):
+                stack += (cur.b, cur.a)
+            else:
+                out.append(cur)
+        return out
+    if isinstance(e, (Sub, Div)):
+        return (e.a, e.b)
+    if isinstance(e, IntPow):
+        return (e.base,)
+    if isinstance(e, (ExpPrim, FuncCall)):
+        return (e.child,)
+    return e.fs if isinstance(e, TrigNode) else ()
+
+
+def _simplify(e: Expr, ops: list) -> Expr:
+    """The simplified ``e`` from the simplified forms ``ops`` of its operands."""
     if isinstance(e, (Add, Mul)):
         cls = type(e)
         fold = BINARY[cls][2]
         identity = complex(0) if cls is Add else complex(1)
-        ops = [simplify(c) for c in _flatten(e, cls)]
         cval = identity
         rest = []
         for c in ops:
@@ -445,18 +456,18 @@ def _simplify(e: Expr) -> Expr:
             out = c if out is None else cls(out, c)
         return out
     if isinstance(e, Sub):
-        return sub(simplify(e.a), simplify(e.b))
+        return sub(*ops)
     if isinstance(e, Div):
-        return div(simplify(e.a), simplify(e.b))
+        return div(*ops)
     if isinstance(e, IntPow):
-        return intpow(simplify(e.base), e.k)
+        return intpow(ops[0], e.k)
     if isinstance(e, ExpPrim):
-        return expprim(simplify(e.child), e.sign)
+        return expprim(ops[0], e.sign)
     if isinstance(e, FuncCall):
-        return func(e.name, simplify(e.child))
+        return func(e.name, ops[0])
     if isinstance(e, TrigNode):
-        return TrigNode(tuple(simplify(f) for f in e.fs), e.j)
-    if isinstance(e, (AuxFn, AuxDeriv)):
+        return TrigNode(ops, e.j)
+    if isinstance(e, (Const, Var, Sampled, AuxFn, AuxDeriv)):
         return e
     raise TypeError(f"cannot simplify {type(e).__name__}")
 

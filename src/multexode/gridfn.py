@@ -34,13 +34,6 @@ class Interval:
         if not self.lo < self.hi:
             raise ValueError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
 
-    def intersect(self, other: "Interval") -> "Interval":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if not lo < hi:
-            raise ValueError(f"empty intersection of [{self.lo},{self.hi}] and [{other.lo},{other.hi}]")
-        return Interval(lo, hi)
-
 
 class Grid:
     """Uniform grid on [lo, hi] with n+1 nodes, one of which is exactly 0.
@@ -262,16 +255,16 @@ def linear_combination(grid: Grid, coeffs, rows) -> GridFn:
     return GridFn(grid, vals)
 
 
-def zero_free_interval(v: np.ndarray, grid: Grid, floor: float) -> Interval:
-    """Largest node-aligned subinterval around 0 on which the sample row v
-    stays above floor in magnitude.
+def zero_free_interval(v: np.ndarray, grid: Grid, floor: float) -> tuple[int, int]:
+    """The node indices (lo, hi) of the longest run of nodes around 0 on
+    which the sample row v stays above floor in magnitude.
 
     Scans outward from the zero node.  A segment between adjacent nodes also
     blocks the scan when the linear interpolant of v dips to the floor inside
     it, so sign changes between nodes are caught even when no node value is
     small.  The scan opens with a one-pass proof: where min|v| - max|dv|
     clears 2 (floor + 1e-13 * 2 max|v|), every node and segment test would
-    pass, as rounding is monotone, so the whole grid is returned at once.
+    pass, as rounding is monotone, so (0, grid.n) is returned at once.
     """
     z = grid.zero_index
     mags = np.abs(v)
@@ -280,7 +273,7 @@ def zero_free_interval(v: np.ndarray, grid: Grid, floor: float) -> Interval:
     d = np.diff(v)
     steps = np.abs(d)
     if float(mags.min()) - float(steps.max()) > 2.0 * (floor + 1e-13 * (2.0 * float(mags.max()))):
-        return grid.interval
+        return 0, grid.n
     # |a + t d| >= |a| - |d| on the segment: where that clears twice the
     # threshold below, rounding cannot bring the projection under it
     seg_ok = mags[:-1] - steps > 2.0 * (floor + 1e-13 * (mags[:-1] + mags[1:]))
@@ -303,4 +296,4 @@ def zero_free_interval(v: np.ndarray, grid: Grid, floor: float) -> Interval:
     lo = int(down[-1]) + 1 if down.size else 0
     if lo == hi:
         raise ValidityCollapsed("zero-free region around 0 is a single node")
-    return Interval(float(grid.nodes[lo]), float(grid.nodes[hi]))
+    return lo, hi

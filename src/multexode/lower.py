@@ -24,11 +24,12 @@ lowered as it is, so no read a parent was planned for is taken.
 
 There is one division policy, with the one floor DIV_FLOOR.  A divisor whose
 magnitude at 0 is not above the floor is DivisorTooSmall.  Otherwise the
-context's running validity interval shrinks to the zero-free neighbourhood of
-0 of the divisor, and the quotient is zeroed outside it;
-:meth:`LowerContext.final_validity` then takes one more grid cell off every
-cut side, so the quadrature of no reported node reads a zeroed sample, and
-is ValidityCollapsed when fewer than MIN_VALIDITY_CELLS cells remain.
+running validity, a run of grid nodes kept as its end indices (lo, hi),
+shrinks to the divisor's zero-free run around 0 and the quotient is zeroed
+outside it; :meth:`LowerContext.final_validity` takes one more cell off every
+cut side, so no reported node's quadrature reads a zeroed sample, and turns
+the run into the reported Interval; it is ValidityCollapsed when fewer than
+MIN_VALIDITY_CELLS cells remain.
 The anchored primitive sums outward from 0 on each side, so a primitive
 inside the reported interval does not depend on samples outside it; each
 further nested primitive reads one more stencil node outward.
@@ -81,7 +82,7 @@ class LowerContext:
     def __init__(self, grid: Grid, series_tol: float = DEFAULT_TOL):
         self.grid = grid
         self.series_tol = series_tol
-        self.validity = grid.interval
+        self.validity = (0, grid.n)  # node indices of the running validity
         self.memo: dict = {}
         self.uses: dict = {}
         self.trig_diagnostics: dict = {}
@@ -116,45 +117,39 @@ class LowerContext:
                 del memo[child]
 
     def final_validity(self) -> Interval:
-        """The validity interval with one more grid cell off every side a
-        division cut; the interval a solve reports.  Its edges are grid
-        nodes, taken by index.  ValidityCollapsed when the margin would move
-        an edge past 0 or the interval spans fewer than MIN_VALIDITY_CELLS
-        grid cells."""
-        v = self.validity
+        """The running validity with one more grid cell off every side a
+        division cut, as the Interval a solve reports: the one place the
+        node run becomes an Interval.  ValidityCollapsed when the margin
+        would move an edge past 0 or the run spans fewer than
+        MIN_VALIDITY_CELLS grid cells."""
         g = self.grid
-        # the running interval ends on nodes, so this finds their indices exactly
-        lo = round((v.lo - g.lo) / g.h) + (v.lo > g.lo)
-        hi = round((v.hi - g.lo) / g.h) - (v.hi < g.hi)
+        cut_lo, cut_hi = self.validity
+        lo, hi = cut_lo + (cut_lo > 0), cut_hi - (cut_hi < g.n)
+        shown = f"validity interval [{g.nodes[cut_lo]:.4g}, {g.nodes[cut_hi]:.4g}] less its margin"
         if not lo <= g.zero_index <= hi:
-            raise ValidityCollapsed(
-                f"validity interval [{v.lo:.4g}, {v.hi:.4g}] less its margin no longer contains 0"
-            )
+            raise ValidityCollapsed(f"{shown} no longer contains 0")
         if hi - lo < MIN_VALIDITY_CELLS:
-            raise ValidityCollapsed(
-                f"validity interval [{v.lo:.4g}, {v.hi:.4g}] less its margin spans {hi - lo} "
-                f"grid cells, below {MIN_VALIDITY_CELLS}"
-            )
+            raise ValidityCollapsed(f"{shown} spans {hi - lo} grid cells, below {MIN_VALIDITY_CELLS}")
         return Interval(float(g.nodes[lo]), float(g.nodes[hi]))
 
 
 def _guarded_reciprocal(ctx: LowerContext, den: np.ndarray, power: int) -> np.ndarray:
-    """den**(-power) (power >= 1) on the validity interval, which shrinks to
-    the zero-free neighbourhood of 0 of den; zero outside it, and unmasked
-    while the interval is still the whole grid."""
+    """den**(-power) (power >= 1) on the running validity, which shrinks to
+    the run of nodes [lo, hi] around 0 where den is zero-free; zero outside
+    it, and unmasked while the run is still the whole grid."""
     mag0 = float(abs(den[ctx.grid.zero_index]))
     if mag0 <= DIV_FLOOR:
         raise DivisorTooSmall(0.0, mag0, DIV_FLOOR)
-    try:
-        ctx.validity = ctx.validity.intersect(zero_free_interval(den, ctx.grid, DIV_FLOOR))
-    except ValueError:
-        raise ValidityCollapsed("validity interval became empty") from None
-    if ctx.validity == ctx.grid.interval:
+    lo, hi = zero_free_interval(den, ctx.grid, DIV_FLOOR)
+    lo, hi = max(lo, ctx.validity[0]), min(hi, ctx.validity[1])
+    if lo == hi:
+        raise ValidityCollapsed("validity interval became empty")
+    ctx.validity = lo, hi
+    if (lo, hi) == (0, ctx.grid.n):
         return den ** (-power)
-    # the validity interval lies inside the zero-free run of den
-    keep = ctx.grid.mask(ctx.validity)
+    # the validity run lies inside the zero-free run of den
     out = np.zeros_like(den)
-    out[keep] = den[keep] ** (-power)
+    out[lo : hi + 1] = den[lo : hi + 1] ** (-power)
     return out
 
 

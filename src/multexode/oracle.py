@@ -93,8 +93,8 @@ def dyson(m: MatrixFn, tol: float = DEFAULT_TOL, y0=None) -> DysonResult:
     Each term integrates m times the previous term from 0, entrywise, on both
     sides of 0 with the anchored signed primitive.  Stops when the entrywise
     sup of the newest term reaches tol; raises NotConverged when MAX_TERMS
-    terms leave it far above.  The term and tail bounds of the state scale
-    with sum |y0_k|, since every state term is the matrix term applied to y0.
+    terms leave it far above or a term is NaN.  The state's term and tail
+    bounds scale with sum |y0_k|: each state term is the matrix term on y0.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -119,20 +119,21 @@ def dyson(m: MatrixFn, tol: float = DEFAULT_TOL, y0=None) -> DysonResult:
     terms = 0
     converged = False
     last = 0.0
-    while terms < MAX_TERMS:
-        terms += 1
-        term = primitive_values(np.einsum(spec, data, term), grid)
-        total += term
-        last = float(np.max(np.abs(term)))
-        running_bound *= (n * g_int) / terms
-        norms.append(last)
-        bounds.append(running_bound)
-        if last <= tol:
-            converged = True
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # a term that overflows fails the test below
+        while terms < MAX_TERMS:
+            terms += 1
+            term = primitive_values(np.einsum(spec, data, term), grid)
+            total += term
+            last = float(np.max(np.abs(term)))
+            running_bound *= (n * g_int) / terms
+            norms.append(last)
+            bounds.append(running_bound)
+            if last <= tol:
+                converged = True
+                break
     tail = scale * truncation_bound(g_int, n, terms) if scale else 0.0  # no inf * 0
     result = DysonResult(grid, total, terms, tail, converged, g_int, norms, bounds)
-    if not converged and last > 1e3 * tol:
+    if not last <= 1e3 * tol:  # also true when last is NaN
         raise NotConverged(
             f"series still at {last:.3e} after {terms} terms (tol {tol:.1e})",
             result,
@@ -194,8 +195,6 @@ def rk4(m: MatrixFn, steps: int) -> np.ndarray:
 
     def march(indices):
         """Advance substep by substep from the anchor through the node order."""
-        if not indices:
-            return
         bounds = np.concatenate(([grid.nodes[z]], grid.nodes[indices]))
         starts = bounds[:-1, None] + (np.diff(bounds) / sub)[:, None] * np.arange(sub)
         ts = np.concatenate((starts.ravel(), bounds[-1:]))

@@ -174,7 +174,7 @@ def preset_schrodinger(zeta, omega, grid: Grid, tol: float = DEFAULT_TOL) -> Bas
     zeta = parse(zeta) if isinstance(zeta, str) else as_expr(zeta)
     probe = LowerContext(grid)
     zrow = lower(zeta, probe).values
-    zvals = zrow[grid.mask(probe.validity)]
+    zvals = zrow[probe.validity[0] : probe.validity[1] + 1]
     if np.any(zvals.real <= 0) or np.any(np.abs(zvals.imag) > 1e-12 * np.abs(zvals.real)):
         raise ValueError("impedance profile must be real and positive on its validity interval")
     z0 = complex(zrow[grid.zero_index])

@@ -187,6 +187,9 @@ def library_probes():
     for n in range(6, 10):
         yield f"solve_ivp/order{n}/y^({n})=y", _solve(("0",) * (n - 1) + ("1",), g, ic=(1,) + (0,) * (n - 1))
         yield f"solve_ivp/order{n}/real", _solve(REAL9[:n], g, ic=IC9)
+    # chains of operators longer than a recursion through the Python stack reaches
+    yield "long_chain/2000_subtractions", _solve(("0", "-1" + " - 0.0001*x" * 2000), g, ic=(1, 0))
+    yield "long_chain/1000_divisions", _solve(("0", "-1+x" + "/1.0001" * 1000), g, ic=(1, 0))
 
 
 def equations():

@@ -148,6 +148,61 @@ class TestConfig:
         assert "ic" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, table, named",
+        [
+            pytest.param("n = 1\na1 = @t.csv\nic = 1\n", "x, y\n-1, 0\nfoo, 2\n", "t.csv: line 3 is not numeric",
+                         id="table-text-after-data"),
+            pytest.param("n = 1\na1 = @t.csv\nic = 1\n", "-1\n", "t.csv: line 1 has 1 columns", id="table-1-column"),
+            pytest.param("n = 1\na1 = @t.csv\nic = 1\n", "-1, 0, 0, 0\n", "t.csv: line 1 has 4 columns",
+                         id="table-4-columns"),
+            pytest.param("n = 1\na1 = @t.csv\nic = 1\n", "-1, 0\n0, 0\n1, 0\n", "t.csv: need at least 4",
+                         id="table-3-rows"),
+            pytest.param("n = 1\na1 0\n", None, "p.cfg: line 2 is not 'key = value'", id="no-equals"),
+            pytest.param("n = 1\n= 0\n", None, "p.cfg: line 2 has an empty key", id="empty-key"),
+            pytest.param("n = 1\na1 =\n", None, "p.cfg: line 2 has an empty key or value", id="empty-value"),
+            pytest.param("n = 1\nn = 2\n", None, "p.cfg: duplicate key 'n' at line 2", id="duplicate-key"),
+            pytest.param("n = 1\na1 = @t.csv\nic = 1\n", None, "a1: sample table", id="missing-table"),
+            pytest.param("n = 1\na1 = 0\nic = one\n", None, "ic: 'one' is not a complex number", id="ic-not-complex"),
+            pytest.param("preset = schrodinger\nzeta = 1\nomega = fast\n", None, "omega: 'fast' is not a complex",
+                         id="omega-not-complex"),
+            pytest.param("preset = airy\n", None, "preset: unknown preset 'airy'", id="unknown-preset"),
+            pytest.param("mode = plot\n", None, "mode: unknown mode 'plot'", id="unknown-mode"),
+            pytest.param("interval = 1\n", None, "interval: expected LO:HI", id="interval-not-lo-hi"),
+            pytest.param("interval = 0.5:1\n", None, "interval: [0.5, 1.0] must contain 0", id="interval-without-0"),
+            pytest.param("grid = many\n", None, "grid: 'many' is not a int", id="grid-not-numeric"),
+            pytest.param("tol = small\n", None, "tol: 'small' is not a float", id="tol-not-numeric"),
+            pytest.param("compare_tol = x\n", None, "compare_tol: 'x' is not a float", id="compare-tol-not-numeric"),
+            pytest.param("grid = 201\n", None, "grid: N must be even and >= 16, got 201", id="grid-odd"),
+            pytest.param("grid = 8\n", None, "grid: N must be even and >= 16, got 8", id="grid-small"),
+            pytest.param("preset = schrodinger\nomega = 1\n", None, "zeta: required", id="zeta-missing"),
+            pytest.param("preset = schrodinger\nzeta = 1\n", None, "omega: required", id="omega-missing"),
+            pytest.param("preset = orr\na4 = 1\n", None, "a2: required", id="a2-missing"),
+            pytest.param("preset = orr\na2 = 1\n", None, "a4: required", id="a4-missing"),
+            pytest.param("a1 = 0\nic = 1\n", None, "n: required", id="n-missing"),
+            pytest.param("n = 1.5\n", None, "n: '1.5' is not an integer", id="n-not-integer"),
+            pytest.param("n = 0\n", None, "n: order must be in 1..9, got 0", id="n-0"),
+            pytest.param("n = 10\n", None, "n: order must be in 1..9, got 10", id="n-10"),
+        ],
+    )
+    def test_config_error_named(self, tmp_path, capsys, text, table, named):
+        if table is not None:
+            (tmp_path / "t.csv").write_text(table)
+        cfg = write(tmp_path / "p.cfg", text)
+        # every config error is raised before the subcommand is matched to the mode
+        assert run(["solve", "--config", cfg, "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("multexode: ") and named in err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_named(self, tmp_path, capsys):
+        assert run(["solve", "--config", str(tmp_path / "absent.cfg")]) == 1
+        assert "absent.cfg does not exist" in capsys.readouterr().err
+
+    def test_bad_arguments_exit_1(self, capsys):
+        assert run([]) == 1
+        assert "usage: multexode" in capsys.readouterr().err
+
     def test_mode_mismatch(self, tmp_path, capsys):
         cfg = write(tmp_path / "p.cfg", "mode = basis\nn = 1\na1 = 0\n")
         assert run(["solve", "--config", cfg]) == 1
@@ -321,6 +376,10 @@ class TestRuns:
         ys = np.array(doc["functions"]["solution"]["re"])
         xs = np.array(doc["x"])
         assert np.max(np.abs(ys - np.cos(2 * xs))) <= 1e-8
+
+    def test_a_long_chain_of_operators_solves(self, tmp_path):
+        cfg = write(tmp_path / "p.cfg", "n = 2\na1 = 0\na2 = -1" + " - 0.0001*x" * 2000 + "\nic = 1, 0\ngrid = 200\n")
+        assert run(["solve", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
 
     def test_not_converged_exit_code(self, tmp_path):
         cfg = write(

@@ -28,6 +28,7 @@ from multexode import (
     to_text,
 )
 from multexode.coeffexpr import ONE, X, ZERO, add, as_expr, mul
+from multexode.gridfn import _lagrange4
 
 from multexode import GridFn
 
@@ -235,6 +236,21 @@ class TestLower:
     def test_real_table_lowers_to_a_real_row(self, grid200):
         xs = np.linspace(-1.5, 1.5, 3001)
         assert lower(Sampled(xs, np.cos(xs)), LowerContext(grid200)).values.dtype == np.float64
+
+    def test_a_real_and_a_complex_table_of_the_same_bytes_stay_apart(self, grid200):
+        # the complex values' bytes continue the real table's abscissae, so the
+        # two tables' abscissae and values concatenate to the same bytes
+        first = Sampled(np.arange(6.0), [1, 2, 3, 4, 5, 6])
+        assert Sampled(np.arange(4.0), [4 + 5j, 1 + 2j, 3 + 4j, 5 + 6j]) is not first
+        xs = np.array([-1.5, -0.5, 0.5, 1.5, 2.5, 3.5])
+        ys = 2 * xs + 1
+        cys = np.concatenate((xs[4:], ys)).view(complex)
+        real, cplx = Sampled(xs, ys), Sampled(xs[:4], cys)
+        assert xs.tobytes() + ys.tobytes() == xs[:4].tobytes() + cys.tobytes()
+        assert real is not cplx and real.key == cplx.key
+        ctx = LowerContext(grid200)
+        assert np.max(np.abs(lower(real, ctx).values - (2 * grid200.nodes + 1))) < 1e-12
+        assert lower(cplx, ctx).values.tobytes() == _lagrange4(xs[:4], cys, grid200.nodes).tobytes()
 
     def test_div_by_const_expr(self, grid200):
         e = parse("1/(1+x^2)")

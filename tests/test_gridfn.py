@@ -19,7 +19,8 @@ from crosschecks import const_fn, exp_primitive, from_callable, primitive, simpl
 
 def zero_free_by_scan(v, grid, floor):
     """The node-by-node outward scan zero_free_interval replaced, kept as a
-    plain-Python reference with the same node and segment tests."""
+    plain-Python reference with the same node and segment tests; returns the
+    node indices (lo, hi) of the run."""
     z = grid.zero_index
     mags = np.abs(v)
     if mags[z] <= floor:
@@ -40,7 +41,7 @@ def zero_free_by_scan(v, grid, floor):
         lo -= 1
     if lo == hi:
         raise ValidityCollapsed("single node")
-    return Interval(float(grid.nodes[lo]), float(grid.nodes[hi]))
+    return lo, hi
 
 
 def outcome(fn, *args):
@@ -268,19 +269,18 @@ class TestZeroFreeInterval:
     def test_linear_function_scan(self):
         g = Grid(-2, 2, 400)
         f = from_callable(g, lambda x: 1.0 + x)
-        iv = zero_free_interval(f.values, g, 0.1)
-        assert abs(iv.lo - (-0.9)) <= 2 * g.h
-        assert iv.hi == 2.0
+        lo, hi = zero_free_interval(f.values, g, 0.1)
+        assert abs(g.nodes[lo] - (-0.9)) <= 2 * g.h
+        assert hi == g.n
 
     def test_constant_full_interval(self, grid200):
-        iv = zero_free_interval(const_fn(grid200, 1.0).values, grid200, 0.5)
-        assert iv == Interval(grid200.lo, grid200.hi)
+        assert zero_free_interval(const_fn(grid200, 1.0).values, grid200, 0.5) == (0, grid200.n)
 
     def test_cos_stops_at_quarter_period(self):
         g = Grid(-3, 3, 600)
-        iv = zero_free_interval(from_callable(g, np.cos).values, g, 0.0)
-        assert abs(iv.lo + np.pi / 2) <= 2 * g.h
-        assert abs(iv.hi - np.pi / 2) <= 2 * g.h
+        lo, hi = zero_free_interval(from_callable(g, np.cos).values, g, 0.0)
+        assert abs(g.nodes[lo] + np.pi / 2) <= 2 * g.h
+        assert abs(g.nodes[hi] - np.pi / 2) <= 2 * g.h
 
     def test_precondition_checked(self, grid200):
         x = var_fn(grid200)
@@ -322,8 +322,3 @@ class TestInterval:
     def test_requires_order(self):
         with pytest.raises(ValueError):
             Interval(1.0, 1.0)
-
-    def test_intersect(self):
-        assert Interval(-1, 1).intersect(Interval(-0.5, 2)) == Interval(-0.5, 1)
-        with pytest.raises(ValueError):
-            Interval(-1, 0.1).intersect(Interval(0.5, 1))

@@ -158,6 +158,14 @@ class TestDyson:
             dyson(m, tol=1e-12)
         assert exc.value.diagnostics.terms_used == MAX_TERMS
 
+    @pytest.mark.parametrize("y0", [None, (1, 0)], ids=["matrix", "state"])
+    def test_terms_that_are_not_numbers_raise(self, grid200, y0):
+        # the terms of a2 = -1e6 overflow into NaN, which no tolerance test passes
+        m = companion(CoeffVector.from_rhs(("0", "-1e6")), grid200)
+        with pytest.raises(NotConverged) as exc:
+            dyson(m, y0=y0)
+        assert np.isnan(exc.value.diagnostics.term_norms[-1])
+
 
 class TestDysonState:
     @pytest.mark.parametrize("n", [2, 3, 4])

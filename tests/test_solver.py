@@ -148,6 +148,16 @@ class TestResidual:
 
 
 class TestSolveIvp:
+    @pytest.mark.parametrize(
+        "chained, folded",
+        [("-1" + " - 0.0001*x" * 2000, "-1 - 0.2*x"), ("-1+x" + "/1.0001" * 1000, f"-1 + {1.0001 ** -1000!r}*x")],
+        ids=["2000_subtractions", "1000_divisions"],
+    )
+    def test_a_long_chain_of_operators_solves(self, grid200, chained, folded):
+        y, _ = solve_ivp(IVProblem(2, ("0", chained), (1, 0)), grid200)
+        ref, _ = solve_ivp(IVProblem(2, ("0", folded), (1, 0)), grid200)
+        assert np.max(np.abs(y.values - ref.values)) <= 1e-12
+
     def test_unit_first_condition_returns_first_member(self, grid200):
         p = IVProblem(3, ("0", "x", "1"), (1, 0, 0))
         y, bs = solve_ivp(p, grid200)
