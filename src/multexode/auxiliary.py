@@ -18,19 +18,21 @@ at the order of their defining equation; this keeps every expression in the
 chain free of coefficient derivatives up to order four, matching the closed
 forms that the wrapped recursion reproduces.
 
-The chain depends only on the coefficients, so it is built without a grid,
-as pure expressions.  Everything here is symbolic except
-:func:`lower_chain`, the one entry that evaluates a built chain on a
-LowerContext; a chain can be lowered on any number of grids.
+The recursion never differentiates a coefficient, so one chain serves every
+equation of its template: the order, and which coefficients simplify to 0
+or 1, which stay constants; every other a_j is the slot Coef(j).  All here
+is symbolic except :func:`lower_chain`, the one entry that evaluates a built
+chain, binding the slots; a chain can be lowered on any number of grids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from . import coeffexpr as ce
-from .coeffexpr import AuxFn, Const, Expr, TrigNode, ZERO, as_expr
+from .coeffexpr import AuxFn, Coef, Const, Expr, TrigNode, ZERO, as_expr
 from .errors import DegenerateLeading
 from .lower import LowerContext, lower
 from .parser import parse
@@ -151,8 +153,7 @@ def solve_unit_ivp(order: int, b, name: str):
         down = ce.expprim(b[0], -1)
         up = ce.expprim(b[0], 1)
         return TrigNode((ce.mul(b[1], down), up), 2)
-    sub = _build_chain(CoeffVector.from_rhs(b), prefix=f"{name}.")
-    return TrigNode(sub.phi, sub.n)
+    return TrigNode(_build_chain(CoeffVector.from_rhs(b), prefix=f"{name}."), order)
 
 
 @dataclass(frozen=True)
@@ -160,16 +161,18 @@ class AuxChain:
     """The solved auxiliary functions of one problem, as expressions.
 
     phi[k-1] is the k-th auxiliary function (wrapped with its defining
-    equation for k >= 2).  a is None for a preset's hand-built chain that no
+    equation for k >= 2); lowering binds the slot Coef(j) to coefs[j-1], the
+    simplified a_j.  a is None for a preset's hand-built chain that no
     coefficient vector describes, such as the impedance pair.
     """
 
     n: int
     a: CoeffVector | None
     phi: tuple
+    coefs: tuple = ()
 
 
-def _build_chain(a: CoeffVector, prefix: str = "") -> AuxChain:
+def _build_chain(a: CoeffVector, prefix: str = "") -> tuple:
     n = a.n
     if n < 2:
         raise ValueError("auxiliary chains start at order 2")
@@ -187,28 +190,38 @@ def _build_chain(a: CoeffVector, prefix: str = "") -> AuxChain:
     for k in range(2, n + 1):
         prod = phis[k] if prod is None else ce.mul(prod, phis[k])
     phis[1] = ce.simplify(ce.mul(a.a(n), ce.invert(prod)))
-    return AuxChain(n, a, tuple(phis[k] for k in range(1, n + 1)))
+    return tuple(phis[k] for k in range(1, n + 1))
+
+
+@lru_cache(maxsize=32)  # up to 3^n templates of order n; one of order 9 is about 4.8 MB
+def _template(fixed: tuple) -> tuple:
+    """The phi with a_j = ``fixed[j-1]``, 0 or 1, or the slot Coef(j) for None."""
+    slots = (Coef(j) if c is None else c for j, c in enumerate(fixed, start=1))
+    return _build_chain(CoeffVector((Const(-1), *slots)))
 
 
 def build_aux_chain(a: CoeffVector) -> AuxChain:
-    """Run the general recursion for the coefficients in ``a``; no grid is
-    involved.  The recursion differentiates only auxiliary functions, never
-    a coefficient, so a sampled coefficient needs no derivative."""
-    return _build_chain(a)
+    """The template of the coefficients in ``a``, built by the general
+    recursion on its first call, and their simplified forms for its slots.
+    No grid is involved, and a sampled coefficient needs no derivative."""
+    coefs = tuple(ce.simplify(c) for c in a.coeffs[1:])
+    return AuxChain(a.n, a, _template(tuple(c if c in (ZERO, ce.ONE) else None for c in coefs)), coefs)
 
 
 def lower_chain(chain: AuxChain, ctx: LowerContext):
     """Evaluate a built chain on a context.
 
-    Plans the phi as roots, whose rows stay in ``ctx.memo`` (a caller that
-    lowers more from the chain on the same context plans that before), then
-    lowers phi_2, phi_3, ..., phi_n and last phi_1.  Division by auxiliary
-    functions and by the leads is guarded: wherever a divisor approaches
-    zero the validity interval shrinks and values outside it are zeroed.  Returns the rows
-    phi_1..phi_n, the series diagnostics of each phi_k keyed by k (None
-    where phi_k is not a trig operator), and ``ctx.final_validity()``, the
+    Binds the chain's coefficients to its slots on ``ctx`` and plans the phi
+    as roots, whose rows stay in ``ctx.memo`` (a caller that lowers more from
+    the chain on the same context plans that before), then lowers phi_2,
+    ..., phi_n and last phi_1.  Division by auxiliary functions and by the
+    leads is guarded: wherever a divisor approaches zero the validity
+    interval shrinks and values outside it are zeroed.  Returns the rows
+    phi_1..phi_n, the series diagnostics of each phi_k keyed by k (None where
+    phi_k is not a trig operator), and ``ctx.final_validity()``, the
     interval on which the rows are trustworthy.
     """
+    ctx.coefs = chain.coefs
     ctx.plan(chain.phi)
     # phi_2's equation reads every phi_k with k >= 3, so their own calls
     # find the row in the memo

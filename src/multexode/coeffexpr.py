@@ -88,9 +88,9 @@ class Const(Expr):
         value = complex(value)
         key = (cls, value)
         node = _NODES.get(key)
-        if node is None:
+        if node is None:  # -0.0 and 0.0 are one key: store 0.0, whichever comes first
             node = _NODES[key] = object.__new__(cls)
-            _set(node, "value", value)
+            _set(node, "value", value + 0j)
         return node
 
 
@@ -223,6 +223,15 @@ class Sampled(Expr):
         ys.setflags(write=False)
         key = hashlib.sha1(xs.tobytes() + ys.tobytes()).hexdigest()[:16]
         return _interned(cls, (cls, key, len(xs), ys.dtype), xs, ys, key)
+
+
+class Coef(Expr):
+    """Slot j of a chain template, named a{j}, bound to a_j at lowering."""
+
+    __slots__ = ("j", "name")
+
+    def __new__(cls, j):
+        return _interned(cls, (cls, j), j, f"a{j}")
 
 
 class AuxFn(Expr):
@@ -467,7 +476,7 @@ def _simplify(e: Expr, ops: list) -> Expr:
         return func(e.name, ops[0])
     if isinstance(e, TrigNode):
         return TrigNode(ops, e.j)
-    if isinstance(e, (Const, Var, Sampled, AuxFn, AuxDeriv)):
+    if isinstance(e, (Const, Var, Sampled, Coef, AuxFn, AuxDeriv)):
         return e
     raise TypeError(f"cannot simplify {type(e).__name__}")
 
@@ -491,7 +500,7 @@ def differentiate(e: Expr) -> Expr:
 
     Trig nodes follow the index-shift rule (the j-th operator's derivative is
     its j-th input times the operator at index j-1, wrapping j=1 to n).
-    A sampled table has no derivative and raises NonDifferentiable.
+    A sampled table or a slot has no derivative and raises NonDifferentiable.
     Auxiliary-function derivatives cap at the order of the defining
     equation, substituting its right side there.
     """
@@ -517,8 +526,8 @@ def differentiate(e: Expr) -> Expr:
         if e.j >= 2:
             return mul(e.fs[e.j - 1], TrigNode(e.fs, e.j - 1))
         return mul(e.fs[0], TrigNode(e.fs, e.n))
-    if isinstance(e, Sampled):
-        raise NonDifferentiable("sampled data has no derivative; only expressions are differentiated")
+    if isinstance(e, (Sampled, Coef)):
+        raise NonDifferentiable(f"{_print(e)[0]} has no derivative; only expressions are differentiated")
     if isinstance(e, AuxFn):
         if e.order == 1:
             return mul(e.bcoeffs[0], e)
@@ -592,7 +601,7 @@ def _print(e: Expr) -> tuple[str, int]:
         return f"T[{e.j}]({inner})", _PREC["atom"]
     if isinstance(e, Sampled):
         return f"sampled({e.key})", _PREC["atom"]
-    if isinstance(e, AuxFn):
+    if isinstance(e, (Coef, AuxFn)):
         return e.name, _PREC["atom"]
     if isinstance(e, AuxDeriv):
         return f"{e.fn.name}{'_x' * e.s}", _PREC["atom"]

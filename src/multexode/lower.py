@@ -2,8 +2,9 @@
 
 Lowering is numeric only: it reads expressions, including the realized
 derivatives an AuxFn carries, and never simplifies or differentiates.  A
-LowerContext fixes the grid, series tolerances and the per-solve memo
-store.  Every node lowers to a plain read-only array, checked finite
+LowerContext fixes the grid, series tolerances, the per-solve memo store
+and ``coefs``, whose j-th entry a chain's slot Coef(j) reads as its one
+child.  Every node lowers to a plain read-only array, checked finite
 (Overflow at the first bad node), real until a complex constant, a complex
 table or ``sqrt`` enters; lowering never builds a GridFn.
 
@@ -46,10 +47,10 @@ from .multex import DEFAULT_TOL, trig_family
 
 MIN_VALIDITY_CELLS = 4
 # nodes whose row is checked already: a child's row, or a series' checked sums
-_CHECKED = frozenset((ce.AuxFn, ce.AuxDeriv, ce.TrigNode))
+_CHECKED = frozenset((ce.AuxFn, ce.AuxDeriv, ce.Coef, ce.TrigNode))
 
 
-def _reads(e: ce.Expr) -> tuple:
+def _reads(e: ce.Expr, coefs: tuple) -> tuple:
     """The distinct nodes whose rows the row of ``e`` is computed from."""
     if isinstance(e, (ce.Add, ce.Sub, ce.Mul, ce.Div)):
         return (e.a,) if e.a is e.b else (e.a, e.b)
@@ -65,11 +66,13 @@ def _reads(e: ce.Expr) -> tuple:
         return (e.realization,)
     if isinstance(e, ce.AuxDeriv):
         return (e.fn.derivs[e.s - 1],)
+    if isinstance(e, ce.Coef):
+        return (coefs[e.j - 1],)
     raise TypeError(f"cannot lower {type(e).__name__}")
 
 
 class LowerContext:
-    """Shared state for one solve: grid, tolerances, read counts, memo.
+    """Shared state for one solve: grid, tolerances, slots, read counts, memo.
 
     ``uses`` counts the reads of each planned node still to come and
     ``memo`` holds the node's row while its count is above zero; both are
@@ -83,6 +86,7 @@ class LowerContext:
         self.grid = grid
         self.series_tol = series_tol
         self.validity = (0, grid.n)  # node indices of the running validity
+        self.coefs: tuple = ()  # coefs[j-1] is bound to the slot Coef(j)
         self.memo: dict = {}
         self.uses: dict = {}
         self.trig_diagnostics: dict = {}
@@ -101,14 +105,14 @@ class LowerContext:
             left = uses.get(node, 0)
             uses[node] = left + 1
             if not left:
-                stack.extend(_reads(node))
+                stack.extend(_reads(node, self.coefs))
 
     def _keep(self, node: ce.Expr, row: np.ndarray) -> None:
         """Store a computed row; its reads of its children are done, so drop
         the rows read for the last time."""
         self.memo[node] = row
         uses, memo = self.uses, self.memo
-        for child in _reads(node):
+        for child in _reads(node, self.coefs):
             left = uses[child] - 1
             if left:
                 uses[child] = left
@@ -175,7 +179,7 @@ def lower(e: ce.Expr, ctx: LowerContext) -> GridFn:
             node = stack.pop()
             if node in memo:  # before its reads, whose rows may be dropped
                 continue
-            missing = [child for child in _reads(node) if child not in memo]
+            missing = [child for child in _reads(node, ctx.coefs) if child not in memo]
             if missing:
                 stack += [node, *reversed(missing)]
                 continue
@@ -226,6 +230,6 @@ def _lower(e: ce.Expr, ctx: LowerContext) -> np.ndarray:
                 f"[{grid.lo:.6g}, {grid.hi:.6g}]"
             )
         return _lagrange4(e.xs, e.ys, grid.nodes)
-    if isinstance(e, (ce.AuxFn, ce.AuxDeriv)):
-        return memo[_reads(e)[0]]  # the realization or the realized derivative
+    if isinstance(e, (ce.AuxFn, ce.AuxDeriv, ce.Coef)):
+        return memo[_reads(e, ctx.coefs)[0]]  # the realization, realized derivative or coefficient
     raise TypeError(f"cannot lower {type(e).__name__}")

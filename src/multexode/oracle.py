@@ -93,8 +93,8 @@ def dyson(m: MatrixFn, tol: float = DEFAULT_TOL, y0=None) -> DysonResult:
     Each term integrates m times the previous term from 0, entrywise, on both
     sides of 0 with the anchored signed primitive.  Stops when the entrywise
     sup of the newest term reaches tol; raises NotConverged when MAX_TERMS
-    terms leave it far above or a term is NaN.  The state's term and tail
-    bounds scale with sum |y0_k|: each state term is the matrix term on y0.
+    terms leave it far above, or at a term that is not finite.  The state's
+    term and tail bounds scale with sum |y0_k|: each is the matrix one on y0.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -117,8 +117,6 @@ def dyson(m: MatrixFn, tol: float = DEFAULT_TOL, y0=None) -> DysonResult:
     bounds = []
     running_bound = scale / n  # (scale/n)(n g)^j / j!, updated multiplicatively
     terms = 0
-    converged = False
-    last = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a term that overflows fails the test below
         while terms < MAX_TERMS:
             terms += 1
@@ -128,8 +126,8 @@ def dyson(m: MatrixFn, tol: float = DEFAULT_TOL, y0=None) -> DysonResult:
             running_bound *= (n * g_int) / terms
             norms.append(last)
             bounds.append(running_bound)
-            if last <= tol:
-                converged = True
+            converged = last <= tol
+            if converged or not math.isfinite(last):  # a term that is not a number never converges
                 break
     tail = scale * truncation_bound(g_int, n, terms) if scale else 0.0  # no inf * 0
     result = DysonResult(grid, total, terms, tail, converged, g_int, norms, bounds)

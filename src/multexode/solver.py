@@ -7,9 +7,10 @@ initial-value solution is the linear combination weighted by the initial
 data.  A solve plans and lowers only the chain's auxiliary functions; the
 n members then come from one stacked series pass over the lowered rows, in
 which each rotation is one particle, so no member is ever built as an
-expression.  The chain depends only on the equation, and its lowered rows
-on the grid and the series tolerance too, never on the initial data, so one
-per-process memo keeps both and a repeat solve runs only the stacked pass.
+expression.  Equations share chain templates, so only a template's first
+solve does symbolic work; the lowered rows depend on the equation, grid and
+series tolerance, never on the initial data, so one per-process memo keeps
+them and a repeat solve runs only the stacked pass.
 Presets hand their own chains to the same assembly: the impedance-form wave
 equation (zeta u')' + omega^2 zeta u = 0 as the index-2 trig pair of
 (-omega^2 zeta / zeta(0), zeta(0) / zeta), and the fourth-order
@@ -26,9 +27,9 @@ import numpy as np
 
 from . import coeffexpr as ce
 from .auxiliary import AuxChain, CoeffVector, build_aux_chain, lower_chain
-from .coeffexpr import AuxDeriv, AuxFn, Const, Sampled, TrigNode, as_expr
+from .coeffexpr import Const, TrigNode, as_expr
 from .gridfn import Grid, GridFn, Interval, linear_combination
-from .lower import LowerContext, _reads, lower
+from .lower import LowerContext, lower
 from .multex import DEFAULT_TOL, trig_family
 from .parser import parse
 
@@ -87,34 +88,20 @@ def _member(row: GridFn, outside: np.ndarray) -> GridFn:
 # _assemble's memo, least recently used first:
 # (equation, grid, series_tol) -> ((chain, rows, aux_diags, validity), size)
 _LOWERED: OrderedDict = OrderedDict()
-_LOWERED_BUDGET = 6 << 20  # bytes: the rows, and 350 B per chain node an entry keeps alive
-
-
-def _chain_size(chain: AuxChain) -> int:
-    """The distinct nodes reached from the chain's phi and coefficients, if
-    it has any; a table also counts its arrays at 350 B per node."""
-    seen, size, stack = set(), 0, [*chain.phi, *(chain.a.coeffs if chain.a else ())]
-    while stack:
-        e = stack.pop()
-        if e not in seen:
-            seen.add(e)
-            size += 1 + (e.xs.nbytes + e.ys.nbytes) // 350 if isinstance(e, Sampled) else 1
-            held = (*e.bcoeffs, *e.derivs) if isinstance(e, AuxFn) else (e.fn,) if isinstance(e, AuxDeriv) else ()
-            stack += (*held, *_reads(e))
-    return size
+_LOWERED_BUDGET = 6 << 20  # bytes of the rows the entries keep
 
 
 def _assemble(eq: CoeffVector | AuxChain, grid: Grid, tol: float) -> BasisSet:
     """Build and lower the chain of ``eq`` on a fresh context and rotate it
     through the trig operators: one stacked pass over the lowered rows gives
     every member.  ``eq`` is the coefficients of a general equation, whose
-    chain is built here, or a preset's hand-built chain.
+    chain binds them to its template here, or a preset's hand-built chain.
 
     The chain and what ``lower_chain`` returns are kept per process under
     ``eq``, the grid and the series tolerance, least recently used out
-    first, within ``_LOWERED_BUDGET`` bytes, so a repeat solve builds and
-    lowers nothing.  A larger entry and a build or lowering that raises are
-    not kept; ``_LOWERED.clear()`` frees every kept entry."""
+    first, within ``_LOWERED_BUDGET`` bytes of rows, so a repeat solve
+    builds and lowers nothing.  A larger entry and a build or lowering that
+    raises are not kept; ``_LOWERED.clear()`` frees every kept entry."""
     key = (eq, grid, tol)
     if key in _LOWERED:
         _LOWERED.move_to_end(key)
@@ -122,7 +109,7 @@ def _assemble(eq: CoeffVector | AuxChain, grid: Grid, tol: float) -> BasisSet:
     else:
         chain = eq if isinstance(eq, AuxChain) else build_aux_chain(eq)
         rows, aux_diags, validity = lower_chain(chain, LowerContext(grid, series_tol=tol))
-        size = sum(r.values.nbytes for r in rows) + 350 * _chain_size(chain)
+        size = sum(r.values.nbytes for r in rows)
         if size <= _LOWERED_BUDGET:
             _LOWERED[key] = ((chain, rows, aux_diags, validity), size)
             while sum(s for _, s in _LOWERED.values()) > _LOWERED_BUDGET:

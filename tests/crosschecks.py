@@ -172,11 +172,49 @@ def realization_residual(fn_expr: AuxFn, ctx: LowerContext) -> GridFn:
 def member_exprs(bs):
     """The basis members as expressions: member k is the trig operator of the
     auxiliary functions rotated k-1 steps right, at index (k-2) mod n + 1;
-    order 1's one member is the exponential of the primitive of a1."""
+    order 1's one member is the exponential of the primitive of a1.  They
+    read the chain's slots, so lower them on a context bound to
+    ``bs.chain.coefs``."""
     if bs.chain is None:
         return (ce.expprim(bs.a.a(1), 1),)
     n, phi = bs.n, bs.chain.phi
     return tuple(TrigNode(phi[n - k + 1 :] + phi[: n - k + 1], (k - 2) % n + 1) for k in range(1, n + 1))
+
+
+def bound(exprs, coefs) -> tuple:
+    """``exprs`` with every slot Coef(j) replaced by ``coefs[j-1]``: the same
+    expressions in the equation's own coefficients, which, unlike a slot,
+    can be differentiated."""
+    done = {}
+
+    def sub(e):
+        if e not in done:
+            if isinstance(e, ce.Coef):
+                done[e] = coefs[e.j - 1]
+            elif isinstance(e, (ce.Add, ce.Sub, ce.Mul, ce.Div)):
+                done[e] = type(e)(sub(e.a), sub(e.b))
+            elif isinstance(e, ce.IntPow):
+                done[e] = ce.IntPow(sub(e.base), e.k)
+            elif isinstance(e, ExpPrim):
+                done[e] = ExpPrim(sub(e.child), e.sign)
+            elif isinstance(e, ce.FuncCall):
+                done[e] = ce.FuncCall(e.name, sub(e.child))
+            elif isinstance(e, TrigNode):
+                done[e] = TrigNode(tuple(map(sub, e.fs)), e.j)
+            elif isinstance(e, AuxFn):
+                done[e] = AuxFn(e.name, e.order, tuple(map(sub, e.bcoeffs)), sub(e.realization))
+            elif isinstance(e, AuxDeriv):
+                done[e] = AuxDeriv(sub(e.fn), e.s)
+            else:
+                done[e] = e
+        return done[e]
+
+    return tuple(map(sub, exprs))
+
+
+def _derivative_exprs(bs):
+    """The members as expressions of the equation's own coefficients."""
+    return bound(member_exprs(bs), bs.chain.coefs if bs.chain else ())
 
 
 def rotation_members(bs, tol=DEFAULT_TOL) -> SimpleNamespace:
@@ -185,6 +223,7 @@ def rotation_members(bs, tol=DEFAULT_TOL) -> SimpleNamespace:
     interval they leave: a reference for the stacked pass of the solver."""
     grid = bs.psi[0].grid
     ctx = LowerContext(grid, series_tol=tol)
+    ctx.coefs = bs.chain.coefs if bs.chain else ()
     exprs = member_exprs(bs)
     ctx.plan(exprs)
     rows = [lower(e, ctx).values.astype(complex) for e in exprs]
@@ -201,7 +240,7 @@ def initial_condition_matrix(bs) -> np.ndarray:
     n = bs.n
     ctx = LowerContext(bs.psi[0].grid)
     out = np.zeros((n, n), dtype=complex)
-    for k, d in enumerate(member_exprs(bs), start=1):
+    for k, d in enumerate(_derivative_exprs(bs), start=1):
         out[0, k - 1] = lower(d, ctx).at_zero()
         for j in range(2, n + 1):
             d = ce.simplify(ce.differentiate(d))
@@ -213,7 +252,7 @@ def ode_residual(bs, k: int) -> GridFn:
     """Residual of member k in the original equation, via symbolic
     derivatives of its expression, lowered on a context of its own."""
     n = bs.n
-    derivs = [member_exprs(bs)[k - 1]]
+    derivs = [_derivative_exprs(bs)[k - 1]]
     for _ in range(n):
         derivs.append(ce.simplify(ce.differentiate(derivs[-1])))
     res = derivs[n]

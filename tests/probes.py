@@ -11,16 +11,20 @@ A probe hashes the sample bytes of a solution and of every basis member, the
 validity interval (exact float bits) and the series diagnostics; a probe that
 raises hashes the error's type and message; a CLI probe hashes the exit code
 and every output file, by name and bytes.  An expression probe hashes the
-printed text of one equation's chain (every phi, and each auxiliary
-function's right side and derivatives), one parse probe hashes the raw
-trees and syntax errors of a fixed list of strings, a second hashes them
-parsed again while the first roots are held (and whether each is the held
-root), and a third the syntax error of nesting too deep to recurse.  The
-script is not a test module, so pytest does not collect it.
+printed text of one equation's chain: the template of its order and of
+which coefficients are 0 or 1, which reads slot a{j} for every other
+coefficient (every phi, and each auxiliary function's right side and
+derivatives), and the simplified coefficients bound to the slots; so
+equations of one template differ only in the coefficients.  One parse probe hashes the raw trees and syntax
+errors of a fixed list of strings, a second hashes them parsed again while
+the first roots are held (and whether each is the held root), and a third
+the syntax error of nesting too deep to recurse.  The script is not a test
+module, so pytest does not collect it.
 
-To compare two source trees, copy this script and ``crosschecks.py`` into
-the ``tests/`` directory of each checkout and run it there: it imports the
-package from the ``src/`` next to it.
+To compare two source trees, copy this script into the ``tests/`` directory
+of each checkout and run it there: it imports the package from the
+``src/`` next to it.  Copy ``crosschecks.py`` too, unless the other tree
+predates the chain templates: its references bind the templates' slots.
 
 Every probe runs twice in one process.  The listing is the first pass; the
 second runs with the chains and lowered rows of the first still in the
@@ -77,6 +81,12 @@ DIVIDING_CHAINS = (
     ("order5_complex", ("0.1*x + 0.05*i", "-30+2*x", "0.3*i*x", "1/(x+0.35)", "0.2 - 0.1*i*x"), (-1, 1)),
     ("order4_shrinking", ("0", "-40+3*x", "1", "0.2"), (-0.75, 0.75)),
     ("order5_a1_pole", ("1/(1+3*x)", "-25", "x", "1", "0.1"), (-1, 1)),
+)
+# coefficients that repeat one node, are all constants, or simplify to 0
+EDGE_VECTORS = (
+    ("repeated_x", ("x", "x", "x", "x")),
+    ("all_constant", ("1", "-2", "0.5", "3")),
+    ("zeros_by_simplification", ("0.1*x", "x-x", "0*x", "1")),
 )
 XS = np.linspace(-1.2, 1.2, 241)
 TABLES = {"real": Sampled(XS, 0.3 * np.cos(XS)), "complex": Sampled(XS, 0.3 * np.cos(XS) + 0.1j * XS)}
@@ -183,6 +193,14 @@ def library_probes():
         bs = _run(_basis(REAL[:n], g))
         yield f"initial_condition_matrix/order{n}", lambda bs=bs: crosschecks.initial_condition_matrix(bs)
         yield f"ode_residual/order{n}", lambda bs=bs, n=n: crosschecks.ode_residual(bs, n)
+    # a1 = 1/((x-0.035)(x+0.035)) and 0 elsewhere: where a2 is 0 the chain
+    # makes no division by phi_2, which would cut the validity further
+    for n in (2, 3):
+        rhs = ("1/((x-0.035)*(x+0.035))",) + ("0",) * (n - 1)
+        yield f"pole_pair/order{n}", _solve(rhs, Grid(-1, 1, 200), ic=(1,) + (0,) * (n - 1))
+    for name, coeffs in EDGE_VECTORS:
+        for grid in (Grid(-1, 1, 2000), Grid(-0.75, 0.75, 1500)):
+            yield f"edge/{name}/N{grid.n}", _solve(coeffs, grid)
     # orders 6 to 9, the top of the CLI's range
     for n in range(6, 10):
         yield f"solve_ivp/order{n}/y^({n})=y", _solve(("0",) * (n - 1) + ("1",), g, ic=(1,) + (0,) * (n - 1))
@@ -219,12 +237,13 @@ def equations():
 
 
 def _chain_texts(coeffs):
+    chain = build_aux_chain(CoeffVector.from_rhs(coeffs))
     texts = []
-    for p in build_aux_chain(CoeffVector.from_rhs(coeffs)).phi:
+    for p in chain.phi:
         texts.append(to_text(p))
         if isinstance(p, AuxFn):
             texts += [to_text(e) for e in (*p.bcoeffs, p.realization, *p.derivs)]
-    return ("texts", *texts)
+    return ("texts", *texts, *map(to_text, chain.coefs))
 
 
 def _tree(e):

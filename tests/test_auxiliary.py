@@ -1,4 +1,5 @@
 import gc
+import itertools
 import sys
 from dataclasses import fields
 from types import SimpleNamespace
@@ -14,7 +15,6 @@ from multexode import (
     GridFn,
     IVProblem,
     LowerContext,
-    Sampled,
     TrigNode,
     ValidityCollapsed,
     apply_scriptD,
@@ -164,16 +164,19 @@ class TestLowerChain:
         # the lead of each stage is -beta_top, the negated product of unit
         # solutions, so the chain needs no check of its own at the anchor
         a = coeff_vector(*rhs)
-        leads = stage_leads(a, build_aux_chain(a).phi)
+        chain = build_aux_chain(a)
+        leads = stage_leads(a, chain.phi)
         assert len(leads) == count
         for lead, prod in leads:
             assert lead is simplify(mul(Const(-1), prod))
-            assert lower(lead, LowerContext(grid200)).at_zero() == -1
+            ctx = LowerContext(grid200)
+            ctx.coefs = chain.coefs
+            assert lower(lead, ctx).at_zero() == -1
 
     def test_build_needs_no_grid_and_holds_no_arrays(self):
         chain = build_aux_chain(coeff_vector("x/4", "cos(x)", "x", "1/2", "sin(x)/3"))
-        assert [f.name for f in fields(chain)] == ["n", "a", "phi"]
-        seen, stack, kinds = set(), [chain.phi, chain.a.coeffs], set()
+        assert [f.name for f in fields(chain)] == ["n", "a", "phi", "coefs"]
+        seen, stack, kinds = set(), [chain.phi, chain.a.coeffs, chain.coefs], set()
         while stack:
             obj = stack.pop()
             if id(obj) in seen:
@@ -415,9 +418,10 @@ class TestInterning:
         table = ce._NODES
         gc.disable()  # so that only reference counts free the nodes
         try:
+            aux._template((None,) * 5)  # the template's nodes stay in its cache
             before = set(table.keys())
             y, bs = solve_ivp(IVProblem(5, FRESH5, (1, 0, 0, 0, 0)), Grid(-1, 1, 200))
-            assert bs.chain.phi[4] in table.values()
+            assert bs.chain.coefs[4] in table.values()
             made = set(table.keys()) - before
             del y, bs
             # the memo holds the chain, and with it every node the solve made
@@ -428,6 +432,7 @@ class TestInterning:
             gc.enable()
 
     def test_an_order5_build_simplifies_each_node_once(self, monkeypatch):
+        aux._template.cache_clear()  # so that the build makes its template
         for node in list(ce._NODES.values()):  # forget every memo, so the count is the build's own
             if hasattr(node, "_simple"):
                 object.__delattr__(node, "_simple")
@@ -435,7 +440,7 @@ class TestInterning:
         inner = ce._simplify
         monkeypatch.setattr(ce, "_simplify", lambda e, ops: bodies.append(e) or inner(e, ops))
         build_aux_chain(coeff_vector(*ONCE5))
-        assert len({id(e) for e in bodies}) == len(bodies) == 316
+        assert len({id(e) for e in bodies}) == len(bodies) == 321
 
 
 # order-5 and order-3 equations whose constants no other test uses
@@ -462,12 +467,6 @@ class TestChainMemo:
         _, fresh = solve_ivp(IVProblem(5, MEMO5, ic), g)
         assert all(np.array_equal(r, m.values) for r, m in zip(rows, fresh.psi, strict=True))
 
-    def test_a_table_counts_its_bytes(self, grid200):
-        xs = np.linspace(-1.2, 1.2, 35_000)  # 560 kB of samples
-        basis(coeff_vector(Sampled(xs, 0.3 * np.cos(xs)), "-1.0127", "0.3129*x"), grid200)
-        ((_, size),) = solver._LOWERED.values()
-        assert size > 560_000
-
     def test_a_build_that_raises_keeps_nothing(self, grid200, monkeypatch):
         calls = []
 
@@ -476,7 +475,42 @@ class TestChainMemo:
             raise DegenerateLeading("injected")
 
         monkeypatch.setattr(aux, "_build_chain", failing)
+        aux._template.cache_clear()  # so that the solves build their template
         for _ in range(2):
             with pytest.raises(DegenerateLeading):
                 basis(coeff_vector(*MEMO3), grid200)
         assert len(calls) == 2 and not solver._LOWERED
+
+
+# order-9 coefficients, all nonzero; the test's second equation changes every constant
+ORDER9 = ("0.1*x", "-1+0.2*sin(x)", "0.3*x", "0.5*cos(x)", "0.2", "0.1*x^2", "-0.3", "0.05*cos(2*x)", "0.1")
+
+
+class TestTemplates:
+    def test_two_order9_solves_build_one_chain(self, grid200, monkeypatch):
+        aux._template.cache_clear()  # so that the first solve builds its template
+        runs, inner = [], aux._build_chain
+        # a nested chain is built with a prefix of its own
+        monkeypatch.setattr(aux, "_build_chain", lambda a, prefix="": runs.append(prefix) or inner(a, prefix))
+        second = tuple(c.replace("0.", "0.9") for c in ORDER9)
+        ys = [solve_ivp(IVProblem(9, rhs, (1,) + (0,) * 8), grid200)[0].values for rhs in (ORDER9, second)]
+        assert runs.count("") == 1 and not np.array_equal(*ys)
+
+    def test_one_template_per_pattern_of_zeros_and_ones(self):
+        first = build_aux_chain(coeff_vector("x", "2", "-1", "3", "4"))
+        second = build_aux_chain(coeff_vector("sin(x)", "-1", "0.5*x", "2", "1/(x+3)"))
+        assert second.phi is first.phi and second.coefs != first.coefs
+        # a coefficient that simplifies to 0 or 1 is a constant of the template
+        for fixed in ("0", "1"):
+            chain = build_aux_chain(coeff_vector("x", fixed, "2", "3", "4"))
+            assert chain.phi is not first.phi
+            same = build_aux_chain(coeff_vector("sin(x)", f"x - x + {fixed}", "0.5*x", "2", "3"))
+            assert same.phi is chain.phi
+
+    def test_the_template_cache_is_bounded(self):
+        limit = aux._template.cache_info().maxsize
+        patterns = [p for n in (2, 3) for p in itertools.product((None, ZERO, ONE), repeat=n)]
+        assert len(patterns) > limit
+        for pattern in patterns:
+            aux._template(pattern)
+            assert aux._template.cache_info().currsize <= limit

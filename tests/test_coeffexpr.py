@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -27,13 +28,21 @@ from multexode import (
     simplify,
     to_text,
 )
-from multexode.coeffexpr import ONE, X, ZERO, add, as_expr, mul
+from multexode.coeffexpr import ONE, X, ZERO, Coef, add, as_expr, mul
 from multexode.gridfn import _lagrange4
 
 from multexode import GridFn
 
 
 class TestStructure:
+    def test_a_zero_part_of_a_constant_is_stored_as_positive_zero(self):
+        # -0.0 and 0.0 make one key, so the sign stored must not depend on
+        # which of the two was built first
+        c = Const(complex(-2.75, -0.0))
+        assert c.value == -2.75 and math.copysign(1, c.value.imag) == 1
+        c = Const(complex(-0.0, 1.25))
+        assert c.value == 1.25j and math.copysign(1, c.value.real) == 1
+
     def test_equality_and_hashing(self):
         assert parse("x^2 + 1") == parse("x^2 + 1")
         assert hash(parse("sin(x)")) == hash(FuncCall("sin", X))
@@ -53,6 +62,20 @@ class TestStructure:
     def test_non_finite_number_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             as_expr(bad)
+
+
+class TestSlots:
+    def test_a_slot_is_an_interned_leaf_that_prints_its_name(self):
+        assert Coef(2) is Coef(2) and Coef(2) is not Coef(3)
+        assert simplify(Coef(2)) is Coef(2) and to_text(mul(Const(3), Coef(2))) == "3*a2"
+        with pytest.raises(NonDifferentiable, match="a2"):
+            differentiate(Coef(2))
+
+    def test_a_slot_lowers_to_the_row_of_its_coefficient(self, grid200):
+        ctx = LowerContext(grid200)
+        ctx.coefs = (parse("sin(x)"), parse("2 + x"))
+        got = lower(mul(Coef(2), Coef(1)), ctx).values
+        assert np.array_equal(got, (2 + grid200.nodes) * np.sin(grid200.nodes))
 
 
 class TestSimplify:

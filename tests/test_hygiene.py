@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -46,6 +47,21 @@ def test_all_names_resolve_to_public_objects():
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(multexode, n)] == []
     assert [n for n in names if isinstance(getattr(multexode, n), ModuleType)] == []
+
+
+def test_every_package_of_the_test_extra_is_imported_by_a_test():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    root = Path(__file__).resolve().parents[1]
+    extra = tomllib.loads((root / "pyproject.toml").read_text())["project"]["optional-dependencies"]["test"]
+    imported = set()
+    for path in (root / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                imported.add(node.module.split(".")[0])
+    packages = [re.split(r"[^A-Za-z0-9_.-]", req, maxsplit=1)[0].lower().replace("-", "_") for req in extra]
+    assert [p for p in packages if p not in imported] == []
 
 
 def load_tracing():

@@ -160,11 +160,14 @@ class TestDyson:
 
     @pytest.mark.parametrize("y0", [None, (1, 0)], ids=["matrix", "state"])
     def test_terms_that_are_not_numbers_raise(self, grid200, y0):
-        # the terms of a2 = -1e6 overflow into NaN, which no tolerance test passes
+        # the terms of a2 = -1e6 overflow into NaN, which no tolerance test
+        # passes, so the sum stops at the first (term 301 of MAX_TERMS = 400)
         m = companion(CoeffVector.from_rhs(("0", "-1e6")), grid200)
         with pytest.raises(NotConverged) as exc:
             dyson(m, y0=y0)
-        assert np.isnan(exc.value.diagnostics.term_norms[-1])
+        norms = exc.value.diagnostics.term_norms
+        assert np.isnan(norms[-1]) and np.all(np.isfinite(norms[:-1]))
+        assert exc.value.diagnostics.terms_used == len(norms) < MAX_TERMS
 
 
 class TestDysonState:

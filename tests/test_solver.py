@@ -325,18 +325,21 @@ class TestLoweringMemo:
     def test_a_call_inside_a_planned_root_takes_none_of_its_reads(self, grid200, case):
         # lowering a node that a planned root reads, before the root, takes
         # none of the parent's reads of it, so the rows it shares stay
+        coefs = ()
         if case == "expression":
             child = parse("sin(x) + 2")
             inner, roots = [child], [mul(child, expprim(child, 1))]
         else:
-            phi = build_aux_chain(CoeffVector.from_rhs(SMOOTH)).phi
-            inner, roots = [phi[2].realization], list(phi)
+            chain = build_aux_chain(CoeffVector.from_rhs(SMOOTH))
+            inner, roots, coefs = [chain.phi[2].realization], list(chain.phi), chain.coefs
         ctx = LowerContext(grid200)
+        ctx.coefs = coefs
         ctx.plan(roots)
         got = [lower(e, ctx).values for e in inner + roots]
         fresh = []
         for e in inner + roots:
             ref = LowerContext(grid200)
+            ref.coefs = coefs
             ref.plan([e])
             fresh.append(lower(e, ref).values)
         assert all(np.array_equal(a, b) for a, b in zip(got, fresh, strict=True))
